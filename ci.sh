@@ -32,6 +32,12 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
+echo "== benchmark module tests"
+# benchmark/ is its own Go module, so ./... above does not reach it. Its
+# TestSetupMirrorMatchesScenarioRun catches the set-up mirror drifting
+# from scenario.Run, including each segment's size.
+(cd benchmark && go test ./...)
+
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 

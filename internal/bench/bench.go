@@ -61,10 +61,9 @@ type Suite struct {
 
 // Options configures a harness run.
 type Options struct {
-	// Quick trims the end-to-end rows (fewer pingpong round trips, test
-	// scale for figure8) for CI latency; the engine microbenchmarks keep
-	// full counts so their per-op figures stay gateable against a full-run
-	// baseline.
+	// Quick trims the serving rows' request counts for CI latency; every
+	// other row keeps its full shape so its per-op figures stay gateable
+	// against a full-run baseline.
 	Quick bool
 }
 
@@ -80,8 +79,9 @@ func Run(opt Options) (Suite, error) {
 	// The microbenchmark rows keep full counts under -quick: they cost
 	// tens of milliseconds each and need that window length (and the same
 	// setup-cost amortization) for per-op figures stable enough to gate at
-	// 10%. Quick trims the serving sweep and switches figure8 to test
-	// scale, which dominate wall-clock.
+	// 10%. Quick trims only the serving rows. figure8-small always runs
+	// its baseline's small-scale shape, which kernel-backed Split-C heaps
+	// keep cheap enough for CI; a test-scale run would not be comparable.
 	suite := []bm{
 		{"engine-events", 2_000_000, 0, benchEngineEvents},
 		{"engine-timer", 1_000_000, 0, benchEngineTimer},
@@ -96,7 +96,7 @@ func Run(opt Options) (Suite, error) {
 		// that per-op figures at a reduced request count would not be
 		// comparable against the full-run baseline.
 		{"engine-par-events", 8_000, 0, benchServingPar()},
-		{"figure8-small", 3, 0, benchFigure8(opt.Quick)},
+		{"figure8-small", 3, 0, benchFigure8},
 	}
 	for _, b := range suite {
 		ops := b.ops
@@ -368,29 +368,22 @@ func benchServingPar() func(ops int64) error {
 }
 
 // benchFigure8 measures application wall-clock: the Sample kernel on MP1
-// at 1, 2 and 4 processors (one cell per op), at small scale — or test
-// scale under -quick.
-func benchFigure8(quick bool) func(ops int64) error {
-	return func(ops int64) error {
-		spec, err := registry.ByName("Sample")
-		if err != nil {
+// at 1, 2 and 4 processors (one cell per op), at small scale.
+func benchFigure8(ops int64) error {
+	spec, err := registry.ByName("Sample")
+	if err != nil {
+		return err
+	}
+	a, ok := arch.ByName("MP1")
+	if !ok {
+		return fmt.Errorf("unknown arch MP1")
+	}
+	for _, nodes := range []int{1, 2, 4} {
+		if _, err := workload.Run(spec.New(registry.Small), a, nodes, 1); err != nil {
 			return err
 		}
-		scale := registry.Small
-		if quick {
-			scale = registry.Test
-		}
-		a, ok := arch.ByName("MP1")
-		if !ok {
-			return fmt.Errorf("unknown arch MP1")
-		}
-		for _, nodes := range []int{1, 2, 4} {
-			if _, err := workload.Run(spec.New(scale), a, nodes, 1); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
+	return nil
 }
 
 // Validate checks a suite for schema conformance: the exact schema tag,

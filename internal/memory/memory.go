@@ -28,6 +28,11 @@ func (a Addr) Plus(off int) Addr { return Addr{a.Seg, a.Off + off} }
 
 // Segment is a contiguous region of a process's address space exported for
 // remote access. Only the owner and ranks it has granted may address it.
+//
+// Data always holds the segment's full size, zero until written. Large
+// segments are kernel-backed (see kernelBackedMin) and unmapped when the
+// *Segment is collected, so a Data subslice must never be kept past the
+// segment it came from.
 type Segment struct {
 	ID    ASID
 	Owner int // global rank of the owning process
@@ -280,10 +285,17 @@ func NewRegistry(eng *sim.Engine) *Registry {
 	}
 }
 
-// NewSegment allocates a segment of size bytes owned by rank owner.
+// kernelBackedMin is the smallest segment, in bytes, whose Data comes from
+// anonymous kernel pages rather than the Go heap (on unix builds). Pages
+// are zeroed on first touch, so untouched capacity costs nothing; smaller
+// segments stay on the heap, where a mapping's page rounding and system
+// calls would cost more than they save.
+const kernelBackedMin = 64 << 10
+
+// NewSegment allocates a zeroed segment of size bytes owned by rank owner.
 func (r *Registry) NewSegment(owner, size int) *Segment {
 	r.nextSeg++
-	s := &Segment{ID: r.nextSeg, Owner: owner, Data: make([]byte, size)}
+	s := newSegment(r.nextSeg, owner, size)
 	r.segs = append(r.segs, s)
 	return s
 }

@@ -40,6 +40,7 @@ type CommandQueue[T any] struct {
 	ring     []entry[T]
 	head     int // consumer position
 	tail     int // producer position
+	n        int // valid entries
 	enqueued int64
 	fullHits int64
 }
@@ -74,6 +75,7 @@ func (q *CommandQueue[T]) Enqueue(rank int, cmd T) error {
 	e.cmd = cmd
 	e.valid = true
 	q.tail = (q.tail + 1) % len(q.ring)
+	q.n++
 	q.enqueued++
 	return nil
 }
@@ -90,6 +92,7 @@ func (q *CommandQueue[T]) Dequeue() (T, bool) {
 	e.cmd = zero
 	e.valid = false
 	q.head = (q.head + 1) % len(q.ring)
+	q.n--
 	return cmd, true
 }
 
@@ -97,15 +100,7 @@ func (q *CommandQueue[T]) Dequeue() (T, bool) {
 func (q *CommandQueue[T]) Empty() bool { return !q.ring[q.head].valid }
 
 // Len returns the number of valid entries.
-func (q *CommandQueue[T]) Len() int {
-	n := 0
-	for i := range q.ring {
-		if q.ring[i].valid {
-			n++
-		}
-	}
-	return n
-}
+func (q *CommandQueue[T]) Len() int { return q.n }
 
 // Enqueued returns the total commands ever accepted.
 func (q *CommandQueue[T]) Enqueued() int64 { return q.enqueued }

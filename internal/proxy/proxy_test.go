@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -227,6 +228,39 @@ func TestPropertyQueuePreservesOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestLenMatchesRing(t *testing.T) {
+	// The maintained count must equal a brute-force count of valid ring
+	// entries after every operation. The enqueue bias flips every 50 ops,
+	// so the sequence both fills the ring (ErrFull bounces) and drains it
+	// (dequeues from empty).
+	q := NewCommandQueue[any](0, 5)
+	rnd := rand.New(rand.NewSource(1))
+	emptyDeqs := 0
+	for op := 0; op < 10_000; op++ {
+		enqBias := 1
+		if op/50%2 == 1 {
+			enqBias = 2
+		}
+		if rnd.Intn(3) < enqBias {
+			_ = q.Enqueue(0, op)
+		} else if _, ok := q.Dequeue(); !ok {
+			emptyDeqs++
+		}
+		valid := 0
+		for i := range q.ring {
+			if q.ring[i].valid {
+				valid++
+			}
+		}
+		if q.Len() != valid {
+			t.Fatalf("op %d: Len() = %d, ring holds %d", op, q.Len(), valid)
+		}
+	}
+	if q.FullHits() == 0 || emptyDeqs == 0 {
+		t.Fatalf("sequence never hit full (%d) or empty (%d)", q.FullHits(), emptyDeqs)
 	}
 }
 

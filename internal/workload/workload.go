@@ -18,7 +18,10 @@ import (
 // DefaultHeapBytes is the per-rank Split-C heap used when Options leaves
 // HeapBytes zero. It suits the test and small scales; the full-scale
 // presets raise it (FFT over 1M points needs ~64 MiB per rank at low
-// processor counts).
+// processor counts). Capacity is free: the heap is a kernel-backed
+// segment (memory.Registry.NewSegment), so only the pages a program
+// allocates and touches cost zeroing or resident memory — at small scale
+// no application's high-water mark passes 1 MiB of the 8.
 const DefaultHeapBytes = 8 << 20
 
 // Options carries per-run simulation parameters. The zero value is the
