@@ -59,7 +59,7 @@ if ! cmp -s "$tmpdir/chrome.json" internal/prof/testdata/pingpong-mp1-chrome.jso
     exit 1
 fi
 
-echo "== bench shard (schema + regression gate vs BENCH_10.json)"
+echo "== bench shard (schema + regression gate vs BENCH_14.json)"
 # 15% tolerance plus one retry: the shared runners' noise is one-sided
 # (load spikes only ever slow a rep down) and an occasional spike exceeds
 # any tolerance a real regression should be allowed to hide in. A genuine
@@ -67,7 +67,7 @@ echo "== bench shard (schema + regression gate vs BENCH_10.json)"
 bench_ok=0
 for attempt in 1 2; do
     if "$tmpdir/mproxy" bench -quick -out "$tmpdir/bench.json" \
-        -baseline BENCH_10.json -tolerance 0.15 2>"$tmpdir/bench.log"; then
+        -baseline BENCH_14.json -tolerance 0.15 2>"$tmpdir/bench.log"; then
         bench_ok=1
         break
     fi

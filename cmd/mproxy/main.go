@@ -316,7 +316,7 @@ func buildProf(args []string, stdout, stderr io.Writer) (scenario.Spec, bool, in
 // fails the invocation.
 func buildBench(args []string, stdout, stderr io.Writer) (scenario.Spec, bool, int) {
 	fs := newFlagSet("bench", stderr)
-	quick := fs.Bool("quick", false, "CI shard: serving rows at reduced request counts, every other row at full shape")
+	quick := fs.Bool("quick", false, "label the output as a CI shard run (every row runs its full shape either way)")
 	out := fs.String("out", "", "write the suite JSON to this file (default: stdout)")
 	baseline := fs.String("baseline", "", "BENCH_*.json to compare against; regressions fail the run")
 	tol := fs.Float64("tolerance", 0.10, "allowed fractional throughput regression vs -baseline")

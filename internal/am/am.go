@@ -74,9 +74,13 @@ type Port struct {
 	ep   *comm.Endpoint
 
 	delivered int64 // messages dispatched on this port
-	// stash hands one record from an empty-queue TakeAsync callback to
-	// the parked task serve loop (see task.go).
-	stash []byte
+
+	// Task-side pools (see task.go): record buffers and send frames. A
+	// port sends and consumes only in its own node's event context, so a
+	// parallel run's shards never share a pool; record buffers migrate
+	// from the sending port's pool to the receiving port's.
+	recFree  [][]byte
+	sendFree sim.Freelist[sendFrame]
 }
 
 // Rank returns the port's rank.
@@ -93,7 +97,12 @@ func (p *Port) Delivered() int64 { return p.delivered }
 const msgHeader = 12
 
 func encode(handler, src int, args []int64, payload []byte) []byte {
-	buf := make([]byte, msgHeader+8*len(args)+len(payload))
+	return encodeInto(make([]byte, RecordBytes(len(args), len(payload))), handler, src, args, payload)
+}
+
+// encodeInto marshals a record into buf, which must hold exactly
+// RecordBytes(len(args), len(payload)) bytes.
+func encodeInto(buf []byte, handler, src int, args []int64, payload []byte) []byte {
 	binary.LittleEndian.PutUint32(buf[0:], uint32(handler))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(src))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(len(args)))
@@ -105,10 +114,20 @@ func encode(handler, src int, args []int64, payload []byte) []byte {
 }
 
 func decode(rec []byte) (handler, src int, args []int64, payload []byte) {
+	return decodeInto(rec, nil)
+}
+
+// decodeInto is decode with the argument words appended to buf[:0], so a
+// caller that owns a scratch slice decodes without allocating.
+func decodeInto(rec []byte, buf []int64) (handler, src int, args []int64, payload []byte) {
 	handler = int(binary.LittleEndian.Uint32(rec[0:]))
 	src = int(binary.LittleEndian.Uint32(rec[4:]))
 	nargs := int(binary.LittleEndian.Uint32(rec[8:]))
-	args = make([]int64, nargs)
+	args = buf[:0]
+	if cap(args) < nargs {
+		args = make([]int64, nargs)
+	}
+	args = args[:nargs]
 	for i := range args {
 		args[i] = int64(binary.LittleEndian.Uint64(rec[msgHeader+8*i:]))
 	}

@@ -19,7 +19,8 @@ import (
 
 // TaskHandler is an active-message handler dispatched on a
 // run-to-completion serve loop. It must call k exactly once when its
-// work (including any chained sends) is submitted.
+// work (including any chained sends) is submitted. args and payload are
+// valid only until it calls k: the serve loop then reuses both.
 type TaskHandler func(p *Port, t *sim.Task, src int, args []int64, payload []byte, k func())
 
 // RegisterTask adds a task-dispatched handler to the table and returns
@@ -32,26 +33,107 @@ func (l *Layer) RegisterTask(h TaskHandler) int {
 }
 
 // SendTask is Send for a run-to-completion caller: k runs when the
-// message has been submitted (local deliveries complete first).
+// message has been submitted (local deliveries complete first). args and
+// payload are copied into the record at the call, so the caller may
+// reuse them as soon as SendTask returns.
 func (p *Port) SendTask(t *sim.Task, dst, handler int, args []int64, payload []byte, k func()) {
 	if handler < 0 || handler >= len(p.l.handlers) {
 		panic(fmt.Sprintf("am: rank %d sends unknown handler %d", p.rank, handler))
 	}
 	a := p.l.f.A
-	p.ep.CPU().ComputeTask(t, a.Instr(1.5)+a.CacheMiss, func() {
-		rec := encode(handler, p.rank, args, payload)
-		if dst == p.rank {
-			// Queue-mediated like Send: self-sends must not run nested.
-			p.ep.CPU().ComputeTask(t, a.CacheMiss, func() {
-				p.l.queues[p.rank].Deliver(rec)
-				k()
-			})
-			return
-		}
-		if err := p.ep.EnqBytesTask(t, rec, p.l.refs[dst], memory.FlagRef{}, k); err != nil {
-			panic(fmt.Sprintf("am: rank %d -> %d: %v", p.rank, dst, err))
-		}
-	})
+	fr := p.newSendFrame()
+	fr.t, fr.dst, fr.k = t, dst, k
+	fr.rec = encodeInto(p.newRecord(RecordBytes(len(args), len(payload))), handler, p.rank, args, payload)
+	p.ep.CPU().ComputeTask(t, a.Instr(1.5)+a.CacheMiss, fr.marshaledK)
+}
+
+// recordCap is the capacity of a pooled record buffer. Records that fit
+// (every KV request and reply but a SCAN's) recycle; larger ones are
+// allocated and left to the collector.
+const recordCap = 128
+
+// maxFreeRecords bounds each port's record pool. Flows that are not
+// symmetric (a server receives pooled SCAN requests but answers with
+// unpooled replies) would otherwise grow it without limit.
+const maxFreeRecords = 16
+
+// newRecord returns an n-byte record buffer, from the port's pool when n
+// fits a pooled buffer.
+func (p *Port) newRecord(n int) []byte {
+	if n > recordCap {
+		return make([]byte, n)
+	}
+	if k := len(p.recFree); k > 0 {
+		rec := p.recFree[k-1][:n]
+		p.recFree[k-1] = nil
+		p.recFree = p.recFree[:k-1]
+		return rec
+	}
+	return make([]byte, n, recordCap)
+}
+
+// freeRecord returns a consumed record to the port's pool. A record is
+// recycled only when the fabric delivers exactly once: a duplicated
+// packet would otherwise deliver a buffer already reused.
+func (p *Port) freeRecord(rec []byte) {
+	if cap(rec) != recordCap || len(p.recFree) >= maxFreeRecords || !p.l.f.ExactlyOnce() {
+		return
+	}
+	p.recFree = append(p.recFree, rec)
+}
+
+// sendFrame is one in-flight SendTask: the marshaled record and the
+// caller's continuation, carried across the marshaling interval.
+type sendFrame struct {
+	p   *Port
+	t   *sim.Task
+	dst int
+	rec []byte
+	k   func()
+
+	marshaledK func() // prebuilt fr.marshaled
+	selfK      func() // prebuilt fr.selfDeliver
+}
+
+func (p *Port) newSendFrame() *sendFrame {
+	fr := p.sendFree.Get()
+	if fr == nil {
+		fr = &sendFrame{p: p}
+		fr.marshaledK = fr.marshaled
+		fr.selfK = fr.selfDeliver
+	}
+	return fr
+}
+
+// release returns the frame to its port's pool and hands back the
+// continuation it carried.
+func (fr *sendFrame) release() func() {
+	k := fr.k
+	fr.t, fr.rec, fr.k = nil, nil, nil
+	fr.p.sendFree.Put(fr)
+	return k
+}
+
+// marshaled runs once the record is built: ENQ it to the destination,
+// or deliver it locally.
+func (fr *sendFrame) marshaled() {
+	p := fr.p
+	if fr.dst == p.rank {
+		// Queue-mediated like Send: self-sends must not run nested.
+		p.ep.CPU().ComputeTask(fr.t, p.l.f.A.CacheMiss, fr.selfK)
+		return
+	}
+	t, dst, rec := fr.t, fr.dst, fr.rec
+	k := fr.release()
+	if err := p.ep.EnqBytesTask(t, rec, p.l.refs[dst], memory.FlagRef{}, k); err != nil {
+		panic(fmt.Sprintf("am: rank %d -> %d: %v", p.rank, dst, err))
+	}
+}
+
+func (fr *sendFrame) selfDeliver() {
+	p := fr.p
+	p.l.queues[p.rank].Deliver(fr.rec)
+	fr.release()()
 }
 
 // ServeWhileTask turns t into the port's message loop: every arriving
@@ -61,47 +143,82 @@ func (p *Port) SendTask(t *sim.Task, dst, handler int, args []int64, payload []b
 // is spawned as a daemon. The port's queue must have exactly one
 // consumer.
 func (p *Port) ServeWhileTask(t *sim.Task, done func() bool) {
-	p.serveStep(t, done)
+	fr := &serveLoop{p: p, t: t, done: done}
+	fr.onTakeK = fr.onTake
+	fr.resumeK = fr.resume
+	fr.handleK = fr.handle
+	fr.nextK = fr.next
+	fr.step()
 }
 
-func (p *Port) serveStep(t *sim.Task, done func() bool) {
-	q := p.l.queues[p.rank]
+// serveLoop is one serving task's resident state: the record being
+// dispatched, its decoded fields, and the loop's prebuilt continuations.
+// Dispatches on a port never overlap — the queue has one consumer — so
+// one frame serves the whole loop without allocating per message.
+type serveLoop struct {
+	p    *Port
+	t    *sim.Task
+	done func() bool
+
+	rec     []byte
+	h, src  int
+	args    []int64 // decode scratch, reused by every dispatch
+	payload []byte
+
+	onTakeK func([]byte) // prebuilt fr.onTake, the empty-queue TakeAsync callback
+	resumeK func()       // prebuilt fr.resume, the parked continuation
+	handleK func()       // prebuilt fr.handle
+	nextK   func()       // prebuilt fr.next, the handler's continuation
+}
+
+func (fr *serveLoop) step() {
+	q := fr.p.l.queues[fr.p.rank]
 	rec, ok := q.TryTake()
 	if !ok {
-		eng := p.ep.Node().Eng // the queue's records arrive in the owner node's event context
-		q.TakeAsync(func(r []byte) {
-			p.stash = r
-			eng.WakeTask(t)
-		})
-		t.Park(func() {
-			rec := p.stash
-			p.stash = nil
-			p.dispatchTask(t, rec, done)
-		})
+		q.TakeAsync(fr.onTakeK)
+		fr.t.Park(fr.resumeK)
 		return
 	}
-	p.dispatchTask(t, rec, done)
+	fr.dispatch(rec)
 }
 
-// dispatchTask charges the receive-side costs (queue pop plus handler
-// invocation, as Recv + dispatch would) and runs the task handler, whose
-// continuation loops or finishes the serve.
-func (p *Port) dispatchTask(t *sim.Task, rec []byte, done func() bool) {
-	h, src, args, payload := decode(rec)
+// onTake receives the record an empty-queue wait was served with; the
+// queue's records arrive in the owner node's event context.
+func (fr *serveLoop) onTake(rec []byte) {
+	fr.rec = rec
+	fr.p.ep.Node().Eng.WakeTask(fr.t)
+}
+
+func (fr *serveLoop) resume() { fr.dispatch(fr.rec) }
+
+// dispatch charges the receive-side costs (queue pop plus handler
+// invocation, as Recv + dispatch would) and then runs the task handler,
+// whose continuation loops or finishes the serve.
+func (fr *serveLoop) dispatch(rec []byte) {
+	p := fr.p
+	fr.rec = rec
+	fr.h, fr.src, fr.args, fr.payload = decodeInto(rec, fr.args)
 	a := p.l.f.A
-	n := msgHeader + 8*len(args) + len(payload)
+	n := msgHeader + 8*len(fr.args) + len(fr.payload)
 	cost := p.l.f.RecvCost() + a.Instr(2.0) + 2*a.CacheMiss + arch.XferTime(n, a.PIOBW)
-	p.ep.CPU().ComputeTask(t, cost, func() {
-		p.delivered++
-		th := p.l.taskHandlers[h]
-		if th == nil {
-			panic(fmt.Sprintf("am: handler %d is poll-registered; it cannot run on a task serve loop", h))
-		}
-		th(p, t, src, args, payload, func() {
-			if done() {
-				return
-			}
-			p.serveStep(t, done)
-		})
-	})
+	p.ep.CPU().ComputeTask(fr.t, cost, fr.handleK)
+}
+
+func (fr *serveLoop) handle() {
+	p := fr.p
+	p.delivered++
+	th := p.l.taskHandlers[fr.h]
+	if th == nil {
+		panic(fmt.Sprintf("am: handler %d is poll-registered; it cannot run on a task serve loop", fr.h))
+	}
+	th(p, fr.t, fr.src, fr.args, fr.payload, fr.nextK)
+}
+
+func (fr *serveLoop) next() {
+	fr.p.freeRecord(fr.rec)
+	fr.rec, fr.payload = nil, nil
+	if fr.done() {
+		return
+	}
+	fr.step()
 }

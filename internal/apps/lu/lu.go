@@ -180,11 +180,17 @@ func (l *LU) Body(env *apps.Env, rank int) {
 	co.Barrier()
 	env.MarkStart(rank)
 
-	// readBlock fetches a block's values through CRL.
-	readBlock := func(bi, bj int) []float64 {
+	// Block scratch, reused every step: two operand blocks read through
+	// CRL and the block being updated in place.
+	rBuf1 := make([]float64, b*b)
+	rBuf2 := make([]float64, b*b)
+	wBuf := make([]float64, b*b)
+
+	// readBlock fetches a block's values through CRL into dst.
+	readBlock := func(bi, bj int, dst []float64) []float64 {
 		rg := regs[bi*nb+bj]
 		rg.StartRead()
-		vals := rg.F64(0, b*b).Load()
+		vals := rg.F64(0, b*b).LoadInto(dst)
 		rg.EndRead()
 		ep.Compute(costmodel.MemRefs(b * b / 4))
 		return vals
@@ -195,7 +201,7 @@ func (l *LU) Body(env *apps.Env, rank int) {
 		if mine(k, k) {
 			rg := regs[k*nb+k]
 			rg.StartWrite()
-			d := rg.F64(0, b*b).Load()
+			d := rg.F64(0, b*b).LoadInto(wBuf)
 			factorDiag(d, b)
 			rg.F64(0, b*b).Store(d)
 			rg.EndWrite()
@@ -205,20 +211,20 @@ func (l *LU) Body(env *apps.Env, rank int) {
 		// Perimeter updates.
 		for i := k + 1; i < nb; i++ {
 			if mine(i, k) {
-				d := readBlock(k, k)
+				d := readBlock(k, k, rBuf1)
 				rg := regs[i*nb+k]
 				rg.StartWrite()
-				a := rg.F64(0, b*b).Load()
+				a := rg.F64(0, b*b).LoadInto(wBuf)
 				colUpdate(a, d, b)
 				rg.F64(0, b*b).Store(a)
 				rg.EndWrite()
 				ep.Compute(costmodel.Flops(b * b * b))
 			}
 			if mine(k, i) {
-				d := readBlock(k, k)
+				d := readBlock(k, k, rBuf1)
 				rg := regs[k*nb+i]
 				rg.StartWrite()
-				a := rg.F64(0, b*b).Load()
+				a := rg.F64(0, b*b).LoadInto(wBuf)
 				rowUpdate(a, d, b)
 				rg.F64(0, b*b).Store(a)
 				rg.EndWrite()
@@ -232,11 +238,11 @@ func (l *LU) Body(env *apps.Env, rank int) {
 				if !mine(i, j) {
 					continue
 				}
-				a := readBlock(i, k)
-				bb := readBlock(k, j)
+				a := readBlock(i, k, rBuf1)
+				bb := readBlock(k, j, rBuf2)
 				rg := regs[i*nb+j]
 				rg.StartWrite()
-				cb := rg.F64(0, b*b).Load()
+				cb := rg.F64(0, b*b).LoadInto(wBuf)
 				gemmSub(cb, a, bb, b)
 				rg.F64(0, b*b).Store(cb)
 				rg.EndWrite()
@@ -252,7 +258,7 @@ func (l *LU) Body(env *apps.Env, rank int) {
 		out := make([]float64, 0, l.N*l.N)
 		for bi := 0; bi < nb; bi++ {
 			for bj := 0; bj < nb; bj++ {
-				out = append(out, readBlock(bi, bj)...)
+				out = append(out, readBlock(bi, bj, rBuf1)...)
 			}
 		}
 		l.result = out

@@ -93,6 +93,9 @@ func (m *MM) Body(env *apps.Env, rank int) {
 	env.MarkStart(rank)
 
 	acc := make([]float64, m.B*m.B)
+	// Operand scratch: a block's values are consumed within one bk step.
+	aBuf := make([]float64, m.B*m.B)
+	bBuf := make([]float64, m.B*m.B)
 	for bi := 0; bi < nb; bi++ {
 		for bj := 0; bj < nb; bj++ {
 			o, cOff := owner(bi, bj)
@@ -108,23 +111,23 @@ func (m *MM) Body(env *apps.Env, rank int) {
 				bo, bOff := owner(bk, bj)
 				var av, bv []float64
 				if ao == rank {
-					av = c.LocalF64(aBase+aOff, m.B*m.B).Load()
+					av = c.LocalF64(aBase+aOff, m.B*m.B).LoadInto(aBuf)
 					c.Endpoint().Compute(costmodel.MemRefs(m.B * m.B / 8))
 				} else {
 					c.GetBulk(sA, splitc.GPtr{Proc: ao, Off: aBase + aOff}, blockBytes)
 				}
 				if bo == rank {
-					bv = c.LocalF64(bBase+bOff, m.B*m.B).Load()
+					bv = c.LocalF64(bBase+bOff, m.B*m.B).LoadInto(bBuf)
 					c.Endpoint().Compute(costmodel.MemRefs(m.B * m.B / 8))
 				} else {
 					c.GetBulk(sB, splitc.GPtr{Proc: bo, Off: bBase + bOff}, blockBytes)
 				}
 				c.Sync()
 				if av == nil {
-					av = c.LocalF64(sA, m.B*m.B).Load()
+					av = c.LocalF64(sA, m.B*m.B).LoadInto(aBuf)
 				}
 				if bv == nil {
-					bv = c.LocalF64(sB, m.B*m.B).Load()
+					bv = c.LocalF64(sB, m.B*m.B).LoadInto(bBuf)
 				}
 				// acc += av * bv (b^3 multiply-adds).
 				for x := 0; x < m.B; x++ {

@@ -152,11 +152,12 @@ func (m *Moldy) Body(env *apps.Env, rank int) {
 
 	env.MarkStart(rank)
 	var local float64
+	var state []float64 // this rank's copy of the iteration's input state
 	co := env.Coll.Comm(rank)
 	for it := 0; it < m.Iters; it++ {
 		// Read the iteration's input state; the barrier below guarantees
 		// nobody overwrites a replica before every rank has read its own.
-		state := view.Load()
+		state = view.LoadInto(state)
 		co.Barrier()
 		local = step(state, m.Atoms, lo, hi, it, rank)
 		// Write back only this rank's slice.

@@ -53,17 +53,16 @@ type Result struct {
 // Suite is a full harness run.
 type Suite struct {
 	Schema string `json:"schema"`
-	// Quick marks a reduced-op-count run (CI shards); per-op figures are
-	// comparable across quick and full runs, totals are not.
+	// Quick marks a CI-shard run. Every row runs the same shape in
+	// quick and full runs, so all figures compare like for like.
 	Quick   bool     `json:"quick"`
 	Results []Result `json:"results"`
 }
 
 // Options configures a harness run.
 type Options struct {
-	// Quick trims the serving rows' request counts for CI latency; every
-	// other row keeps its full shape so its per-op figures stay gateable
-	// against a full-run baseline.
+	// Quick labels the run as a CI shard; it does not change any row's
+	// shape, so a quick run gates against a full-run baseline directly.
 	Quick bool
 }
 
@@ -72,38 +71,28 @@ func Run(opt Options) (Suite, error) {
 	s := Suite{Schema: Schema, Quick: opt.Quick}
 	type bm struct {
 		name string
-		ops  int64 // full-run count
-		qops int64 // -quick count; 0 means same as full
+		ops  int64
 		fn   func(ops int64) error
 	}
-	// The microbenchmark rows keep full counts under -quick: they cost
-	// tens of milliseconds each and need that window length (and the same
-	// setup-cost amortization) for per-op figures stable enough to gate at
-	// 10%. Quick trims only the serving rows. figure8-small always runs
-	// its baseline's small-scale shape, which kernel-backed Split-C heaps
-	// keep cheap enough for CI; a test-scale run would not be comparable.
+	// Every row runs its baseline's shape in every mode: the serving rows
+	// cost tens of milliseconds at 4,000 requests, and the per-op figures
+	// of a shorter run would carry a different share of set-up cost.
+	// figure8-small always runs at small scale, which kernel-backed
+	// Split-C heaps keep cheap enough for CI.
 	suite := []bm{
-		{"engine-events", 2_000_000, 0, benchEngineEvents},
-		{"engine-timer", 1_000_000, 0, benchEngineTimer},
-		{"engine-traced", 1_000_000, 0, benchEngineTraced},
-		{"pingpong-e2e", 2_000, 0, benchPingPong},
-		{"serving-smoke", 4_000, 1_000, benchServing(nil, 1, "", 0)},
-		{"serving-forensics", 4_000, 1_000, benchServing(&flight.Config{}, 1, "", 0)},
-		{"serving-proxysched", 4_000, 1_000, benchServing(nil, 2, "steal", 0)},
-		{"serving-smoke-par", 4_000, 1_000, benchServing(nil, 1, "", 2)},
-		// engine-par-events keeps its full count under -quick: the
-		// 1024-node cluster construction is a fixed cost large enough
-		// that per-op figures at a reduced request count would not be
-		// comparable against the full-run baseline.
-		{"engine-par-events", 8_000, 0, benchServingPar()},
-		{"figure8-small", 3, 0, benchFigure8},
+		{"engine-events", 2_000_000, benchEngineEvents},
+		{"engine-timer", 1_000_000, benchEngineTimer},
+		{"engine-traced", 1_000_000, benchEngineTraced},
+		{"pingpong-e2e", 2_000, benchPingPong},
+		{"serving-smoke", 4_000, benchServing(nil, 1, "", 0)},
+		{"serving-forensics", 4_000, benchServing(&flight.Config{}, 1, "", 0)},
+		{"serving-proxysched", 4_000, benchServing(nil, 2, "steal", 0)},
+		{"serving-smoke-par", 4_000, benchServing(nil, 1, "", 2)},
+		{"engine-par-events", 8_000, benchServingPar()},
+		{"figure8-small", 3, benchFigure8},
 	}
 	for _, b := range suite {
-		ops := b.ops
-		if opt.Quick && b.qops > 0 {
-			ops = b.qops
-		}
-		res, err := measure(b.name, ops, b.fn)
+		res, err := measure(b.name, b.ops, b.fn)
 		if err != nil {
 			return Suite{}, fmt.Errorf("bench %s: %w", b.name, err)
 		}
@@ -113,8 +102,8 @@ func Run(opt Options) (Suite, error) {
 }
 
 // measureReps is how many times each benchmark runs; the fastest
-// repetition is reported. Best-of-N is what keeps the -quick CI shard's
-// short measurement windows comparable against the full-run baseline:
+// repetition is reported. Best-of-N is what keeps the CI shard's short
+// measurement windows comparable against the checked-in baseline:
 // scheduler hiccups and cold caches only ever slow a rep down, so the
 // minimum converges on the benchmark's true cost. Five reps (up from
 // three) keeps the end-to-end rows' minimum stable on loaded shared

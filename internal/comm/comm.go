@@ -189,8 +189,8 @@ type Fabric struct {
 	// pktFree and reqFree recycle packets and request boxes in task mode,
 	// so steady-state messaging allocates nothing (see newPacket for the
 	// pooling gate).
-	pktFree []*packet
-	reqFree []*reqBox
+	pktFree sim.Freelist[packet]
+	reqFree sim.Freelist[reqBox]
 
 	// parallel marks a fabric running under the sharded windowing driver
 	// (Parallelize): packet pooling is disabled — a packet is allocated on
@@ -400,6 +400,13 @@ func (f *Fabric) opDone(node *machine.Node, kind OpKind, issued sim.Time) {
 	node.Eng.Emit(trace.KOpDone, kind.String(), int64(d))
 }
 
+// ExactlyOnce reports whether every record the fabric delivers reaches its
+// destination queue exactly once, unaliased by any retained copy: no
+// fault plane may duplicate a packet and no reliable transport keeps
+// payloads for retransmission. Only then may a receiver recycle a record
+// buffer once it has consumed it.
+func (f *Fabric) ExactlyOnce() bool { return f.relE == nil && !f.Cl.Faulty() }
+
 // Registry returns the cluster's address-space registry.
 func (f *Fabric) Registry() *memory.Registry { return f.Cl.Reg }
 
@@ -421,6 +428,8 @@ type Endpoint struct {
 	// work is the pre-built proxy work item submitted once per operation
 	// (proxy design points only).
 	work machine.Work
+	// subFree pools the task-side submission frames (see taskapi.go).
+	subFree sim.Freelist[submitFrame]
 
 	// Traffic counters live per endpoint — not on the fabric — because an
 	// endpoint submits only from its own node's event context; a parallel
@@ -645,7 +654,7 @@ func (ep *Endpoint) record(kind OpKind, n int) {
 func (ep *Endpoint) submit(r request) {
 	f := ep.f
 	r.issued = ep.cpu.Node.Eng.Now()
-	if !f.forceRemote && f.nodeOf(f.targetRank(r)) == ep.cpu.Node {
+	if !f.forceRemote && f.nodeOf(f.targetRank(&r)) == ep.cpu.Node {
 		ep.intra++
 		f.intra(ep, r)
 		return

@@ -140,7 +140,7 @@ func (fr *agentExec) step() {
 	case pcMPSend:
 		fr.mpSend()
 	case pcMPShipPIO:
-		r := fr.r
+		r := &fr.r
 		kind := pktPutData
 		if r.kind == OpEnq {
 			kind = pktEnqData
@@ -165,18 +165,18 @@ func (fr *agentExec) step() {
 		reg.Signal(fr.r.fsync)
 		fr.finish()
 	case pcMPPutPages:
-		r := fr.r
+		r := &fr.r
 		fr.startPages(packet{kind: pktPutPage, from: r.from, to: f.targetRank(r), n: r.n,
 			issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local, pcFinish)
 	case pcMPGetReqShip:
-		r := fr.r
+		r := &fr.r
 		pkt := f.newPacket(fr.node.OutLink)
 		pkt.kind, pkt.from, pkt.to, pkt.n = pktGetReq, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.issued, r.remote, r.local, r.fsync, r.rsync
 		f.ship(fr.node, pkt)
 		fr.finish()
 	case pcMPDeqReqShip:
-		r := fr.r
+		r := &fr.r
 		pkt := f.newPacket(fr.node.OutLink)
 		pkt.kind, pkt.from, pkt.to, pkt.n = pktDeqReq, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.rq, pkt.dst, pkt.fsync = r.issued, r.rq, r.local, r.fsync
@@ -270,7 +270,7 @@ func (fr *agentExec) step() {
 
 	// ---- custom hardware: send side (hwSend) ----
 	case pcHWShipPIO:
-		r := fr.r
+		r := &fr.r
 		kind := pktPutData
 		if r.kind == OpEnq {
 			kind = pktEnqData
@@ -293,18 +293,18 @@ func (fr *agentExec) step() {
 		reg.Signal(fr.r.fsync)
 		fr.finish()
 	case pcHWPutPages:
-		r := fr.r
+		r := &fr.r
 		fr.startPages(packet{kind: pktPutPage, from: r.from, to: f.targetRank(r), n: r.n,
 			issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local, pcFinish)
 	case pcHWGetReqShip:
-		r := fr.r
+		r := &fr.r
 		pkt := f.newPacket(fr.node.OutLink)
 		pkt.kind, pkt.from, pkt.to, pkt.n = pktGetReq, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.issued, r.remote, r.local, r.fsync, r.rsync
 		f.ship(fr.node, pkt)
 		fr.finish()
 	case pcHWDeqReqShip:
-		r := fr.r
+		r := &fr.r
 		pkt := f.newPacket(fr.node.OutLink)
 		pkt.kind, pkt.from, pkt.to, pkt.n = pktDeqReq, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.rq, pkt.dst, pkt.fsync = r.issued, r.rq, r.local, r.fsync
@@ -483,7 +483,7 @@ func (fr *agentExec) shipDeqReply() {
 func (fr *agentExec) mpSend() {
 	f := fr.f
 	A := f.A
-	r := fr.r
+	r := &fr.r
 	switch r.kind {
 	case OpPut, OpEnq:
 		if r.kind == OpPut && r.n > A.PIOCutoff {
@@ -580,7 +580,7 @@ func hwSendWork(a *machine.Agent, arg any) {
 	fr.f.freeReqBox(box)
 	f := fr.f
 	A := f.A
-	r := fr.r
+	r := &fr.r
 	switch r.kind {
 	case OpPut, OpEnq:
 		if r.kind == OpPut && r.n > A.PIOCutoff {

@@ -13,7 +13,7 @@ import (
 
 func (f *Fabric) hwSend(ap *sim.Proc, node *machine.Node, r request) {
 	A := f.A
-	to := f.targetRank(r)
+	to := f.targetRank(&r)
 	switch r.kind {
 	case OpPut, OpEnq:
 		kind := pktPutData
@@ -29,7 +29,7 @@ func (f *Fabric) hwSend(ap *sim.Proc, node *machine.Node, r request) {
 			// over the bus.
 			ap.Hold(A.AdapterOvh + A.CacheMiss + f.pio(r.n))
 			f.ship(node, &packet{kind: kind, from: r.from, to: to, n: r.n,
-				issued: r.issued, data: f.readSource(r), dst: r.remote, rq: r.rq, fsync: r.fsync, rsync: r.rsync})
+				issued: r.issued, data: f.readSource(&r), dst: r.remote, rq: r.rq, fsync: r.fsync, rsync: r.rsync})
 		}
 		if r.kind == OpEnq && !r.fsync.Nil() {
 			ap.Hold(A.CacheMiss)

@@ -32,7 +32,7 @@ func (f *Fabric) proxyServiceOne(ap *sim.Proc, node *machine.Node, idx int) {
 
 func (f *Fabric) mpSend(ap *sim.Proc, node *machine.Node, r request) {
 	A := f.A
-	to := f.targetRank(r)
+	to := f.targetRank(&r)
 	switch r.kind {
 	case OpPut, OpEnq:
 		kind := pktPutData
@@ -49,7 +49,7 @@ func (f *Fabric) mpSend(ap *sim.Proc, node *machine.Node, r request) {
 			// move by PIO: queue entries are bounded small messages.
 			ap.Hold(A.Uncached + A.Instr(0.6) + A.AgentMiss + A.Uncached + f.pio(r.n) + A.Uncached)
 			f.ship(node, &packet{kind: kind, from: r.from, to: to, n: r.n,
-				issued: r.issued, data: f.readSource(r), dst: r.remote, rq: r.rq, fsync: r.fsync, rsync: r.rsync})
+				issued: r.issued, data: f.readSource(&r), dst: r.remote, rq: r.rq, fsync: r.fsync, rsync: r.rsync})
 		}
 		if r.kind == OpEnq && !r.fsync.Nil() {
 			// ENQ lsync: the source buffer has been transmitted.

@@ -57,10 +57,7 @@ func (f *Fabric) newReqBox() *reqBox {
 	if f.parallel {
 		return &reqBox{} // the freelist is fabric-global: shards must not share it
 	}
-	if n := len(f.reqFree); n > 0 {
-		b := f.reqFree[n-1]
-		f.reqFree[n-1] = nil
-		f.reqFree = f.reqFree[:n-1]
+	if b := f.reqFree.Get(); b != nil {
 		return b
 	}
 	return &reqBox{}
@@ -71,7 +68,7 @@ func (f *Fabric) freeReqBox(b *reqBox) {
 		return
 	}
 	b.r = request{}
-	f.reqFree = append(f.reqFree, b)
+	f.reqFree.Put(b)
 }
 
 // newPacket returns a packet for transmission on link l. In task mode with
@@ -86,10 +83,7 @@ func (f *Fabric) newPacket(l *machine.Link) *packet {
 	// the sending shard and returned on the receiving one, racing on the
 	// shared pool. Plain allocations keep each shard self-contained.
 	if f.taskMode && !f.parallel && f.relE == nil && !l.Faulty() {
-		if n := len(f.pktFree); n > 0 {
-			pkt := f.pktFree[n-1]
-			f.pktFree[n-1] = nil
-			f.pktFree = f.pktFree[:n-1]
+		if pkt := f.pktFree.Get(); pkt != nil {
 			buf := pkt.buf
 			*pkt = packet{buf: buf, pooled: true}
 			return pkt
@@ -107,11 +101,11 @@ func (f *Fabric) freePacket(pkt *packet) {
 		return
 	}
 	pkt.data = nil
-	f.pktFree = append(f.pktFree, pkt)
+	f.pktFree.Put(pkt)
 }
 
 // targetRank resolves which rank's node services a request's remote side.
-func (f *Fabric) targetRank(r request) int {
+func (f *Fabric) targetRank(r *request) int {
 	switch r.kind {
 	case OpPut, OpGet:
 		seg, ok := f.Cl.Reg.Segment(r.remote.Seg)
@@ -228,7 +222,7 @@ func (f *Fabric) deliver(dest *machine.Node, pkt *packet) {
 
 // readSource snapshots the request's payload bytes at send time (the
 // zero-copy read of the user's source buffer).
-func (f *Fabric) readSource(r request) []byte {
+func (f *Fabric) readSource(r *request) []byte {
 	if r.payload != nil {
 		return r.payload
 	}
@@ -250,7 +244,7 @@ func (f *Fabric) readBytes(addr memory.Addr, n int) []byte {
 // that never retain pkt.data past processing may use it — ENQ records, in
 // particular, are handed to the destination queue and must stay freshly
 // allocated.
-func (f *Fabric) readSourceInto(pkt *packet, r request) {
+func (f *Fabric) readSourceInto(pkt *packet, r *request) {
 	if r.payload != nil {
 		pkt.data = r.payload
 		return
@@ -336,7 +330,7 @@ func (f *Fabric) intra(ep *Endpoint, r request) {
 	switch r.kind {
 	case OpPut:
 		ep.cpu.Compute(ep.proc, copyCost)
-		f.depositBytes(r.remote, f.readSource(r))
+		f.depositBytes(r.remote, f.readSource(&r))
 		reg.Signal(r.rsync)
 		reg.Signal(r.fsync)
 		f.opDone(node, OpPut, r.issued)
@@ -348,7 +342,7 @@ func (f *Fabric) intra(ep *Endpoint, r request) {
 		f.opDone(node, OpGet, r.issued)
 	case OpEnq:
 		ep.cpu.Compute(ep.proc, copyCost+A.CacheMiss) // tail pointer update
-		f.depositQueue(r.rq, f.readSource(r))
+		f.depositQueue(r.rq, f.readSource(&r))
 		reg.Signal(r.fsync)
 		f.opDone(node, OpEnq, r.issued)
 	case OpDeq:

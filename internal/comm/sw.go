@@ -20,7 +20,7 @@ import (
 func (f *Fabric) swSend(ep *Endpoint, r request) {
 	A := f.A
 	node := ep.cpu.Node
-	to := f.targetRank(r)
+	to := f.targetRank(&r)
 	base := A.SyscallOvh + A.ProtocolOvh
 	switch r.kind {
 	case OpPut, OpEnq:
@@ -38,7 +38,7 @@ func (f *Fabric) swSend(ep *Endpoint, r request) {
 		} else {
 			ep.cpu.Compute(ep.proc, base+A.CacheMiss+2*A.Uncached+f.pio(r.n))
 			f.ship(node, &packet{kind: kind, from: r.from, to: to, n: r.n,
-				issued: r.issued, data: f.readSource(r), dst: r.remote, rq: r.rq, fsync: r.fsync, rsync: r.rsync})
+				issued: r.issued, data: f.readSource(&r), dst: r.remote, rq: r.rq, fsync: r.fsync, rsync: r.rsync})
 		}
 		if r.kind == OpEnq {
 			f.Cl.Reg.Signal(r.fsync)

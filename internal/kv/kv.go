@@ -83,6 +83,7 @@ type Service struct {
 
 	served     [][numOps]int64
 	replicated []int64
+	pools      []shardPools
 
 	// OnReply, when set, observes every reply arriving at a client:
 	// the client's rank, the operation, and the request's echoed flags
@@ -123,6 +124,7 @@ func New(l *am.Layer, cfg Config) *Service {
 	s.nextRep = make([]uint64, len(cfg.Servers))
 	s.served = make([][numOps]int64, len(cfg.Servers))
 	s.replicated = make([]int64, len(cfg.Servers))
+	s.pools = make([]shardPools, len(cfg.Servers))
 	// Pre-size the value scratch to the largest payload any handler
 	// returns: value() then never reallocates, so concurrent shards only
 	// ever read the slice header.
@@ -192,14 +194,63 @@ func (s *Service) WireBytes(op Op) (req, rep int) {
 // flightServe marks a tracked request's handler start on the flight
 // recorder (sampling the AM queue depth behind it) and wraps k to mark
 // service completion once the reply or last replica write is submitted.
-func (s *Service) flightServe(p *am.Port, flags int64, k func()) func() {
+func (s *Service) flightServe(p *am.Port, si int, flags int64, k func()) func() {
 	fid := flight.FlagsID(flags)
 	if s.Flight == nil || fid == 0 {
 		return k
 	}
 	s.Flight.ServerStart(fid, p.Pending())
-	rec := s.Flight
-	return func() { rec.ServiceDone(fid); k() }
+	sp := &s.pools[si]
+	m := sp.marks.Get()
+	if m == nil {
+		m = &serviceMark{pool: sp}
+		m.doneK = m.done
+	}
+	m.rec, m.fid, m.k = s.Flight, fid, k
+	return m.doneK
+}
+
+// shardPools holds one server's recycled continuation frames and
+// replication records. Only that server's serve loop touches them, so
+// the shards of a parallel run never share a pool.
+type shardPools struct {
+	marks sim.Freelist[serviceMark]
+	reps  sim.Freelist[repChain]
+	waits sim.Freelist[repWait]
+}
+
+// serviceMark is flightServe's wrapped continuation: it marks service
+// completion on the recorder, then runs the handler's k.
+type serviceMark struct {
+	pool  *shardPools
+	rec   *flight.Recorder
+	fid   uint64
+	k     func()
+	doneK func() // prebuilt m.done
+}
+
+func (m *serviceMark) done() {
+	rec, fid, k := m.rec, m.fid, m.k
+	m.rec, m.k = nil, nil
+	m.pool.marks.Put(m)
+	rec.ServiceDone(fid)
+	k()
+}
+
+// repChain is one replicated PUT's follower-write chain at its primary,
+// resumed by a prebuilt continuation after each follower write is
+// submitted.
+type repChain struct {
+	pool  *shardPools
+	s     *Service
+	p     *am.Port
+	t     *sim.Task
+	si    int
+	id    uint64
+	key   uint64
+	j     int
+	k     func()
+	nextK func() // prebuilt c.next
 }
 
 // Served returns how many requests of op the servers have processed.
@@ -240,7 +291,7 @@ func (s *Service) onGet(p *am.Port, t *sim.Task, src int, args []int64, payload 
 	si := s.idx[p.Rank()]
 	_ = s.stores[si][uint64(args[2])] // version lookup
 	s.served[si][OpGet]++
-	k = s.flightServe(p, args[0], k)
+	k = s.flightServe(p, si, args[0], k)
 	p.SendTask(t, src, s.hGetRe, args[:2], s.value(s.cfg.ValueBytes), k)
 }
 
@@ -249,28 +300,44 @@ func (s *Service) onPut(p *am.Port, t *sim.Task, src int, args []int64, payload 
 	key := uint64(args[2])
 	s.stores[si][key]++
 	s.served[si][OpPut]++
-	k = s.flightServe(p, args[0], k)
+	k = s.flightServe(p, si, args[0], k)
 	if s.cfg.Replication == 1 {
 		p.SendTask(t, src, s.hPutRe, args[:2], nil, k)
 		return
 	}
 	id := s.nextRep[si]
 	s.nextRep[si]++
-	s.pending[si][id] = &repWait{need: s.cfg.Replication - 1, client: src, flags: args[0], issued: args[1]}
-	s.sendReps(p, t, si, id, key, 1, k)
+	sp := &s.pools[si]
+	w := sp.waits.Get()
+	if w == nil {
+		w = &repWait{}
+	}
+	*w = repWait{need: s.cfg.Replication - 1, client: src, flags: args[0], issued: args[1]}
+	s.pending[si][id] = w
+	c := sp.reps.Get()
+	if c == nil {
+		c = &repChain{pool: sp}
+		c.nextK = c.next
+	}
+	c.s, c.p, c.t, c.si, c.id, c.key, c.j, c.k = s, p, t, si, id, key, 1, k
+	c.next()
 }
 
-// sendReps chains the follower writes of a replicated PUT: copies land
-// on the Replication-1 servers after the primary in shard order.
-func (s *Service) sendReps(p *am.Port, t *sim.Task, si int, id, key uint64, j int, k func()) {
-	if j >= s.cfg.Replication {
+// next submits the chain's next follower write of a replicated PUT:
+// copies land on the Replication-1 servers after the primary in shard
+// order. After the last one the chain returns to its pool and runs k.
+func (c *repChain) next() {
+	s := c.s
+	if c.j >= s.cfg.Replication {
+		k := c.k
+		c.s, c.p, c.t, c.k = nil, nil, nil, nil
+		c.pool.reps.Put(c)
 		k()
 		return
 	}
-	dst := s.cfg.Servers[(si+j)%len(s.cfg.Servers)]
-	p.SendTask(t, dst, s.hRep, []int64{int64(id), int64(key)}, nil, func() {
-		s.sendReps(p, t, si, id, key, j+1, k)
-	})
+	dst := s.cfg.Servers[(c.si+c.j)%len(s.cfg.Servers)]
+	c.j++
+	c.p.SendTask(c.t, dst, s.hRep, []int64{int64(c.id), int64(c.key)}, nil, c.nextK)
 }
 
 func (s *Service) onRep(p *am.Port, t *sim.Task, src int, args []int64, payload []byte, k func()) {
@@ -297,14 +364,16 @@ func (s *Service) onRepAck(p *am.Port, t *sim.Task, src int, args []int64, paylo
 			s.Flight.RepAcked(fid)
 		}
 	}
-	p.SendTask(t, w.client, s.hPutRe, []int64{w.flags, w.issued}, nil, k)
+	client, flags, issued := w.client, w.flags, w.issued
+	s.pools[si].waits.Put(w)
+	p.SendTask(t, client, s.hPutRe, []int64{flags, issued}, nil, k)
 }
 
 func (s *Service) onScan(p *am.Port, t *sim.Task, src int, args []int64, payload []byte, k func()) {
 	si := s.idx[p.Rank()]
 	_ = s.stores[si][uint64(args[2])]
 	s.served[si][OpScan]++
-	k = s.flightServe(p, args[0], k)
+	k = s.flightServe(p, si, args[0], k)
 	n := s.cfg.ScanCount * s.cfg.ValueBytes
 	if n > maxScanPayload {
 		n = maxScanPayload

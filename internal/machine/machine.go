@@ -169,6 +169,8 @@ type Cluster struct {
 	// (node / (Nodes/len(Engs)), i.e. contiguous blocks). Nil when
 	// sequential.
 	NodeShard []int32
+
+	plane FaultPlane // installed by SetFaultPlane; nil when fault-free
 }
 
 // Sharded reports whether the cluster was built over multiple shard
@@ -272,6 +274,7 @@ func build(eng *sim.Engine, engs []*sim.Engine, shard []int32, cfg Config, a arc
 // traffic flows; without a plane the hooks cost nothing and the cluster
 // behaves exactly as the fault-free simulator.
 func (c *Cluster) SetFaultPlane(p FaultPlane) {
+	c.plane = p
 	for _, nd := range c.Nodes {
 		nd.OutLink.SetFaultPlane(p, nd.ID)
 		for _, ag := range nd.Agents {
@@ -279,6 +282,9 @@ func (c *Cluster) SetFaultPlane(p FaultPlane) {
 		}
 	}
 }
+
+// Faulty reports whether a fault plane is installed on the cluster.
+func (c *Cluster) Faulty() bool { return c.plane != nil }
 
 // Node is one SMP in the cluster.
 type Node struct {
@@ -325,6 +331,8 @@ type CPU struct {
 	steal       sim.Time // stolen during the current compute interval
 	stolenTotal sim.Time
 	busyTotal   sim.Time
+
+	frames sim.Freelist[computeFrame] // ComputeTask interval frames
 }
 
 // Compute charges d time units of computation to the CPU on behalf of p,
@@ -348,6 +356,11 @@ func (c *CPU) Compute(p *sim.Proc, d sim.Time) {
 // ComputeTask is Compute for a run-to-completion task: k runs once the
 // interval (extended by any interrupt time stolen while it runs) has
 // elapsed. A zero interval runs k inline without touching the engine.
+//
+// Each interval runs on a frame from the CPU's pool, whose prebuilt step
+// closure is what the task's wake events carry, so charging compute time
+// allocates nothing in steady state. Frames are per interval, not per
+// CPU: a client task and a server task may compute on one CPU at once.
 func (c *CPU) ComputeTask(t *sim.Task, d sim.Time, k func()) {
 	if d < 0 {
 		panic("machine: negative compute time")
@@ -358,23 +371,41 @@ func (c *CPU) ComputeTask(t *sim.Task, d sim.Time, k func()) {
 	}
 	c.computing = true
 	c.steal = 0
-	c.computeStep(t, d, d, k)
+	fr := c.frames.Get()
+	if fr == nil {
+		fr = &computeFrame{c: c}
+		fr.stepK = fr.step
+	}
+	fr.t, fr.total, fr.k = t, d, k
+	t.Hold(d, fr.stepK)
 }
 
-// computeStep holds for one slice, then either extends the interval by
-// the stolen time or completes, mirroring Compute's steal loop.
-func (c *CPU) computeStep(t *sim.Task, total, remaining sim.Time, k func()) {
-	t.Hold(remaining, func() {
-		if c.steal > 0 {
-			more := c.steal
-			c.steal = 0
-			c.computeStep(t, total, more, k)
-			return
-		}
-		c.computing = false
-		c.busyTotal += total
-		k()
-	})
+// computeFrame is one in-flight ComputeTask interval.
+type computeFrame struct {
+	c     *CPU
+	t     *sim.Task
+	total sim.Time
+	k     func()
+	stepK func() // prebuilt fr.step
+}
+
+// step runs when one slice has elapsed: it either extends the interval
+// by the stolen time or completes, mirroring Compute's steal loop. The
+// frame returns to the pool before k runs, so k may compute again.
+func (fr *computeFrame) step() {
+	c := fr.c
+	if c.steal > 0 {
+		more := c.steal
+		c.steal = 0
+		fr.t.Hold(more, fr.stepK)
+		return
+	}
+	c.computing = false
+	c.busyTotal += fr.total
+	k := fr.k
+	fr.t, fr.k = nil, nil
+	c.frames.Put(fr)
+	k()
 }
 
 // Interrupt steals cost cycles from the CPU (system-call receive path). If
@@ -414,7 +445,7 @@ type Link struct {
 
 	// freeDel recycles delivery nodes for the sink-based send path, so a
 	// steady-state packet stream schedules without allocating per packet.
-	freeDel []*delivery
+	freeDel sim.Freelist[delivery]
 
 	// route, when non-nil, intercepts sink deliveries whose destination is
 	// owned by another simulation shard: it receives the absolute arrival
@@ -534,14 +565,11 @@ type delivery struct {
 }
 
 func (l *Link) newDelivery() *delivery {
-	if n := len(l.freeDel); n > 0 {
-		d := l.freeDel[n-1]
-		l.freeDel[n-1] = nil
-		l.freeDel = l.freeDel[:n-1]
-		return d
+	d := l.freeDel.Get()
+	if d == nil {
+		d = &delivery{link: l}
+		d.run = d.fire
 	}
-	d := &delivery{link: l}
-	d.run = d.fire
 	return d
 }
 
@@ -550,7 +578,7 @@ func (l *Link) newDelivery() *delivery {
 func (d *delivery) fire() {
 	sink, arg, fate := d.sink, d.arg, d.fate
 	d.sink, d.arg, d.fate = nil, nil, PacketFate{}
-	d.link.freeDel = append(d.link.freeDel, d)
+	d.link.freeDel.Put(d)
 	sink.DeliverPacket(arg, fate)
 }
 

@@ -44,7 +44,7 @@ type Net struct {
 	// the touch, so parallel windows never contend: a hop is taken from
 	// the shipping shard's pool and returned to the delivering shard's.
 	shard     []int32
-	free      [][]*hop
+	free      []sim.Freelist[hop]
 	delivered []int64
 	totalHops []int64
 }
@@ -70,7 +70,7 @@ func NewNet(cl *machine.Cluster, g Graph) *Net {
 	} else {
 		n.shard = make([]int32, g.Nodes+g.Switches)
 	}
-	n.free = make([][]*hop, nsh)
+	n.free = make([]sim.Freelist[hop], nsh)
 	n.delivered = make([]int64, nsh)
 	n.totalHops = make([]int64, nsh)
 	n.adj, n.tiers = neighbors(g)
@@ -240,11 +240,7 @@ func routes(g Graph, adj [][]int32) [][]uint16 {
 // newHop takes a hop from the executing shard's pool (sh indexes the
 // shard running the caller's event; 0 on a sequential cluster).
 func (n *Net) newHop(sh int32) *hop {
-	pool := n.free[sh]
-	if k := len(pool); k > 0 {
-		h := pool[k-1]
-		pool[k-1] = nil
-		n.free[sh] = pool[:k-1]
+	if h := n.free[sh].Get(); h != nil {
 		return h
 	}
 	return &hop{}
@@ -286,7 +282,7 @@ func (n *Net) DeliverPacket(arg any, fate machine.PacketFate) {
 		sh := n.shard[at]
 		sink, a, f, hops := h.sink, h.arg, h.fate, h.hops
 		h.sink, h.arg, h.fate = nil, nil, machine.PacketFate{}
-		n.free[sh] = append(n.free[sh], h)
+		n.free[sh].Put(h)
 		n.delivered[sh]++
 		n.totalHops[sh] += int64(hops)
 		sink.DeliverPacket(a, f)

@@ -139,9 +139,9 @@ type RQueue struct {
 	acl    map[int]bool
 	world  bool
 
-	entries  [][]byte
-	getters  []*sim.Proc
-	takers   []func([]byte)
+	entries  fifo[[]byte]
+	getters  fifo[*sim.Proc]
+	takers   fifo[func([]byte)]
 	eng      *sim.Engine
 	enqueued int64
 	maxDepth int
@@ -185,66 +185,87 @@ func (q *RQueue) Allowed(rank int) bool {
 // takers (remote DEQs that found the queue empty) are served first.
 func (q *RQueue) Deliver(rec []byte) {
 	q.enqueued++
-	if len(q.takers) > 0 {
-		fn := q.takers[0]
-		q.takers = q.takers[1:]
-		fn(rec)
+	if q.takers.len() > 0 {
+		q.takers.pop()(rec)
 		return
 	}
-	q.entries = append(q.entries, rec)
-	if len(q.entries) > q.maxDepth {
-		q.maxDepth = len(q.entries)
+	q.entries.push(rec)
+	if n := q.entries.len(); n > q.maxDepth {
+		q.maxDepth = n
 	}
-	if len(q.getters) > 0 {
-		p := q.getters[0]
-		q.getters = q.getters[1:]
-		q.eng.Wake(p)
+	if q.getters.len() > 0 {
+		q.eng.Wake(q.getters.pop())
 	}
 }
 
 // TakeAsync consumes the head record if one is present, calling fn
 // immediately; otherwise fn is queued and called by a future Deliver. The
 // communication agents use this to serve remote DEQ requests that race
-// ahead of the matching ENQ.
+// ahead of the matching ENQ. Queueing a prebuilt fn allocates nothing in
+// steady state.
 func (q *RQueue) TakeAsync(fn func([]byte)) {
 	if rec, ok := q.TryTake(); ok {
 		fn(rec)
 		return
 	}
-	q.takers = append(q.takers, fn)
+	q.takers.push(fn)
 }
 
 // Take removes the head record, blocking p while the queue is empty.
 func (q *RQueue) Take(p *sim.Proc) []byte {
-	for len(q.entries) == 0 {
-		q.getters = append(q.getters, p)
+	for q.entries.len() == 0 {
+		q.getters.push(p)
 		p.Park()
 	}
-	rec := q.entries[0]
-	q.entries[0] = nil
-	q.entries = q.entries[1:]
-	return rec
+	return q.entries.pop()
 }
 
 // TryTake removes the head record without blocking.
 func (q *RQueue) TryTake() ([]byte, bool) {
-	if len(q.entries) == 0 {
+	if q.entries.len() == 0 {
 		return nil, false
 	}
-	rec := q.entries[0]
-	q.entries[0] = nil
-	q.entries = q.entries[1:]
-	return rec, true
+	return q.entries.pop(), true
 }
 
 // Len returns the number of queued records.
-func (q *RQueue) Len() int { return len(q.entries) }
+func (q *RQueue) Len() int { return q.entries.len() }
 
 // Enqueued returns the total number of records ever delivered.
 func (q *RQueue) Enqueued() int64 { return q.enqueued }
 
 // MaxDepth returns the high-water queue depth.
 func (q *RQueue) MaxDepth() int { return q.maxDepth }
+
+// fifo is a queue over a reused backing slice: pops advance a head index
+// and pushes compact the live tail to the front before growing, so a
+// queue that cycles at a steady depth stops allocating.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(x T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= q.len() {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, x)
+}
+
+func (q *fifo[T]) pop() T {
+	x := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero // a consumed element must be collectable
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return x
+}
 
 // Registry is the cluster-wide map from logical identifiers to segments,
 // flags and queues ("the mapping between asid and an address space is

@@ -198,6 +198,27 @@ func TestF64LoadStoreCopy(t *testing.T) {
 	}
 }
 
+func TestF64LoadInto(t *testing.T) {
+	r := newReg()
+	v := Float64s(r.NewSegment(0, 32), 0, 4)
+	v.Store([]float64{1, 2, 3, 4})
+	scratch := make([]float64, 1, 8)
+	got := v.LoadInto(scratch)
+	if &got[0] != &scratch[0] || len(got) != 4 {
+		t.Fatalf("LoadInto with room did not fill dst in place: len %d", len(got))
+	}
+	small := make([]float64, 3)
+	grown := v.LoadInto(small)
+	if &grown[0] == &small[0] || len(grown) != 4 {
+		t.Fatalf("LoadInto into a short dst: len %d, aliases dst %v", len(grown), &grown[0] == &small[0])
+	}
+	for i, want := range []float64{1, 2, 3, 4} {
+		if got[i] != want || grown[i] != want {
+			t.Fatalf("got %v and %v", got, grown)
+		}
+	}
+}
+
 func TestI64View(t *testing.T) {
 	r := newReg()
 	s := r.NewSegment(0, 24)

@@ -67,12 +67,21 @@ func (v F64) Copy(src F64) int {
 }
 
 // Load copies the view into a plain Go slice.
-func (v F64) Load() []float64 {
-	out := make([]float64, v.n)
-	for i := range out {
-		out[i] = v.Get(i)
+func (v F64) Load() []float64 { return v.LoadInto(nil) }
+
+// LoadInto copies the view into dst[:v.Len()], reallocating only when
+// dst is too small, and returns the filled slice. Callers that reload a
+// view every step keep one scratch slice instead of allocating a copy per
+// load.
+func (v F64) LoadInto(dst []float64) []float64 {
+	if cap(dst) < v.n {
+		dst = make([]float64, v.n)
 	}
-	return out
+	dst = dst[:v.n]
+	for i := range dst {
+		dst[i] = v.Get(i)
+	}
+	return dst
 }
 
 // Store copies a plain Go slice into the view.

@@ -33,10 +33,22 @@ type entry[T any] struct {
 	cmd   T
 }
 
+// initialRing is the number of entries a command queue's ring starts
+// with (or its capacity, if smaller). Queues are mostly idle, so the ring
+// grows on demand instead of paying for every slot up front.
+const initialRing = 4
+
 // CommandQueue is a bounded SPSC ring of T. Only the owning rank may
 // produce into it; only the proxy consumes.
+//
+// The queue's logical capacity — the bound the model's backpressure sees —
+// is fixed at construction. Its physical ring starts at initialRing
+// entries and doubles, up to that capacity, when the producer finds it
+// full below the bound; a mostly idle queue therefore holds only a few
+// entries of host memory however large its capacity.
 type CommandQueue[T any] struct {
 	owner    int
+	capacity int // logical capacity: Enqueue fails with ErrFull at n == capacity
 	ring     []entry[T]
 	head     int // consumer position
 	tail     int // producer position
@@ -50,34 +62,47 @@ func NewCommandQueue[T any](owner, capacity int) *CommandQueue[T] {
 	if capacity <= 0 {
 		panic("proxy: command queue capacity must be positive")
 	}
-	return &CommandQueue[T]{owner: owner, ring: make([]entry[T], capacity)}
+	return &CommandQueue[T]{owner: owner, capacity: capacity, ring: make([]entry[T], min(capacity, initialRing))}
 }
 
 // Owner returns the producing rank.
 func (q *CommandQueue[T]) Owner() int { return q.owner }
 
-// Cap returns the queue capacity.
-func (q *CommandQueue[T]) Cap() int { return len(q.ring) }
+// Cap returns the queue's logical capacity.
+func (q *CommandQueue[T]) Cap() int { return q.capacity }
 
 // Enqueue submits a command on behalf of rank. It fails with ErrFull when
-// the ring has no empty entry, and panics if a foreign rank produces into
-// the queue — foreign processes cannot reach it in a real system, since it
-// is mapped only in the owner's address space.
+// the queue holds capacity commands, and panics if a foreign rank produces
+// into the queue — foreign processes cannot reach it in a real system,
+// since it is mapped only in the owner's address space.
 func (q *CommandQueue[T]) Enqueue(rank int, cmd T) error {
 	if rank != q.owner {
 		panic(fmt.Sprintf("proxy: rank %d produced into rank %d's command queue", rank, q.owner))
 	}
-	e := &q.ring[q.tail]
-	if e.valid {
+	if q.n == q.capacity {
 		q.fullHits++
 		return ErrFull
 	}
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	e := &q.ring[q.tail]
 	e.cmd = cmd
 	e.valid = true
 	q.tail = (q.tail + 1) % len(q.ring)
 	q.n++
 	q.enqueued++
 	return nil
+}
+
+// grow doubles the physical ring, up to the logical capacity, copying the
+// valid entries head..tail to the front in FIFO order.
+func (q *CommandQueue[T]) grow() {
+	ring := make([]entry[T], min(2*len(q.ring), q.capacity))
+	for i := 0; i < q.n; i++ {
+		ring[i] = q.ring[(q.head+i)%len(q.ring)]
+	}
+	q.ring, q.head, q.tail = ring, 0, q.n
 }
 
 // Dequeue removes the head command, if any (consumer side).

@@ -348,3 +348,82 @@ func TestSuspendEmptyQueueResume(t *testing.T) {
 		t.Fatal("phantom command after resume of empty queue")
 	}
 }
+
+func TestCommandQueueModel(t *testing.T) {
+	// 10k seeded random operations checked against a brute-force FIFO at
+	// capacities that start below, at, and far above the initial ring:
+	// FIFO order must survive every growth, ErrFull must come exactly at
+	// the logical capacity, and the accessors must agree with the model
+	// after every operation.
+	for _, capacity := range []int{1, 3, 64, 1024} {
+		q := NewCommandQueue[int](0, capacity)
+		var model []int
+		rnd := rand.New(rand.NewSource(int64(capacity)))
+		fullHits, next := int64(0), 0
+		sawFull, sawEmpty := false, false
+		for op := 0; op < 10_000; op++ {
+			// Drift between enqueue-heavy and dequeue-heavy phases so the
+			// queue both reaches capacity and drains to empty.
+			enqBias := 3
+			if op/(2*capacity+20)%2 == 1 {
+				enqBias = 1
+			}
+			if rnd.Intn(4) < enqBias {
+				err := q.Enqueue(0, next)
+				if len(model) == capacity {
+					if err != ErrFull {
+						t.Fatalf("cap %d op %d: Enqueue at %d queued = %v, want ErrFull", capacity, op, len(model), err)
+					}
+					fullHits++
+					sawFull = true
+				} else {
+					if err != nil {
+						t.Fatalf("cap %d op %d: Enqueue at %d queued = %v", capacity, op, len(model), err)
+					}
+					model = append(model, next)
+					next++
+				}
+			} else {
+				got, ok := q.Dequeue()
+				if len(model) == 0 {
+					if ok {
+						t.Fatalf("cap %d op %d: Dequeue from empty returned %d", capacity, op, got)
+					}
+					sawEmpty = true
+				} else {
+					if !ok || got != model[0] {
+						t.Fatalf("cap %d op %d: Dequeue = %d, %v; want %d", capacity, op, got, ok, model[0])
+					}
+					model = model[1:]
+				}
+			}
+			if q.Len() != len(model) || q.Cap() != capacity || q.Empty() != (len(model) == 0) || q.FullHits() != fullHits {
+				t.Fatalf("cap %d op %d: Len %d Cap %d Empty %v FullHits %d; model %d, %d, %v, %d",
+					capacity, op, q.Len(), q.Cap(), q.Empty(), q.FullHits(),
+					len(model), capacity, len(model) == 0, fullHits)
+			}
+			if len(q.ring) > capacity {
+				t.Fatalf("cap %d op %d: ring grew to %d entries", capacity, op, len(q.ring))
+			}
+		}
+		if !sawFull || !sawEmpty {
+			t.Fatalf("cap %d: sequence never hit full (%v) or empty (%v)", capacity, sawFull, sawEmpty)
+		}
+	}
+}
+
+func TestCommandQueueStartsSmall(t *testing.T) {
+	// An idle queue holds only the initial ring, whatever its capacity.
+	q := NewCommandQueue[int](0, 1024)
+	if len(q.ring) != initialRing {
+		t.Fatalf("fresh ring has %d entries, want %d", len(q.ring), initialRing)
+	}
+	for i := 0; i < initialRing+1; i++ {
+		if err := q.Enqueue(0, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(q.ring) != 2*initialRing {
+		t.Fatalf("ring after %d enqueues has %d entries, want %d", initialRing+1, len(q.ring), 2*initialRing)
+	}
+}

@@ -13,7 +13,9 @@ package par
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"mproxy/internal/sim"
@@ -137,10 +139,92 @@ func (s *Sim) Post(src, dst int, at sim.Time, fn func()) {
 	s.mb[src][dst] = append(s.mb[src][dst], crossing{at: at, fn: fn})
 }
 
-// wres is one worker's window result.
+// wres is one shard's window result.
 type wres struct {
 	err error
 	pan any
+}
+
+// spinYield is how many barrier polls a spinning waiter makes between
+// yields of its thread.
+const spinYield = 1024
+
+// barrier starts and collects windows. The coordinator goroutine runs
+// shard 0 itself; shards 1..P-1 run on workers. When every shard can have
+// a core (P <= GOMAXPROCS) workers spin on an atomic window epoch and the
+// coordinator spins on a completion count, so a window costs no
+// goroutine handoff; otherwise they block on channels, since spinning on
+// an oversubscribed host only steals time from the shards doing work.
+type barrier struct {
+	spin bool
+
+	// Written by the coordinator before it opens a window; the epoch bump
+	// (or channel send) publishes them to the workers.
+	horizon sim.Time
+	stop    bool
+
+	epoch atomic.Uint64 // spin mode: bumped to open a window (or stop)
+	done  atomic.Int32  // spin mode: workers finished in the open window
+
+	work []chan struct{} // blocking mode: one start signal per worker
+	fin  chan struct{}   // blocking mode: one completion per worker
+
+	res []wres // per-shard window result, written before completion
+}
+
+// open publishes a window (or, with stop set, the shutdown) to every
+// worker.
+func (b *barrier) open() {
+	if b.spin {
+		b.done.Store(0)
+		b.epoch.Add(1)
+		return
+	}
+	for _, w := range b.work[1:] {
+		w <- struct{}{}
+	}
+}
+
+// await blocks worker i until the window after epoch seen opens, and
+// returns that window's epoch.
+func (b *barrier) await(i int, seen uint64) uint64 {
+	if !b.spin {
+		<-b.work[i]
+		return seen + 1
+	}
+	for n := 1; ; n++ {
+		if e := b.epoch.Load(); e != seen {
+			return e
+		}
+		if n%spinYield == 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// finish reports worker i's window as complete.
+func (b *barrier) finish() {
+	if b.spin {
+		b.done.Add(1)
+		return
+	}
+	b.fin <- struct{}{}
+}
+
+// collect waits until every worker has finished the open window.
+func (b *barrier) collect() {
+	workers := int32(len(b.res) - 1)
+	if !b.spin {
+		for i := int32(0); i < workers; i++ {
+			<-b.fin
+		}
+		return
+	}
+	for n := 1; b.done.Load() != workers; n++ {
+		if n%spinYield == 0 {
+			runtime.Gosched()
+		}
+	}
 }
 
 // Run executes windows until every engine's event queue is empty and all
@@ -150,18 +234,23 @@ type wres struct {
 // each engine down.
 func (s *Sim) Run() (*Stats, error) {
 	p := len(s.engs)
-	work := make([]chan sim.Time, p)
-	done := make(chan wres, p)
-	for i := 0; i < p; i++ {
-		work[i] = make(chan sim.Time)
-		go s.worker(i, work[i], done)
+	b := &barrier{spin: p <= runtime.GOMAXPROCS(0), res: make([]wres, p)}
+	if !b.spin {
+		b.work = make([]chan struct{}, p)
+		for i := 1; i < p; i++ {
+			b.work[i] = make(chan struct{})
+		}
+		b.fin = make(chan struct{}, p)
+	}
+	for i := 1; i < p; i++ {
+		go s.worker(i, b)
 	}
 	stop := func() {
-		for i := 0; i < p; i++ {
-			close(work[i])
-		}
+		b.stop = true
+		b.open()
 	}
 
+	idle := time.Now() // shard 0's barrier wait starts after its window
 	for {
 		// The next window starts at the global minimum pending timestamp;
 		// jumping there (rather than marching in fixed L steps) skips idle
@@ -176,14 +265,19 @@ func (s *Sim) Run() (*Stats, error) {
 		if !have {
 			break
 		}
-		horizon := t + s.l - 1 // RunEvents is inclusive of its limit
-		for i := 0; i < p; i++ {
-			work[i] <- horizon
+		b.horizon = t + s.l - 1 // RunEvents is inclusive of its limit
+		b.open()
+		t0 := time.Now()
+		if s.stats.Windows > 0 {
+			s.stats.BlockedNs[0] += t0.Sub(idle).Nanoseconds()
 		}
+		b.res[0] = s.runShard(0, b.horizon)
+		idle = time.Now()
+		s.stats.BusyNs[0] += idle.Sub(t0).Nanoseconds()
+		b.collect()
 		var err error
 		var pan any
-		for i := 0; i < p; i++ {
-			r := <-done
+		for _, r := range b.res {
 			if r.err != nil && err == nil {
 				err = r.err
 			}
@@ -222,25 +316,27 @@ func (s *Sim) Run() (*Stats, error) {
 	return &s.stats, nil
 }
 
-// worker executes shard i's windows: receive a horizon, run events up to
-// it, report back, repeat. Busy time covers event execution; blocked time
-// covers the barrier wait (including the coordinator's exchange phase).
-func (s *Sim) worker(i int, work <-chan sim.Time, done chan<- wres) {
+// worker executes shard i's windows: wait for a window to open, run
+// events up to its horizon, report back, repeat. Busy time covers event
+// execution; blocked time covers the barrier wait (including the
+// coordinator's exchange phase).
+func (s *Sim) worker(i int, b *barrier) {
+	var seen uint64
 	first := true
 	for {
 		t0 := time.Now()
-		h, ok := <-work
-		if !ok {
+		seen = b.await(i, seen)
+		if b.stop {
 			return
 		}
+		t1 := time.Now()
 		if !first {
-			s.stats.BlockedNs[i] += time.Since(t0).Nanoseconds()
+			s.stats.BlockedNs[i] += t1.Sub(t0).Nanoseconds()
 		}
 		first = false
-		t1 := time.Now()
-		r := s.runShard(i, h)
+		b.res[i] = s.runShard(i, b.horizon)
 		s.stats.BusyNs[i] += time.Since(t1).Nanoseconds()
-		done <- r
+		b.finish()
 	}
 }
 

@@ -3,6 +3,7 @@ package par_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mproxy/internal/sim"
@@ -105,6 +106,65 @@ func TestDeterministicMerge(t *testing.T) {
 	}
 	if second := run(); !reflect.DeepEqual(second, first) {
 		t.Fatalf("repeat run order = %v, first run %v", second, first)
+	}
+}
+
+// TestBarrierModes runs the same 4-shard crossing pattern under the
+// spinning barrier (every shard has a core) and the blocking one (more
+// shards than GOMAXPROCS): the delivery order and window count must not
+// depend on how the shards wait.
+func TestBarrierModes(t *testing.T) {
+	const L = sim.Time(10)
+	run := func(procs int) ([4][]string, int64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		engs := make([]*sim.Engine, 4)
+		for i := range engs {
+			engs[i] = sim.NewEngine()
+		}
+		s, err := par.New(engs, L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each shard logs only the events it runs itself, so the logs
+		// need no synchronization beyond the barrier's.
+		var logs [4][]string
+		// A token travels round the ring for 40 hops, one hop per window;
+		// every hop off shard 0 also posts a same-instant crossing to
+		// shard 0.
+		var hop func(shard, n int) func()
+		hop = func(shard, n int) func() {
+			return func() {
+				at := engs[shard].Now()
+				logs[shard] = append(logs[shard], fmt.Sprintf("hop%d@%d", n, at))
+				if n == 40 {
+					return
+				}
+				next := (shard + 1) % len(engs)
+				s.Post(shard, next, at+L, hop(next, n+1))
+				if shard != 0 {
+					tag := fmt.Sprintf("x%d.%d", shard, n)
+					s.Post(shard, 0, at+L, func() { logs[0] = append(logs[0], tag) })
+				}
+			}
+		}
+		engs[0].Schedule(3, hop(0, 1))
+		st, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range engs {
+			engs[i].Shutdown()
+		}
+		return logs, st.Windows
+	}
+	spinLogs, spinWindows := run(4)
+	blockLogs, blockWindows := run(1)
+	if !reflect.DeepEqual(spinLogs, blockLogs) || spinWindows != blockWindows {
+		t.Fatalf("spin barrier: %d windows, logs %v\nblocking barrier: %d windows, logs %v",
+			spinWindows, spinLogs, blockWindows, blockLogs)
+	}
+	if spinWindows != 40 {
+		t.Fatalf("windows = %d, want 40 (one hop per window)", spinWindows)
 	}
 }
 

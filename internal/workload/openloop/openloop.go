@@ -198,15 +198,26 @@ func share(total, n, i int) int {
 // client is one generator process: an issuer task walking its arrival
 // schedule and a receiver task serving replies on the same port.
 type client struct {
-	eng   *sim.Engine
-	svc   *kv.Service
-	port  *am.Port
-	arr   *arrivals
-	keys  zipfGen
-	ops   fault.Stream
-	quota int // total requests to issue
-	warm  int // leading requests that are unmeasured
-	sent  int
+	eng  *sim.Engine
+	svc  *kv.Service
+	port *am.Port
+	arr  *arrivals
+	keys zipfGen
+	ops  fault.Stream
+	// pGet and pPut are the op mix's GET and PUT shares (SCAN takes the
+	// rest); runPoint gives every generator the package's fixed mix.
+	pGet, pPut float64
+	quota      int // total requests to issue
+	warm       int // leading requests that are unmeasured
+	sent       int
+
+	// The issuer's resident continuation state: the task, the scheduled
+	// arrival being waited for, and prebuilt continuations, so walking
+	// the schedule allocates nothing per request.
+	t     *sim.Task
+	at    int64
+	fireK func() // prebuilt c.fireAt
+	stepK func() // prebuilt c.step
 
 	// Flight-recorder context, nil/zero when recording is off.
 	rec     *flight.Recorder
@@ -217,23 +228,29 @@ type client struct {
 	perHopR *[3]int64 // per-hop modeled reply wire ns by op
 }
 
-func (c *client) issue(t *sim.Task) { c.step(t) }
+func (c *client) issue(t *sim.Task) {
+	c.t = t
+	c.fireK = c.fireAt
+	c.stepK = c.step
+	c.step()
+}
 
-func (c *client) step(t *sim.Task) {
+func (c *client) step() {
 	if c.sent >= c.quota {
 		return // task settles; the receiver finishes on the last reply
 	}
-	at := c.arr.next()
-	if now := int64(c.eng.Now()); at > now {
-		t.Hold(sim.Time(at-now), func() { c.fire(t, at) })
+	c.at = c.arr.next()
+	if now := int64(c.eng.Now()); c.at > now {
+		c.t.Hold(sim.Time(c.at-now), c.fireK)
 		return
 	}
 	// Behind schedule: the open-loop clock does not wait for the
 	// service, so issue immediately but timestamp the scheduled arrival.
-	c.fire(t, at)
+	c.fireAt()
 }
 
-func (c *client) fire(t *sim.Task, at int64) {
+func (c *client) fireAt() {
+	t, at := c.t, c.at
 	var flags int64
 	measured := c.sent >= c.warm
 	if measured {
@@ -244,9 +261,9 @@ func (c *client) fire(t *sim.Task, at int64) {
 	u := c.ops.Float64()
 	var op kv.Op
 	switch {
-	case u < pGet:
+	case u < c.pGet:
 		op = kv.OpGet
-	case u < pGet+pPut:
+	case u < c.pGet+c.pPut:
 		op = kv.OpPut
 	default:
 		op = kv.OpScan
@@ -254,7 +271,7 @@ func (c *client) fire(t *sim.Task, at int64) {
 	if measured && c.rec != nil {
 		flags = flight.FlagsWithID(flags, c.track(op, key, at))
 	}
-	k := func() { c.step(t) }
+	k := c.stepK
 	switch op {
 	case kv.OpGet:
 		c.svc.GetTask(c.port, t, key, flags, at, k)
@@ -465,6 +482,8 @@ func runPoint(cfg *Config, zp *zipfParams, idx int, loadUs float64) (Point, erro
 				arr:   newArrivals(cfg.Seed, uint64(rank), uint64(idx), loadUs, onoff),
 				keys:  zipfGen{s: fault.NewStream(cfg.Seed, fault.DomainKey, uint64(rank), uint64(idx)), p: zp},
 				ops:   fault.NewStream(cfg.Seed, fault.DomainOpMix, uint64(rank), uint64(idx)),
+				pGet:  pGet,
+				pPut:  pPut,
 				quota: q,
 				warm:  share(cfg.Warmup, active, ci),
 				rec:   rec,
