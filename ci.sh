@@ -2,7 +2,7 @@
 # Tier-1 verification: everything a change must keep green before merging.
 #   ./ci.sh         gofmt + build + vet + tests (shuffled) + smoke + results + race
 #   ./ci.sh quick   build + tests only (what the roadmap calls tier-1)
-#   ./ci.sh full    everything, plus regenerating the expensive results tables
+#   ./ci.sh full    everything, plus the event-queue fuzz and the expensive results tables
 set -eu
 cd "$(dirname "$0")"
 
@@ -59,7 +59,7 @@ if ! cmp -s "$tmpdir/chrome.json" internal/prof/testdata/pingpong-mp1-chrome.jso
     exit 1
 fi
 
-echo "== bench shard (schema + regression gate vs BENCH_14.json)"
+echo "== bench shard (schema + regression gate vs BENCH_15.json)"
 # 15% tolerance plus one retry: the shared runners' noise is one-sided
 # (load spikes only ever slow a rep down) and an occasional spike exceeds
 # any tolerance a real regression should be allowed to hide in. A genuine
@@ -67,7 +67,7 @@ echo "== bench shard (schema + regression gate vs BENCH_14.json)"
 bench_ok=0
 for attempt in 1 2; do
     if "$tmpdir/mproxy" bench -quick -out "$tmpdir/bench.json" \
-        -baseline BENCH_14.json -tolerance 0.15 2>"$tmpdir/bench.log"; then
+        -baseline BENCH_15.json -tolerance 0.15 2>"$tmpdir/bench.log"; then
         bench_ok=1
         break
     fi
@@ -148,6 +148,11 @@ do
 done
 
 if [ "$mode" = "full" ]; then
+    echo "== event-queue fuzz"
+    # FuzzEventHeap checks every pop of the radix event queue against a
+    # brute-force (at, seq) model; its seed corpus runs in go test above.
+    go test -run '^$' -fuzz FuzzEventHeap -fuzztime 10s ./internal/sim
+
     echo "== results byte-identity (expensive presets)"
     for preset_file in \
         "figure8 figure8.txt" \

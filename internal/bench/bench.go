@@ -164,7 +164,7 @@ func benchEngineEvents(ops int64) error {
 	return nil
 }
 
-// benchEngineTimer exercises the 4-ary heap: 64 outstanding future events,
+// benchEngineTimer exercises the timer queue: 64 outstanding future events,
 // each pop followed by a push at a varying delay.
 func benchEngineTimer(ops int64) error {
 	const outstanding = 64

@@ -187,10 +187,14 @@ func neighbors(g Graph) ([][]int32, [][]Tier) {
 	return adj, tiers
 }
 
-// routes builds the per-switch forwarding tables by BFS from every
-// destination node: a switch forwards toward the lowest-numbered port
-// whose neighbor is nearest the destination, which makes every route
-// minimal-hop and deterministic.
+// routes builds the per-switch forwarding tables: a switch forwards
+// toward the lowest-numbered port whose neighbor is nearest the
+// destination, which makes every route minimal-hop and deterministic.
+// Nodes are leaves, so every path into a node passes through its edge
+// switch u, and dist(v, dst) = dist(v, u) + 1 for every v != dst. One BFS
+// from each attached switch therefore serves all of its nodes: away from
+// u, the next hop toward any of them is the next hop toward u; at u, it
+// is the port to the node itself.
 func routes(g Graph, adj [][]int32) [][]uint16 {
 	nElem := g.Nodes + g.Switches
 	nbr := make([][]int32, nElem)
@@ -204,14 +208,22 @@ func routes(g Graph, adj [][]int32) [][]uint16 {
 	for s := range route {
 		route[s] = make([]uint16, g.Nodes)
 	}
+	attached := make([][]int32, g.Switches) // per switch: its nodes, ascending
+	for node, up := range g.Up {
+		u := int(up) - g.Nodes
+		attached[u] = append(attached[u], int32(node))
+	}
 	dist := make([]int32, nElem)
 	queue := make([]int32, 0, nElem)
-	for dst := 0; dst < g.Nodes; dst++ {
+	for u, nodes := range attached {
+		if len(nodes) == 0 {
+			continue
+		}
 		for i := range dist {
 			dist[i] = -1
 		}
-		dist[dst] = 0
-		queue = append(queue[:0], int32(dst))
+		dist[g.Nodes+u] = 0
+		queue = append(queue[:0], int32(g.Nodes+u))
 		for qi := 0; qi < len(queue); qi++ {
 			v := queue[qi]
 			for _, w := range nbr[v] {
@@ -222,6 +234,14 @@ func routes(g Graph, adj [][]int32) [][]uint16 {
 			}
 		}
 		for s := range adj {
+			if s == u {
+				for pi, v := range adj[s] {
+					if v < int32(g.Nodes) {
+						route[s][v] = uint16(pi)
+					}
+				}
+				continue
+			}
 			best, bestD := -1, int32(1<<30)
 			for pi, v := range adj[s] {
 				if d := dist[v]; d >= 0 && d < bestD {
@@ -229,9 +249,11 @@ func routes(g Graph, adj [][]int32) [][]uint16 {
 				}
 			}
 			if best < 0 {
-				panic(fmt.Sprintf("topo: node %d unreachable from switch %d", dst, s))
+				panic(fmt.Sprintf("topo: node %d unreachable from switch %d", nodes[0], s))
 			}
-			route[s][dst] = uint16(best)
+			for _, dst := range nodes {
+				route[s][dst] = uint16(best)
+			}
 		}
 	}
 	return route

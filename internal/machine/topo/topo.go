@@ -4,7 +4,7 @@
 // machine is a single-switch SMP cluster; these topologies are what the
 // ROADMAP's 1000+-node serving experiments run on. A topology is a graph
 // of elements (endpoint nodes, then switches), each switch owning one
-// output link per port; routing tables are built by per-destination BFS
+// output link per port; routing tables are built by BFS, one per edge switch,
 // with smallest-id tie-breaking, so routes are minimal-hop and a pure
 // function of the graph.
 package topo

@@ -104,6 +104,71 @@ func TestRoutesDeterministic(t *testing.T) {
 	}
 }
 
+// routesPerNode is the reference routing-table builder: one BFS from
+// every destination node, each switch forwarding toward the
+// lowest-numbered port whose neighbor is nearest. routes must build
+// exactly these tables with one BFS per attached switch.
+func routesPerNode(g Graph, adj [][]int32) [][]uint16 {
+	nElem := g.Nodes + g.Switches
+	nbr := make([][]int32, nElem)
+	for node, up := range g.Up {
+		nbr[node] = []int32{up}
+	}
+	for s := range adj {
+		nbr[g.Nodes+s] = adj[s]
+	}
+	route := make([][]uint16, g.Switches)
+	for s := range route {
+		route[s] = make([]uint16, g.Nodes)
+	}
+	dist := make([]int32, nElem)
+	queue := make([]int32, 0, nElem)
+	for dst := 0; dst < g.Nodes; dst++ {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[dst] = 0
+		queue = append(queue[:0], int32(dst))
+		for qi := 0; qi < len(queue); qi++ {
+			v := queue[qi]
+			for _, w := range nbr[v] {
+				if dist[w] < 0 {
+					dist[w] = dist[v] + 1
+					queue = append(queue, w)
+				}
+			}
+		}
+		for s := range adj {
+			best, bestD := -1, int32(1<<30)
+			for pi, v := range adj[s] {
+				if d := dist[v]; d >= 0 && d < bestD {
+					best, bestD = pi, d
+				}
+			}
+			route[s][dst] = uint16(best)
+		}
+	}
+	return route
+}
+
+// TestRoutesMatchPerNodeBFS checks the per-switch table builder against
+// the per-destination reference, including sizes that leave the last
+// leaf or router underfilled.
+func TestRoutesMatchPerNodeBFS(t *testing.T) {
+	for _, kind := range []string{"fat-tree", "dragonfly"} {
+		for _, nodes := range []int{2, 3, 16, 17, 100, 1024, 4096} {
+			g, err := ByName(kind, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			adj, _ := neighbors(g)
+			if got, want := routes(g, adj), routesPerNode(g, adj); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%d: routing tables differ from the per-node BFS reference", kind, nodes)
+			}
+		}
+	}
+}
+
 // TestHopCountsByLocality pins the expected path shapes: fat-tree routes
 // are 2 links within a leaf and 4 across leaves; dragonfly routes never
 // exceed node-router-local-global-local-router-node (6 links).

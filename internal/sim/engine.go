@@ -2,86 +2,126 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mproxy/internal/trace"
 )
 
 // event is a scheduled occurrence. Ties on time are broken by insertion
-// sequence so runs are deterministic. Exactly one of fn/proc is set: fn is
-// a callback event; proc is a process transfer (Wake, Hold), stored
-// directly so the dominant handoff pattern needs no closure allocation.
+// sequence so runs are deterministic. fn is the only payload: process
+// handoffs carry their Proc's or Task's prebuilt run closure, so the
+// dominant handoff pattern needs no per-event allocation.
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	proc *Proc
+	at  Time
+	seq uint64
+	fn  func()
 }
 
-// before is the engine's total event order: (at, seq).
-func (a event) before(b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// eventHeap is a monotone radix queue over events ordered by (at, seq).
+// It relies on the engine's clock never running backwards: last is the
+// time of the last pop, and every queued event has at >= last. Bucket 0
+// holds the events at exactly last, in seq order; bucket k (1..63) holds
+// those whose at first differs from last at bit k-1, so a bit mask of
+// occupied buckets finds the nearest ones in one instruction. When bucket
+// 0 drains, pop takes the lowest occupied bucket, moves last to its
+// minimum and redistributes it: every entry lands in a strictly lower
+// bucket, those equal to the new last in bucket 0. Each event therefore
+// moves at most 63 times however many are pending, against a comparison
+// heap's log(n) sift steps on every pop.
+//
+// Bucket 0 needs no sort: an entry's bucket is a function of its time
+// and last alone (settle recomputes it for a whole bucket at once, and
+// higher buckets keep their index), so the entries of one instant always
+// share a bucket; pushes arrive in seq order and settle moves a bucket in
+// order, so every bucket holds each instant's entries in seq order.
+//
+// peek never moves last: a sharded run (sim/par) inserts cross-shard
+// deliveries anywhere at or after the receiver's clock, which may be
+// below a peeked minimum. Vacated slots are zeroed so fired closures
+// become GC-able while the bucket arrays are reused for the whole run.
+type eventHeap struct {
+	last Time
+	n    int
+	head int    // bucket 0's next entry to pop
+	mask uint64 // bit k set when bucket k is non-empty
+	b    [64][]event
 }
 
-// eventHeap is a hand-rolled 4-ary min-heap over []event ordered by
-// (at, seq). Compared to container/heap it needs no interface boxing on
-// push/pop and no Less/Swap method dispatch; the 4-ary layout halves the
-// tree depth, trading cheap in-cache child comparisons for pointer-free
-// sift steps. Popped slots are zeroed so fired closures become GC-able
-// while the backing array is pooled across the whole run.
-type eventHeap []event
+// bucket returns the bucket an event at `at` belongs to relative to
+// last. Times are non-negative, so at^last stays below 2^63.
+func (h *eventHeap) bucket(at Time) int {
+	return bits.Len64(uint64(at ^ h.last))
+}
+
+func (h *eventHeap) len() int { return h.n }
 
 func (h *eventHeap) push(ev event) {
-	*h = append(*h, event{})
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !ev.before(s[p]) {
-			break
-		}
-		s[i] = s[p]
-		i = p
+	if ev.at < h.last {
+		panic("sim: event time ran backwards")
 	}
-	s[i] = ev
+	k := h.bucket(ev.at)
+	h.b[k] = append(h.b[k], ev)
+	h.mask |= 1 << k
+	h.n++
 }
 
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s[n] = event{} // clear the vacated slot: the closure must be collectable
-	s = s[:n]
-	*h = s
-	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			m := c
-			for j := c + 1; j < end; j++ {
-				if s[j].before(s[m]) {
-					m = j
-				}
-			}
-			if !s[m].before(last) {
-				break
-			}
-			s[i] = s[m]
-			i = m
-		}
-		s[i] = last
+// due reports whether events at exactly t are next: bucket 0 is
+// non-empty and the last pop happened at t.
+func (h *eventHeap) due(t Time) bool { return h.head < len(h.b[0]) && h.last == t }
+
+// lowest returns the lowest occupied bucket above 0 and its minimum time.
+// Bucket 0 must be empty and the queue non-empty.
+func (h *eventHeap) lowest() (int, Time) {
+	k := bits.TrailingZeros64(h.mask)
+	m := h.b[k][0].at
+	for _, ev := range h.b[k][1:] {
+		m = min(m, ev.at)
 	}
-	return top
+	return k, m
+}
+
+// peek returns the minimum pending time without moving last. The queue
+// must be non-empty.
+func (h *eventHeap) peek() Time {
+	if h.head < len(h.b[0]) {
+		return h.last
+	}
+	_, m := h.lowest()
+	return m
+}
+
+// pop removes and returns the (at, seq)-minimum event. The queue must
+// be non-empty.
+func (h *eventHeap) pop() event {
+	if h.head == len(h.b[0]) {
+		h.settle()
+	}
+	b0 := h.b[0]
+	ev := b0[h.head]
+	b0[h.head] = event{} // clear the vacated slot: the closure must be collectable
+	h.head++
+	if h.head == len(b0) {
+		h.b[0] = b0[:0]
+		h.head = 0
+		h.mask &^= 1
+	}
+	h.n--
+	return ev
+}
+
+// settle refills the drained bucket 0 from the lowest occupied bucket.
+func (h *eventHeap) settle() {
+	k, m := h.lowest()
+	b := h.b[k]
+	h.last = m
+	for _, ev := range b {
+		j := h.bucket(ev.at)
+		h.b[j] = append(h.b[j], ev)
+		h.mask |= 1 << j
+	}
+	clear(b)
+	h.b[k] = b[:0]
+	h.mask &^= 1 << k
 }
 
 // eventLane is the same-timestamp FIFO fast lane. Every Schedule(0, ...)
@@ -228,13 +268,14 @@ func (e *Engine) Now() Time { return e.now }
 // NextAt returns the timestamp of the earliest pending event, or false if
 // none are pending. Lane entries fire at the current instant; heap entries
 // at their scheduled time. The parallel windowing driver (sim/par) uses it
-// to pick the next safe execution window across shard engines.
+// to pick the next safe execution window across shard engines. It only
+// peeks: events may still be scheduled anywhere at or after Now.
 func (e *Engine) NextAt() (Time, bool) {
 	if e.lane.len() > 0 {
 		return e.now, true
 	}
-	if len(e.heap) > 0 {
-		return e.heap[0].at, true
+	if e.heap.len() > 0 {
+		return e.heap.peek(), true
 	}
 	return 0, false
 }
@@ -256,7 +297,7 @@ func (e *Engine) RunEvents(t Time) error { return e.run(t) }
 func (e *Engine) Live() int { return e.live }
 
 // Pending returns the number of scheduled events that have not fired.
-func (e *Engine) Pending() int { return len(e.heap) + e.lane.len() }
+func (e *Engine) Pending() int { return e.heap.len() + e.lane.len() }
 
 // Schedule runs fn at now+d. A negative delay panics.
 func (e *Engine) Schedule(d Time, fn func()) {
@@ -271,24 +312,6 @@ func (e *Engine) Schedule(d Time, fn func()) {
 		e.lane.push(event{at: e.now, seq: e.seq, fn: fn})
 	} else {
 		e.heap.push(event{at: e.now + d, seq: e.seq, fn: fn})
-	}
-}
-
-// scheduleTransfer schedules a process handoff at now+d: the allocation-
-// free backbone of Wake and Hold. It emits the same KSchedule event a
-// closure-based Schedule did, so trace streams are unchanged.
-func (e *Engine) scheduleTransfer(d Time, p *Proc) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: schedule in the past (delay %v)", d))
-	}
-	e.seq++
-	if e.tracer != nil {
-		e.record(trace.Event{At: int64(e.now), Seq: e.seq, Kind: trace.KSchedule, Arg: int64(d)})
-	}
-	if d == 0 {
-		e.lane.push(event{at: e.now, seq: e.seq, proc: p})
-	} else {
-		e.heap.push(event{at: e.now + d, seq: e.seq, proc: p})
 	}
 }
 
@@ -337,13 +360,16 @@ func (e *Engine) RunUntil(t Time) error {
 	return err
 }
 
-// run is the event loop. The next event is the minimum of the heap top
-// and the lane head under the (at, seq) order; the comparison reduces to
-// one timestamp check because of the lane invariant: every lane entry was
-// pushed while the clock already sat at e.now, so any heap entry with
+// run is the event loop. The next event is the minimum of the heap's
+// next entry and the lane head under the (at, seq) order; the comparison
+// reduces to one check because of the lane invariant: every lane entry
+// was pushed while the clock already sat at e.now, so any heap entry with
 // at == e.now was scheduled earlier (from a strictly earlier instant) and
-// carries a strictly smaller seq. Heap entries with at > e.now lose to
-// the lane on time alone.
+// carries a strictly smaller seq. Such entries are exactly the heap's
+// bucket 0 when its last pop happened at e.now: heap pushes always land
+// strictly after the clock, so once an instant is reached by a pop, the
+// settle that reached it gathered all of that instant's entries into
+// bucket 0. Any other heap entry loses to the lane on time alone.
 func (e *Engine) run(limit Time) error {
 	defer e.FlushTrace()
 	if e.down {
@@ -355,19 +381,16 @@ func (e *Engine) run(limit Time) error {
 			if limit >= 0 && e.now > limit {
 				return e.failure
 			}
-			if len(e.heap) > 0 && e.heap[0].at == e.now {
+			if e.heap.due(e.now) {
 				ev = e.heap.pop()
 			} else {
 				ev = e.lane.pop()
 			}
-		} else if len(e.heap) > 0 {
-			if limit >= 0 && e.heap[0].at > limit {
+		} else if e.heap.len() > 0 {
+			if limit >= 0 && e.heap.peek() > limit {
 				return e.failure
 			}
 			ev = e.heap.pop()
-			if ev.at < e.now {
-				panic("sim: event time ran backwards")
-			}
 			e.now = ev.at
 		} else {
 			break
@@ -375,11 +398,7 @@ func (e *Engine) run(limit Time) error {
 		if e.tracer != nil {
 			e.record(trace.Event{At: int64(ev.at), Seq: ev.seq, Kind: trace.KFire})
 		}
-		if ev.proc != nil {
-			e.transfer(ev.proc)
-		} else {
-			ev.fn()
-		}
+		ev.fn()
 		if e.failure != nil {
 			return e.failure
 		}
@@ -413,5 +432,5 @@ func (e *Engine) transfer(p *Proc) {
 // events at this timestamp). It pairs with Proc.Park to build custom
 // blocking structures outside this package.
 func (e *Engine) Wake(p *Proc) {
-	e.scheduleTransfer(0, p)
+	e.Schedule(0, p.run)
 }

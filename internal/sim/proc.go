@@ -19,6 +19,7 @@ type Proc struct {
 	name    string
 	next    func() (struct{}, bool)
 	yield   func(struct{}) bool
+	run     func() // prebuilt handoff closure: wake events carry it, so waking allocates nothing
 	dead    bool
 	daemon  bool
 	killed  bool
@@ -44,6 +45,7 @@ type procKilled struct{}
 
 func (e *Engine) spawn(name string, body func(p *Proc), daemon bool) *Proc {
 	p := &Proc{eng: e, name: name, daemon: daemon}
+	p.run = p.resume
 	if e.down {
 		p.dead = true
 		return p
@@ -118,6 +120,9 @@ func (p *Proc) Park() {
 // resumes d simulated time units later. Hold(0) yields, letting other
 // events at the same timestamp run first.
 func (p *Proc) Hold(d Time) {
-	p.eng.scheduleTransfer(d, p)
+	p.eng.Schedule(d, p.run)
 	p.Park()
 }
+
+// resume is the body of every wake event: it hands control to p.
+func (p *Proc) resume() { p.eng.transfer(p) }

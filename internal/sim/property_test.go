@@ -1,9 +1,10 @@
 package sim
 
 import (
-	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -104,68 +105,94 @@ func TestPropertyNegativeDelayPanics(t *testing.T) {
 	}
 }
 
-// FuzzEventHeap feeds arbitrary (delay, seq-gap) streams to the 4-ary
-// event heap — interleaving pushes with occasional pops so sift-down runs
-// against partially drained shapes — and asserts pops come out sorted by
-// (time, seq), the ordering that makes every simulation replayable. It
-// also checks that vacated slots are zeroed (no retained closures).
+// FuzzEventHeap drives the radix event queue through its contract —
+// every push at or after the last pop's time, including pushes at exactly
+// that time — with delays and push/pop interleavings drawn from the fuzz
+// bytes, and checks every pop against a brute-force (at, seq) model: the
+// order that makes every simulation replayable. It also checks that
+// vacated slots are zeroed (no retained closures).
 func FuzzEventHeap(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
-	f.Add([]byte{255, 255, 0, 0, 1, 1})
+	f.Add([]byte{1, 0, 2, 5, 3, 9, 0, 0, 5, 0, 0, 0})
+	f.Add([]byte{255, 255, 1, 1, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{})
-	f.Add([]byte{7, 0, 255, 9, 0, 9, 0, 3, 3, 3, 3, 1, 2})
+	f.Add([]byte{7, 0, 255, 9, 0, 9, 0, 3, 3, 3, 3, 1, 2, 4, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The model and the slot check are quadratic: keep each input to
+		// 512 operations, far more than the queue's 64 buckets need.
+		data = data[:min(len(data), 1024)]
 		var h eventHeap
+		var model []event
 		var seq uint64
+		var last Time
 		nop := func() {}
-		popCheck := func(stage string) event {
+		pop := func() {
 			ev := h.pop()
+			mi := 0
+			for i := range model {
+				if a, b := model[i], model[mi]; a.at < b.at || a.at == b.at && a.seq < b.seq {
+					mi = i
+				}
+			}
+			want := model[mi]
+			model = append(model[:mi], model[mi+1:]...)
+			if ev.at != want.at || ev.seq != want.seq {
+				t.Fatalf("popped (%v,#%d), want (%v,#%d)", ev.at, ev.seq, want.at, want.seq)
+			}
 			if ev.fn == nil {
-				t.Fatalf("%s: pop lost the event payload", stage)
+				t.Fatal("pop lost the event payload")
 			}
-			// The popped element must be the minimum of what was in
-			// the heap: nothing remaining may order before it.
-			for i := range h {
-				if h[i].before(ev) {
-					t.Fatalf("%s: popped (%v,#%d) but (%v,#%d) remains",
-						stage, ev.at, ev.seq, h[i].at, h[i].seq)
+			last = ev.at
+			for k := range h.b {
+				b := h.b[k]
+				vacated := b[len(b):cap(b)]
+				if k == 0 {
+					vacated = append(b[:h.head:h.head], vacated...)
+				}
+				for i, v := range vacated {
+					if v.fn != nil {
+						t.Fatalf("bucket %d: vacated slot %d retains a reference", k, i)
+					}
 				}
 			}
-			// Every slot beyond len must have been cleared by pop.
-			full := h[:cap(h)]
-			for i := len(h); i < len(full); i++ {
-				if full[i].fn != nil || full[i].proc != nil {
-					t.Fatalf("%s: vacated slot %d retains a reference", stage, i)
-				}
-			}
-			return ev
 		}
 		for len(data) >= 2 {
-			at := Time(binary.LittleEndian.Uint16(data))
+			op, arg := data[0], data[1]
 			data = data[2:]
+			if op%4 == 0 && len(model) > 0 {
+				pop()
+				continue
+			}
+			// The high bits of op scale the delay across bit widths, so
+			// pushes reach every bucket; arg 0 pushes at the last pop.
 			seq++
-			h.push(event{at: at, seq: seq, fn: nop})
-			// The low bits of the pushed timestamp double as a pop
-			// trigger, exercising drained-then-refilled shapes.
-			if at%5 == 0 && len(h) > 1 {
-				popCheck("interleaved")
+			ev := event{at: last + Time(arg)<<(op>>2%48), seq: seq, fn: nop}
+			h.push(ev)
+			model = append(model, ev)
+			if h.len() != len(model) {
+				t.Fatalf("len %d, model %d", h.len(), len(model))
 			}
 		}
-		// Drain with no pushes in between: pops must now come out
-		// globally sorted by (time, seq).
-		var prev event
-		for i := 0; len(h) > 0; i++ {
-			ev := popCheck("drain")
-			if i > 0 {
-				if ev.at < prev.at {
-					t.Fatalf("pop %d: time ran backwards: %v after %v", i, ev.at, prev.at)
-				}
-				if ev.at == prev.at && ev.seq < prev.seq {
-					t.Fatalf("pop %d: FIFO tie-break violated at %v: seq %d after %d",
-						i, ev.at, ev.seq, prev.seq)
-				}
-			}
-			prev = ev
+		for len(model) > 0 {
+			pop()
+		}
+		if h.len() != 0 || h.mask != 0 {
+			t.Fatalf("drained queue reports len %d, mask %#x", h.len(), h.mask)
 		}
 	})
+}
+
+// TestEventHeapPushBehindLastPanics pins the queue's monotone contract:
+// an event before the last pop's time cannot be placed, and must panic
+// rather than fire out of order.
+func TestEventHeapPushBehindLastPanics(t *testing.T) {
+	var h eventHeap
+	h.push(event{at: 10, seq: 1, fn: nopEvent})
+	h.pop()
+	h.push(event{at: 10, seq: 2, fn: nopEvent}) // at == last is allowed
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "ran backwards") {
+			t.Fatalf("push behind last: recovered %v, want a ran-backwards panic", r)
+		}
+	}()
+	h.push(event{at: 9, seq: 3, fn: nopEvent})
 }

@@ -115,3 +115,42 @@ func TestReentrantScheduleFromFiringEvent(t *testing.T) {
 		t.Fatalf("order %q, want %q", got, want)
 	}
 }
+
+// TestScheduleBelowPeekedMinimum pins the sharded-run pattern: after a
+// peek (NextAt) or a run cut short by its limit (RunUntil, RunEvents),
+// an event scheduled between the clock and the peeked minimum must still
+// fire first. A queue that settled on peek would reject it or fire it
+// late.
+func TestScheduleBelowPeekedMinimum(t *testing.T) {
+	for _, cut := range []string{"NextAt", "RunUntil", "RunEvents"} {
+		e := NewEngine()
+		var order []string
+		e.Schedule(10, func() { order = append(order, "early") })
+		e.Schedule(1000, func() { order = append(order, "far") })
+		switch cut {
+		case "NextAt":
+			if err := e.RunEvents(10); err != nil {
+				t.Fatal(err)
+			}
+			if at, ok := e.NextAt(); !ok || at != 1000 {
+				t.Fatalf("%s: NextAt = %v, %v; want 1000", cut, at, ok)
+			}
+		case "RunUntil":
+			if err := e.RunUntil(500); err != nil {
+				t.Fatal(err)
+			}
+		case "RunEvents":
+			if err := e.RunEvents(500); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now := e.Now()
+		e.Schedule(1, func() { order = append(order, "inserted") })
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(order, ","); got != "early,inserted,far" {
+			t.Fatalf("%s (clock %v): fired %q, want early,inserted,far", cut, now, got)
+		}
+	}
+}

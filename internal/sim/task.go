@@ -130,7 +130,7 @@ func (t *Task) Park(k func()) {
 // form of Proc.Hold. Hold(0, k) yields, letting other events at the same
 // timestamp run first.
 func (t *Task) Hold(d Time, k func()) {
-	t.eng.scheduleTask(d, t)
+	t.eng.Schedule(d, t.run)
 	t.Park(k)
 }
 
@@ -180,19 +180,11 @@ func (t *Task) settle() {
 	}
 }
 
-// scheduleTask schedules t's dispatch at now+d. It is the Task twin of
-// scheduleTransfer: same KSchedule emission, and the event carries the
-// task's prebuilt run closure so waking allocates nothing and the event
-// struct stays at its 32-byte layout.
-func (e *Engine) scheduleTask(d Time, t *Task) {
-	e.Schedule(d, t.run)
-}
-
 // WakeTask schedules t's parked continuation to run at the current time
 // (after already-scheduled events at this timestamp), pairing with
 // Task.Park exactly as Wake pairs with Proc.Park.
 func (e *Engine) WakeTask(t *Task) {
-	e.scheduleTask(0, t)
+	e.Schedule(0, t.run)
 }
 
 // actor is one spawned process or task, recorded in spawn order so
@@ -214,8 +206,8 @@ type waiter struct {
 // identical regardless of who is waiting.
 func (e *Engine) wakeWaiter(w waiter) {
 	if w.p != nil {
-		e.scheduleTransfer(0, w.p)
+		e.Schedule(0, w.p.run)
 		return
 	}
-	e.scheduleTask(0, w.t)
+	e.Schedule(0, w.t.run)
 }

@@ -174,6 +174,10 @@ func (c *Config) fill() {
 // nil-safe on the zero ID (untracked requests) and cheap enough for the
 // per-request hot path: a map probe, a slab write, and window-cell
 // arithmetic.
+//
+// In-flight storage follows the live high-water mark, not MaxOpen: the
+// slab and its free list grow by append, so a pointer into the slab
+// (&r.slab[si]) must never be held across an Issue, which may move it.
 type Recorder struct {
 	cfg Config
 	now func() int64
@@ -187,7 +191,7 @@ type Recorder struct {
 	ringN    uint64 // total completed records ever written
 	topk     []Record
 	tracked  uint64
-	dropped  uint64 // issues not tracked: slab full
+	dropped  uint64 // issues not tracked: MaxOpen records in flight
 	late     uint64 // events for ids no longer tracked
 	clamped  uint64 // segment marks that ran backwards (never, by design)
 	windowNs int64
@@ -213,12 +217,7 @@ type Recorder struct {
 func New(cfg Config, now func() int64) *Recorder {
 	cfg.fill()
 	r := &Recorder{cfg: cfg, now: now, windowNs: cfg.WindowNs}
-	r.open = make(map[uint64]int32, cfg.MaxOpen)
-	r.slab = make([]Record, cfg.MaxOpen)
-	r.free = make([]int32, cfg.MaxOpen)
-	for i := range r.free {
-		r.free[i] = int32(cfg.MaxOpen - 1 - i)
-	}
+	r.open = make(map[uint64]int32)
 	r.ring = make([]Record, 0, cfg.RingCap)
 	r.topk = make([]Record, 0, cfg.TopK)
 	return r
@@ -261,14 +260,20 @@ func (r *Recorder) Issue(op uint8, client, server, shard, hops, cmdqDepth int32,
 			c.depthMax = cmdqDepth
 		}
 	}
-	if len(r.free) == 0 {
+	var si int32
+	switch {
+	case len(r.free) > 0:
+		si = r.free[len(r.free)-1]
+		r.free = r.free[:len(r.free)-1]
+	case len(r.slab) < r.cfg.MaxOpen:
+		si = int32(len(r.slab))
+		r.slab = append(r.slab, Record{})
+	default:
 		r.dropped++
 		return 0
 	}
 	r.nextID++
 	id := r.nextID
-	si := r.free[len(r.free)-1]
-	r.free = r.free[:len(r.free)-1]
 	r.open[id] = si
 	rec := &r.slab[si]
 	*rec = Record{

@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -126,6 +127,61 @@ func TestSaturationDrops(t *testing.T) {
 	d := r.Finish()
 	if d.Dropped != 1 {
 		t.Fatalf("dropped %d, want 1", d.Dropped)
+	}
+}
+
+// TestSlabFollowsLiveHighWater drives a seeded issue/done stream and
+// checks the recorder against the contract of a recorder pre-sized to
+// MaxOpen: IDs run 1, 2, ... over tracked issues only, an issue is
+// dropped exactly when MaxOpen records are in flight, and the dropped
+// count matches. Storage must follow the live high-water mark instead of
+// the cap.
+func TestSlabFollowsLiveHighWater(t *testing.T) {
+	for _, maxOpen := range []int{1, 5, 0} { // 0 picks the 65536 default
+		c := &clock{}
+		r := New(Config{MaxOpen: maxOpen, Shards: 1}, c.now)
+		if len(r.slab) != 0 || len(r.free) != 0 {
+			t.Fatalf("MaxOpen %d: New pre-sized %d slab, %d free slots", maxOpen, len(r.slab), len(r.free))
+		}
+		limit := r.cfg.MaxOpen
+		rng := rand.New(rand.NewSource(int64(maxOpen) + 7))
+		var open []uint64
+		var nextID, dropped uint64
+		highWater := 0
+		for i := 0; i < 5000; i++ {
+			c.ns += 10
+			// Issue more often than complete for a while, then drain, so
+			// the in-flight count climbs past small caps and falls back.
+			if len(open) == 0 || rng.Intn(100) < 55-(i/1000)*5 {
+				id := r.Issue(0, 0, 0, 0, 0, 0, 0, c.ns, 0, 0)
+				if len(open) == limit {
+					dropped++
+					if id != 0 {
+						t.Fatalf("MaxOpen %d, issue %d: tracked id %d with %d in flight", maxOpen, i, id, len(open))
+					}
+					continue
+				}
+				nextID++
+				if id != nextID {
+					t.Fatalf("MaxOpen %d, issue %d: id %d, want %d", maxOpen, i, id, nextID)
+				}
+				open = append(open, id)
+				highWater = max(highWater, len(open))
+				continue
+			}
+			j := rng.Intn(len(open))
+			r.Done(open[j])
+			open = append(open[:j], open[j+1:]...)
+		}
+		if len(r.slab) != highWater {
+			t.Fatalf("MaxOpen %d: slab holds %d records, in-flight high-water %d", maxOpen, len(r.slab), highWater)
+		}
+		if maxOpen > 0 && highWater != maxOpen {
+			t.Fatalf("MaxOpen %d: stream never saturated (high-water %d)", maxOpen, highWater)
+		}
+		if d := r.Finish(); d.Dropped != dropped || d.Tracked != nextID {
+			t.Fatalf("MaxOpen %d: dropped %d tracked %d, want %d and %d", maxOpen, d.Dropped, d.Tracked, dropped, nextID)
+		}
 	}
 }
 
