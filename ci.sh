@@ -121,13 +121,16 @@ do
     fi
 done
 
-echo "== race shard (differential equivalence + parallel determinism + concurrent fabrics)"
-# TestDifferential* covers both equivalences (exec modes and sharded
-# vs sequential); TestParallel* adds the parallel driver's repeat-run
-# determinism and warn-and-fall-back contract. Under -race the detector
-# watches every cross-shard mailbox and barrier edge.
-go test -race -run 'TestDifferential|TestStealRepeatRunDigest|TestParallel|TestConcurrentFabricsDistinctQueueCaps' \
-    ./internal/regress/ ./internal/scenario/ ./internal/comm/ ./internal/workload/openloop/
+echo "== race shard (reference digests + parallel determinism + concurrent fabrics)"
+# TestDifferential* holds every preset and multi-proxy serving case to
+# the recorded reference digests (testdata/preset_digests.json, at the
+# -race test scale here) and sharded runs to sequential ones;
+# TestPresetDigests keeps the digest file in step with the cases;
+# TestParallel* adds the parallel executor's repeat-run determinism and
+# warn-and-fall-back contract. Under -race the detector watches every
+# cross-shard mailbox and barrier edge.
+go test -race -run 'TestDifferential|TestPresetDigests|TestStealRepeatRunDigest|TestParallel|TestConcurrentFabricsDistinctQueueCaps' \
+    ./internal/scenario/ ./internal/comm/ ./internal/workload/openloop/
 go test -race ./internal/sim/par/
 
 echo "== results byte-identity (cheap presets)"

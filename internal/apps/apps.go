@@ -62,10 +62,8 @@ type EnvOptions struct {
 	// Tracer, when non-nil, is installed on the run's engine before the
 	// machine is built, so the trace stream covers the whole construction —
 	// the same coverage the golden-trace scenarios get by calling SetTracer
-	// immediately after NewEngine. Unlike the deprecated process-global
-	// tracer (sim.SetGlobalTracer), a per-run tracer composes with parallel
-	// runs: each engine gets its own, with no shared state. The tracer must
-	// not be shared between concurrently running engines.
+	// immediately after NewEngine. The tracer must not be shared between
+	// concurrently running engines.
 	Tracer trace.Tracer
 }
 

@@ -24,7 +24,6 @@ func TestAllocPinTaskPutRound(t *testing.T) {
 		t.Fatal("unknown arch MP1")
 	}
 	eng := sim.NewEngine()
-	eng.SetExecMode(sim.ExecTask)
 	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 1}, a)
 	f := New(cl)
 	reg := f.Registry()

@@ -178,15 +178,11 @@ type Fabric struct {
 	forceRemote bool
 
 	// relE, when non-nil, carries all inter-node packets over the
-	// reliable transport (see rel.go).
-	relE *rel.Engine
+	// reliable transport (see rel.go); relSink receives its frames.
+	relE    *rel.Engine
+	relSink *relSink
 
-	// taskMode selects the run-to-completion protocol paths: agents are
-	// sim.Tasks and each carries a resident agentExec state machine (see
-	// exec.go). Set from the engine's ExecMode for the agent-based design
-	// points; system-call paths always run on the caller's Proc.
-	taskMode bool
-	// pktFree and reqFree recycle packets and request boxes in task mode,
+	// pktFree and reqFree recycle the agents' packets and request boxes,
 	// so steady-state messaging allocates nothing (see newPacket for the
 	// pooling gate).
 	pktFree sim.Freelist[packet]
@@ -229,16 +225,14 @@ func NewWith(cl *machine.Cluster, opt Options) *Fabric {
 		// Clusters assembled outside machine.New carry no policy.
 		f.sched, _ = proxy.SchedByName("")
 	}
-	f.taskMode = cl.Eng.ExecMode() == sim.ExecTask && f.A.Kind != arch.Syscall
-	if f.taskMode {
-		// Each agent gets its resident protocol frame: the continuation
-		// state its work items run through, built once per agent.
-		for _, nd := range cl.Nodes {
-			for k, ag := range nd.Agents {
-				fr := &agentExec{f: f, a: ag, node: nd, scanIdx: k}
-				fr.stepK = fr.step
-				ag.SetExec(fr)
-			}
+	// Each agent gets its resident protocol frame: the continuation state
+	// its work items run through, built once per agent. (System-call
+	// nodes have no agents.)
+	for _, nd := range cl.Nodes {
+		for k, ag := range nd.Agents {
+			fr := &agentExec{f: f, a: ag, node: nd, scanIdx: k}
+			fr.stepK = fr.step
+			ag.SetExec(fr)
 		}
 	}
 	if f.A.Kind == arch.Proxy {
@@ -280,14 +274,8 @@ func NewWith(cl *machine.Cluster, opt Options) *Fabric {
 			f.cmdqNames[cpu.Node.ID][ep.proxyIdx] = append(f.cmdqNames[cpu.Node.ID][ep.proxyIdx], ep.cmdqComp)
 			// The proxy-service work item is identical for every operation
 			// this endpoint submits (the request travels via the command
-			// queue, not the closure), so build it once instead of
-			// allocating a fresh closure per message.
-			if f.taskMode {
-				ep.work = machine.Work{TFn: mpServiceWork}
-			} else {
-				node, idx := cpu.Node, ep.proxyIdx
-				ep.work = machine.Work{Fn: func(ap *sim.Proc) { f.proxyServiceOne(ap, node, idx) }}
-			}
+			// queue, not the work item), so build it once.
+			ep.work = machine.Work{TFn: mpServiceWork}
 		}
 		f.eps = append(f.eps, ep)
 	}
@@ -393,7 +381,8 @@ func (f *Fabric) LatencyStats() map[OpKind]LatencyStat {
 
 // opDone records one completed operation's latency. node is the node in
 // whose event context the completion runs (the destination of the data
-// movement); its engine is the correct clock in both execution modes.
+// movement); its engine is the correct clock in sequential and sharded
+// runs.
 func (f *Fabric) opDone(node *machine.Node, kind OpKind, issued sim.Time) {
 	d := node.Eng.Now() - issued
 	f.lat[node.ID][kind].add(d)
@@ -677,27 +666,17 @@ func (ep *Endpoint) submit(r request) {
 		node.Agents[ep.proxyIdx].Submit(ep.work)
 	case arch.CustomHW:
 		ep.cpu.Compute(ep.proc, f.A.ComputeOvh)
-		node := ep.cpu.Node
-		if f.taskMode {
-			// Boxing the request into the work item's any would allocate
-			// per operation; a recycled CCB box carries it instead.
-			box := f.newReqBox()
-			box.r = r
-			node.Agent.Submit(machine.Work{TFn: hwSendWork, Arg: box})
-		} else {
-			node.Agent.Submit(f.hwSendProcWork(node, r))
-		}
+		f.submitHW(ep.cpu.Node, r)
 	case arch.Syscall:
 		f.swSend(ep, r)
 	}
 }
 
-// hwSendProcWork builds the coroutine-mode send closure. Kept out of
-// submit (and out of its inliner's reach) so that capturing r here does
-// not force every submit call — including task-mode ones that never build
-// a closure — to heap-allocate the request in its prologue.
-//
-//go:noinline
-func (f *Fabric) hwSendProcWork(node *machine.Node, r request) machine.Work {
-	return machine.Work{Fn: func(ap *sim.Proc) { f.hwSend(ap, node, r) }}
+// submitHW hands a command to the node's adapter. Boxing the request into
+// the work item's any would allocate per operation; a recycled CCB box
+// carries it instead.
+func (f *Fabric) submitHW(node *machine.Node, r request) {
+	box := f.newReqBox()
+	box.r = r
+	node.Agent.Submit(machine.Work{TFn: hwSendWork, Arg: box})
 }

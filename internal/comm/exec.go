@@ -7,18 +7,31 @@ import (
 	"mproxy/internal/trace"
 )
 
-// Run-to-completion protocol paths. Each agent carries one agentExec: a
-// resident continuation frame its work items run through. The frames are
-// straight CPS transcriptions of the blocking bodies in mp.go and hw.go —
-// every Hold becomes a hold(cost, pc) that parks the agent's Task and
-// resumes at the named program counter — so the two implementations emit
-// identical trace streams (the differential suite holds them to that).
-// One work item executes at a time per agent, which is what lets a single
-// frame serve every item with zero steady-state allocation.
+// Agent protocol paths. Each agent carries one agentExec: a resident
+// continuation frame its work items run through. A work item is one turn
+// of the agent's polling loop (Figure 5): it takes one command or one
+// packet and runs it to completion, each cost a hold(cost, pc) that parks
+// the agent's Task and resumes at the named program counter. One work
+// item executes at a time per agent, which is what lets a single frame
+// serve every item with zero steady-state allocation. The preset digests
+// in internal/scenario/testdata pin every byte these paths render.
+//
+// Message proxy (MP): the proxy is the node's Agent. Costs come from the
+// Section 4 latency model: cache misses on command-queue entries and user
+// buffers (AgentMiss, reduced by MP2's cache-update primitive), uncached
+// FIFO accesses (U), cross-memory attaches (V), fixed instruction
+// sequences scaled by the proxy's speed (us/S), and the polling notice
+// delay (P) charged by the Agent when it was idle.
+//
+// Custom hardware (HW): the node Agent models the adapter's protocol
+// engine (its message input and output logic). Protection comes from
+// virtual-memory mapping, so there are no vm_att calls, no polling delay
+// and no page pinning — commands traverse the memory bus and the
+// hardware engine continuously consumes messages from the network input.
 
-// Program counters for agentExec.step. MP states transcribe mp.go, HW
-// states transcribe hw.go; the page-streaming states are shared (costs
-// come from arch params, the loop shape is identical).
+// Program counters for agentExec.step. The page-streaming states are
+// shared by MP and HW (costs come from arch params, the loop shape is
+// identical).
 const (
 	pcFinish = iota // work item complete
 	pcPagePinned
@@ -88,7 +101,7 @@ type agentExec struct {
 	box  *deqReply // current DEQ reply operand
 	nOut int       // DEQ reply payload size (min of requested and record)
 
-	// Page-streaming loop state (sendPages transcription).
+	// Page-streaming loop state (startPages).
 	proto   packet
 	srcAddr memory.Addr
 	off     int
@@ -130,13 +143,13 @@ func (fr *agentExec) step() {
 	case pcFinish:
 		fr.finish()
 
-	// ---- shared page streaming (sendPages) ----
+	// ---- shared page streaming (startPages) ----
 	case pcPagePinned:
 		fr.pagePinned()
 	case pcPageDMADone:
 		fr.pageDMADone()
 
-	// ---- message proxy: send side (mpSend) ----
+	// ---- message proxy: send side (fr.mpSend) ----
 	case pcMPSend:
 		fr.mpSend()
 	case pcMPShipPIO:
@@ -157,7 +170,7 @@ func (fr *agentExec) step() {
 		}
 		f.ship(fr.node, pkt)
 		if r.kind == OpEnq && !r.fsync.Nil() {
-			fr.hold(A.AgentMiss, pcMPEnqSync)
+			fr.hold(A.AgentMiss, pcMPEnqSync) // ENQ lsync: the source buffer has been transmitted
 			return
 		}
 		fr.finish()
@@ -183,7 +196,7 @@ func (fr *agentExec) step() {
 		f.ship(fr.node, pkt)
 		fr.finish()
 
-	// ---- message proxy: receive side (mpRecv) ----
+	// ---- message proxy: receive side (mpRecvWork) ----
 	case pcMPPutDeposit:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
 		f.opDone(fr.node, OpPut, fr.pkt.issued)
@@ -268,7 +281,7 @@ func (fr *agentExec) step() {
 		fr.r = r
 		fr.hold(A.AgentMiss+A.Instr(0.5)+A.VMAtt, pcMPSend)
 
-	// ---- custom hardware: send side (hwSend) ----
+	// ---- custom hardware: send side (hwSendWork) ----
 	case pcHWShipPIO:
 		r := &fr.r
 		kind := pktPutData
@@ -311,7 +324,7 @@ func (fr *agentExec) step() {
 		f.ship(fr.node, pkt)
 		fr.finish()
 
-	// ---- custom hardware: receive side (hwRecv) ----
+	// ---- custom hardware: receive side (hwRecvWork) ----
 	case pcHWPutDeposit:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
 		f.opDone(fr.node, OpPut, fr.pkt.issued)
@@ -392,7 +405,8 @@ func (fr *agentExec) shipAck() {
 	fr.f.ship(fr.node, pkt)
 }
 
-// mpFinishPut transcribes finishPut: remote flag, then optional ack.
+// mpFinishPut completes a PUT deposit: signal the remote flag, then, when
+// the sender asked for local completion, return an acknowledgment.
 func (fr *agentExec) mpFinishPut() {
 	if !fr.pkt.rsync.Nil() {
 		fr.hold(fr.f.A.AgentMiss, pcMPPutRsync)
@@ -432,6 +446,8 @@ func (fr *agentExec) mpGetReqReply() {
 	A := fr.f.A
 	pkt := fr.pkt
 	if pkt.n <= A.PIOCutoff {
+		// Build reply: header, read the source (miss + uncached), PIO
+		// out, launch.
 		fr.hold(A.Uncached+A.Instr(0.7)+A.AgentMiss+A.Uncached+fr.f.pio(pkt.n)+A.Uncached, pcMPGetDataShip)
 		return
 	}
@@ -448,10 +464,10 @@ func (fr *agentExec) hwGetReqReply() {
 	fr.hold(A.AdapterOvh, pcHWGetPagesStart)
 }
 
-// deqTake transcribes the pktDeqReq tail of mpRecv/hwRecv: copy the
-// request out of the (about to be freed) packet, then hand the reply work
-// to the requester's serving agent once a record is available. The
-// TakeAsync closure allocates, exactly as the blocking path's does.
+// deqTake finishes a DEQ request: copy the request out of the (about to
+// be freed) packet, then hand the reply work to the requester's serving
+// agent once a record is available. The TakeAsync closure allocates per
+// DEQ.
 func (fr *agentExec) deqTake(hw bool) {
 	f := fr.f
 	q, _ := f.Cl.Reg.Queue(fr.pkt.rq)
@@ -478,7 +494,7 @@ func (fr *agentExec) shipDeqReply() {
 	fr.finish()
 }
 
-// mpSend transcribes mpSend's dispatch: one hold sized per operation, then
+// mpSend dispatches a decoded command: one hold sized per operation, then
 // the matching ship state.
 func (fr *agentExec) mpSend() {
 	f := fr.f
@@ -495,13 +511,14 @@ func (fr *agentExec) mpSend() {
 		// PIO: queue entries are bounded small messages.
 		fr.hold(A.Uncached+A.Instr(0.6)+A.AgentMiss+A.Uncached+f.pio(r.n)+A.Uncached, pcMPShipPIO)
 	case OpGet:
+		// Request packet: header only.
 		fr.hold(A.Uncached+A.Instr(0.7)+A.Uncached, pcMPGetReqShip)
 	case OpDeq:
 		fr.hold(A.Uncached+A.Instr(0.7)+A.Uncached, pcMPDeqReqShip)
 	}
 }
 
-// ---- page streaming (sendPages transcription) ----
+// ---- page streaming (the agents' form of Fabric.sendPages) ----
 
 // startPages begins streaming proto.n bytes from srcAddr page by page:
 // pin (unless Prepinned), occupy the DMA engine, cut the page through to
@@ -542,7 +559,7 @@ func (fr *agentExec) pageDMADone() {
 	*pg = fr.proto
 	pg.buf, pg.pooled = buf, pooled
 	pg.n = fr.chunk
-	f.readBytesInto(pg, fr.srcAddr.Plus(fr.off), fr.chunk) // read after the DMA completes, as the blocking path does
+	f.readBytesInto(pg, fr.srcAddr.Plus(fr.off), fr.chunk) // read after the DMA completes
 	pg.dst = fr.proto.dst.Plus(fr.off)
 	pg.last = fr.off+fr.chunk == fr.proto.n
 	f.shipOverlapped(fr.node, pg)
@@ -554,7 +571,8 @@ func (fr *agentExec) pageDMADone() {
 // work items themselves allocate nothing) ----
 
 // mpServiceWork is one turn of the proxy's dispatch loop: scan, dequeue,
-// decode, send (proxyServiceOne's transcription).
+// decode, attach the user's address space, and dispatch to the send
+// state.
 func mpServiceWork(a *machine.Agent, _ any) {
 	fr := a.Exec().(*agentExec)
 	f := fr.f
@@ -571,8 +589,8 @@ func mpServiceWork(a *machine.Agent, _ any) {
 	fr.hold(A.AgentMiss+A.Instr(0.5)+A.VMAtt, pcMPSend)
 }
 
-// hwSendWork decodes the adapter command carried in the reqBox and runs
-// hwSend's transcription.
+// hwSendWork decodes the adapter command carried in the reqBox and holds
+// the send-side cost of its operation.
 func hwSendWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	box := arg.(*reqBox)
@@ -597,8 +615,8 @@ func hwSendWork(a *machine.Agent, arg any) {
 	}
 }
 
-// mpRecvWork services an arriving packet on the proxy (mpRecv's
-// transcription).
+// mpRecvWork services a packet the proxy polled from the network input
+// FIFO.
 func mpRecvWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	pkt := arg.(*packet)
@@ -607,16 +625,23 @@ func mpRecvWork(a *machine.Agent, arg any) {
 	A := f.A
 	switch pkt.kind {
 	case pktPutData:
+		// Read header (miss), decode/dispatch, vm_att, checks, read the
+		// payload (uncached + PIO), copy to destination (write miss).
 		fr.hold(A.CacheMiss+A.Instr(0.9)+A.VMAtt+A.Uncached+f.pio(pkt.n)+A.AgentMiss, pcMPPutDeposit)
 	case pktPutPage:
+		// DMA deposits the page; the proxy pays per-page bookkeeping.
 		fr.hold(A.Instr(0.3)+A.AgentMiss, pcMPPutPage)
 	case pktGetReq:
 		fr.hold(A.CacheMiss+A.Instr(1.0)+A.VMAtt, pcMPGetReqDecoded)
 	case pktGetData:
+		// Reply: read header, find the CCB, vm_att, read payload, copy to
+		// destination (write miss); the lsync write miss follows.
 		fr.hold(A.CacheMiss+A.Instr(0.5)+A.VMAtt+A.Uncached+f.pio(pkt.n)+A.AgentMiss, pcMPGetDeposit)
 	case pktGetPage:
 		fr.hold(A.Instr(0.3)+A.AgentMiss, pcMPGetPageStep)
 	case pktEnqData:
+		// Like a PUT deposit plus the tail-pointer read/update and record
+		// bookkeeping in the owner's queue.
 		fr.hold(A.CacheMiss+A.Instr(0.9)+A.VMAtt+A.Uncached+f.pio(pkt.n)+2*A.CacheMiss+2*A.AgentMiss, pcMPEnqDeposit)
 	case pktDeqReq:
 		fr.hold(A.CacheMiss+A.Instr(0.8)+A.VMAtt, pcMPDeqReqTake)
@@ -627,8 +652,7 @@ func mpRecvWork(a *machine.Agent, arg any) {
 	}
 }
 
-// hwRecvWork services an arriving packet on the adapter (hwRecv's
-// transcription).
+// hwRecvWork services an arriving packet on the adapter.
 func hwRecvWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	pkt := arg.(*packet)

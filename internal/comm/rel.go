@@ -22,6 +22,7 @@ import (
 // retry budget (a link down past the timeout horizon) stops the
 // simulation; the error is available from RelErr.
 func (f *Fabric) EnableRel(cfg rel.Config) {
+	f.relSink = &relSink{f: f}
 	f.relE = rel.New(f.Cl.Eng, cfg, f.relSend, f.relDeliver)
 	f.relE.OnFail(func(flow rel.FlowID, err error) {
 		f.Cl.Eng.Stop()
@@ -49,35 +50,47 @@ func (f *Fabric) relShip(pkt *packet, overlapped bool) {
 	f.relE.Send(rel.FlowID{Src: src, Dst: dst}, pkt, HeaderSize+len(pkt.data), overlapped)
 }
 
-// relSend puts one rel frame on the sending node's output link. The wire
-// sees a snapshot of the frame: retransmissions restamp the live frame's
-// ack fields, which must not alias copies already in flight.
+// relSend puts one rel frame on the wire from its source node — through
+// the multi-switch interconnect when the cluster has one, exactly as ship
+// routes bare packets. The wire sees a snapshot of the frame:
+// retransmissions restamp the live frame's ack fields, which must not
+// alias copies already in flight.
 func (f *Fabric) relSend(fr *rel.Frame) {
 	src := f.Cl.Nodes[fr.Flow.Src]
 	bytes := f.relE.Config().HeaderBytes
-	var pkt *packet
 	if fr.HasData {
-		pkt = fr.Payload.(*packet)
+		pkt := fr.Payload.(*packet)
 		bytes += HeaderSize + len(pkt.data)
 		if !fr.Retrans {
 			fr.CRC = crc32.ChecksumIEEE(pkt.data)
 		}
 	}
 	cp := *fr
-	deliver := func(fate machine.PacketFate) {
-		if fate.Corrupt {
-			f.relCorrupt(&cp, fate)
-			return
-		}
-		f.relE.Receive(&cp)
-	}
 	// DMA-fed pages cut through on first transmission; retransmissions
 	// come from the transport's buffer and re-serialize like any packet.
-	if fr.Overlapped && !fr.Retrans {
-		src.OutLink.SendPacketOverlapped(bytes, deliver)
-	} else {
-		src.OutLink.SendPacket(bytes, deliver)
+	overlapped := fr.Overlapped && !fr.Retrans
+	if ic := f.Cl.Net; ic != nil {
+		ic.Ship(src.ID, fr.Flow.Dst, bytes, f.relSink, &cp, overlapped)
+		return
 	}
+	if overlapped {
+		src.OutLink.SendOverlappedToSink(bytes, f.relSink, &cp)
+		return
+	}
+	src.OutLink.SendToSink(bytes, f.relSink, &cp)
+}
+
+// relSink receives rel frames off the wire: a corrupted frame fails the
+// receiver's integrity check, anything else goes to the transport.
+type relSink struct{ f *Fabric }
+
+func (s *relSink) DeliverPacket(arg any, fate machine.PacketFate) {
+	fr := arg.(*rel.Frame)
+	if fate.Corrupt {
+		s.f.relCorrupt(fr, fate)
+		return
+	}
+	s.f.relE.Receive(fr)
 }
 
 // relCorrupt models the receiver-side integrity check: the fault plane

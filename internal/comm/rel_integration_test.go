@@ -6,6 +6,7 @@ import (
 	"mproxy/internal/arch"
 	"mproxy/internal/fault"
 	"mproxy/internal/machine"
+	"mproxy/internal/machine/topo"
 	"mproxy/internal/memory"
 	"mproxy/internal/rel"
 	"mproxy/internal/sim"
@@ -235,4 +236,63 @@ func (c crashPlane) AgentFault(agent string, item int64, now sim.Time) machine.A
 		return machine.AgentFate{Stall: 200 * sim.Microsecond, Restart: true}
 	}
 	return machine.AgentFate{}
+}
+
+// relFatTreePut times one PUT (with local completion) from rank 0 to
+// rank 15 of a 16-node MP1 fat-tree on a clean wire, with or without the
+// reliable transport, and returns the completion instant and the
+// interconnect that carried it.
+func relFatTreePut(t *testing.T, relOn bool) (sim.Time, *topo.Net) {
+	t.Helper()
+	eng := sim.NewEngine()
+	cl := machine.New(eng, machine.Config{Nodes: 16, ProcsPerNode: 1}, arch.MP1)
+	net := topo.NewNet(cl, topo.FatTree(16))
+	cl.SetInterconnect(net)
+	var opt Options
+	if relOn {
+		cfg := rel.DefaultConfig()
+		opt.Rel = &cfg
+	}
+	f := NewWith(cl, opt)
+	reg := f.Registry()
+	src := reg.NewSegment(0, 64)
+	dst := reg.NewSegment(15, 64)
+	dst.Grant(0)
+	fsync := reg.NewFlag(0)
+	copy(src.Data, "over the switches")
+	var done sim.Time
+	eng.Spawn("rank0", func(p *sim.Proc) {
+		ep := f.Endpoint(0)
+		ep.Bind(p)
+		if err := ep.Put(src.Addr(0), dst.Addr(0), 17, fsync, memory.FlagRef{}); err != nil {
+			t.Error(err)
+		}
+		ep.WaitFlag(fsync, 1)
+		done = p.Now()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(dst.Data[:17]); got != "over the switches" {
+		t.Fatalf("rel=%v: destination holds %q", relOn, got)
+	}
+	return done, net
+}
+
+// TestRelCrossesSwitchFabric checks that reliable-transport frames take
+// the multi-switch route like every other packet: the interconnect
+// delivers them, and the rel header bytes make the PUT slower than the
+// same PUT without the transport, never faster.
+func TestRelCrossesSwitchFabric(t *testing.T) {
+	plain, plainNet := relFatTreePut(t, false)
+	if hops := plainNet.Hops(0, 15); hops != 4 {
+		t.Fatalf("rank 0 -> rank 15 crosses %d hops, want 4", hops)
+	}
+	relDone, relNet := relFatTreePut(t, true)
+	if relNet.Delivered() == 0 {
+		t.Fatal("rel frames bypassed the switch fabric: the interconnect delivered nothing")
+	}
+	if relDone < plain {
+		t.Fatalf("PUT with rel completes at %v, before the same PUT without it at %v", relDone, plain)
+	}
 }

@@ -41,8 +41,8 @@ type packet struct {
 	last   bool // final page of a multi-page transfer
 
 	// buf is the packet's reusable payload store and pooled marks a packet
-	// owned by the fabric's freelist; both are used only by the
-	// run-to-completion paths (see newPacket).
+	// owned by the fabric's freelist; both are used only by the agents'
+	// paths (see newPacket).
 	buf    []byte
 	pooled bool
 }
@@ -71,18 +71,18 @@ func (f *Fabric) freeReqBox(b *reqBox) {
 	f.reqFree.Put(b)
 }
 
-// newPacket returns a packet for transmission on link l. In task mode with
-// no reliable transport and no fault plane on l, packets recycle through a
+// newPacket returns an agent's packet for transmission on link l. With no
+// reliable transport and no fault plane on l, packets recycle through a
 // freelist: exactly one receive work item consumes each delivery (no Dup,
 // no retransmission buffer), so the receive path can return the packet
-// once processed. Otherwise — proc mode, rel (which retains payloads for
+// once processed. Otherwise — rel (which retains payloads for
 // retransmission), faulty links (which may duplicate) — packets are plain
-// heap allocations left to the GC, as the blocking paths always did.
+// heap allocations left to the GC.
 func (f *Fabric) newPacket(l *machine.Link) *packet {
 	// Parallel execution disables the freelist: a packet would be taken on
 	// the sending shard and returned on the receiving one, racing on the
 	// shared pool. Plain allocations keep each shard self-contained.
-	if f.taskMode && !f.parallel && f.relE == nil && !l.Faulty() {
+	if !f.parallel && f.relE == nil && !l.Faulty() {
 		if pkt := f.pktFree.Get(); pkt != nil {
 			buf := pkt.buf
 			*pkt = packet{buf: buf, pooled: true}
@@ -135,35 +135,36 @@ func (f *Fabric) agentForRank(rank int) *machine.Agent {
 // through the reliable transport when one is enabled. Without it, faults
 // are terminal: a corrupted packet is discarded at the receiver (the
 // integrity check) and nothing retransmits it.
-func (f *Fabric) ship(node *machine.Node, pkt *packet) {
+func (f *Fabric) ship(node *machine.Node, pkt *packet) { f.send(node, pkt, false) }
+
+// shipOverlapped ships a DMA-fed page whose serialization was already paid
+// at the (slower) DMA engine.
+func (f *Fabric) shipOverlapped(node *machine.Node, pkt *packet) { f.send(node, pkt, true) }
+
+// send puts pkt on the wire with the fabric as its sink: over the
+// reliable transport, through the multi-switch interconnect (which owns
+// the path from the source link through the switches), or on the flat
+// model's single source link.
+func (f *Fabric) send(node *machine.Node, pkt *packet, overlapped bool) {
 	if f.relE != nil {
-		f.relShip(pkt, false)
+		f.relShip(pkt, overlapped)
 		return
 	}
+	bytes := HeaderSize + len(pkt.data)
 	if ic := f.Cl.Net; ic != nil {
-		// Multi-switch machine: the interconnect owns the path from the
-		// source link through the switches; the fabric stays the sink.
-		ic.Ship(node.ID, f.nodeOf(pkt.to).ID, HeaderSize+len(pkt.data), f, pkt, false)
+		ic.Ship(node.ID, f.nodeOf(pkt.to).ID, bytes, f, pkt, overlapped)
 		return
 	}
-	if f.taskMode {
-		node.OutLink.SendToSink(HeaderSize+len(pkt.data), f, pkt)
+	if overlapped {
+		node.OutLink.SendOverlappedToSink(bytes, f, pkt)
 		return
 	}
-	dest := f.nodeOf(pkt.to)
-	node.OutLink.SendPacket(HeaderSize+len(pkt.data), func(fate machine.PacketFate) {
-		if fate.Corrupt {
-			f.Cl.Eng.Emit(trace.KCorrupt, node.OutLink.Name(), int64(pkt.n))
-			return
-		}
-		f.deliver(dest, pkt)
-	})
+	node.OutLink.SendToSink(bytes, f, pkt)
 }
 
-// DeliverPacket implements machine.PacketSink for the task-mode ship
-// paths. Every shipped packet's from rank lives on the sending node, so
-// the corrupt-trace component reconstructs to the same link name the
-// closure path captures.
+// DeliverPacket implements machine.PacketSink for the ship paths. Every
+// shipped packet's from rank lives on the sending node, so the corrupt
+// trace names the link the packet left on.
 func (f *Fabric) DeliverPacket(arg any, fate machine.PacketFate) {
 	pkt := arg.(*packet)
 	if fate.Corrupt {
@@ -173,48 +174,14 @@ func (f *Fabric) DeliverPacket(arg any, fate machine.PacketFate) {
 	f.deliver(f.nodeOf(pkt.to), pkt)
 }
 
-// shipOverlapped ships a DMA-fed page whose serialization was already paid
-// at the (slower) DMA engine.
-func (f *Fabric) shipOverlapped(node *machine.Node, pkt *packet) {
-	if f.relE != nil {
-		f.relShip(pkt, true)
-		return
-	}
-	if ic := f.Cl.Net; ic != nil {
-		ic.Ship(node.ID, f.nodeOf(pkt.to).ID, HeaderSize+len(pkt.data), f, pkt, true)
-		return
-	}
-	if f.taskMode {
-		node.OutLink.SendOverlappedToSink(HeaderSize+len(pkt.data), f, pkt)
-		return
-	}
-	dest := f.nodeOf(pkt.to)
-	node.OutLink.SendPacketOverlapped(HeaderSize+len(pkt.data), func(fate machine.PacketFate) {
-		if fate.Corrupt {
-			f.Cl.Eng.Emit(trace.KCorrupt, node.OutLink.Name(), int64(pkt.n))
-			return
-		}
-		f.deliver(dest, pkt)
-	})
-}
-
 // deliver dispatches an arriving packet to the receiving node's agent
 // (proxy or adapter) or, under SW, interrupts the destination CPU.
 func (f *Fabric) deliver(dest *machine.Node, pkt *packet) {
 	switch f.A.Kind {
 	case arch.Proxy:
-		ag := f.agentForRank(pkt.to)
-		if f.taskMode {
-			ag.Submit(machine.Work{TFn: mpRecvWork, Arg: pkt})
-		} else {
-			ag.Submit(machine.Work{Fn: func(ap *sim.Proc) { f.mpRecv(ap, dest, pkt) }})
-		}
+		f.agentForRank(pkt.to).Submit(machine.Work{TFn: mpRecvWork, Arg: pkt})
 	case arch.CustomHW:
-		if f.taskMode {
-			dest.Agent.Submit(machine.Work{TFn: hwRecvWork, Arg: pkt})
-		} else {
-			dest.Agent.Submit(machine.Work{Fn: func(ap *sim.Proc) { f.hwRecv(ap, dest, pkt) }})
-		}
+		dest.Agent.Submit(machine.Work{TFn: hwRecvWork, Arg: pkt})
 	case arch.Syscall:
 		f.swRecv(dest, pkt)
 	}
@@ -289,14 +256,16 @@ func (f *Fabric) depositQueue(ref memory.QueueRef, data []byte) {
 	q.Deliver(data)
 }
 
-// sendPages streams a large transfer page by page on behalf of p (the
-// sending agent, or the user process blocked in the kernel under SW). Per
+// sendPages streams a large transfer page by page on behalf of p, the
+// system-call design point's kernel context: the user process blocked in
+// the kernel, or the transient kernel thread serving a large GET. Per
 // page: dynamically pin the source and destination pages (folded into the
 // sending side, 10 us each; skipped when Prepinned), stream through the DMA
 // engine, and cut through to the wire. This serialized per-page cycle is
 // what limits software peak bandwidth to pageSize/(2*pin + page/DMABW) —
 // 86.7 MB/s at next-generation parameters versus 150 MB/s for pre-pinned
-// custom hardware (Table 4).
+// custom hardware (Table 4). The agents stream pages through the same
+// cycle in agentExec.startPages.
 func (f *Fabric) sendPages(p *sim.Proc, node *machine.Node, proto packet, srcAddr memory.Addr) {
 	off := 0
 	for off < proto.n {

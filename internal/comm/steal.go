@@ -3,8 +3,6 @@ package comm
 import (
 	"mproxy/internal/machine"
 	"mproxy/internal/proxy"
-	"mproxy/internal/sim"
-	"mproxy/internal/trace"
 )
 
 // Work stealing between a node's proxies (the "steal" scheduling policy).
@@ -20,10 +18,10 @@ import (
 // Determinism: the victim rotation is a pure function of (node ID, per-
 // node steal counter) through the same splitmix64 mix the shard policy
 // uses, the probe order over siblings is fixed, and the steal turn
-// itself is an ordinary agent work item — so Proc and Task mode replay
-// identical schedules, and repeated runs are bit-identical. A stolen
-// command leaves the victim's own queued work token stale, which the
-// scan path already tolerates (the turn finds nothing and retires).
+// itself is an ordinary agent work item — so repeated runs are
+// bit-identical. A stolen command leaves the victim's own queued work
+// token stale, which the scan path already tolerates (the turn finds
+// nothing and retires).
 
 // installStealing hooks every proxy on every multi-proxy node with an
 // idle-time steal probe. Called at fabric construction, proxy design
@@ -38,12 +36,7 @@ func (f *Fabric) installStealing() {
 		}
 		works := make([]machine.Work, len(nd.Agents))
 		for v := range nd.Agents {
-			if f.taskMode {
-				works[v] = machine.Work{TFn: mpStealWork, Arg: v}
-			} else {
-				node, victim := nd, v
-				works[v] = machine.Work{Fn: func(ap *sim.Proc) { f.proxyStealOne(ap, node, victim) }}
-			}
+			works[v] = machine.Work{TFn: mpStealWork, Arg: v}
 		}
 		f.stealWork[nd.ID] = works
 		for t := range nd.Agents {
@@ -74,23 +67,9 @@ func (f *Fabric) trySteal(node *machine.Node, thief int) {
 	}
 }
 
-// proxyStealOne is one stolen scan turn in coroutine mode: pay the
-// cross-queue miss, then run the victim's scan/decode/send exactly as
-// proxyServiceOne would.
-func (f *Fabric) proxyStealOne(ap *sim.Proc, node *machine.Node, victim int) {
-	A := f.A
-	ap.Hold(A.AgentMiss) // cross-queue penalty: victim's queue state is cold here
-	r, qi, ok := f.scanners[node.ID][victim].Next()
-	if !ok {
-		return // the victim (or another thief) got there first
-	}
-	node.Eng.Emit(trace.KDequeue, f.cmdqNames[node.ID][victim][qi], 0)
-	ap.Hold(A.AgentMiss + A.Instr(0.5) + A.VMAtt)
-	f.mpSend(ap, node, r)
-}
-
-// mpStealWork is proxyStealOne's run-to-completion twin: hold the
-// cross-queue penalty, then scan the victim at pcMPStealScan. Arg is the
+// mpStealWork is one stolen scan turn: hold the cross-queue penalty (the
+// victim's queue state is cold here), then scan the victim at
+// pcMPStealScan exactly as mpServiceWork scans home turf. Arg is the
 // victim's proxy index (a small int: interface boxing stays alloc-free).
 func mpStealWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)

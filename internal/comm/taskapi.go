@@ -4,19 +4,16 @@ import (
 	"fmt"
 
 	"mproxy/internal/arch"
-	"mproxy/internal/machine"
 	"mproxy/internal/memory"
 	"mproxy/internal/sim"
 	"mproxy/internal/trace"
 )
 
 // Task-side submission paths. The serving workloads run every client and
-// server as a run-to-completion sim.Task in BOTH execution modes — only
-// the communication agents switch representation with the engine's
-// ExecMode — so these paths must work over either fabric flavor: the
-// pre-built ep.work item and the deliver path are already
-// mode-appropriate, and the task-side CPU charging below is mode-blind.
-// Cost accounting mirrors the blocking API call for call.
+// server as a run-to-completion sim.Task, so they submit through these
+// continuation-passing twins of the blocking Endpoint calls, which
+// application Procs use. Cost accounting mirrors the blocking API call
+// for call.
 
 // EnqBytesTask is EnqBytes for a run-to-completion caller: k runs once
 // the submission has been charged and handed to the send path (not when
@@ -111,15 +108,7 @@ func (fr *submitFrame) enqueue() {
 
 // hwSend hands the command to the adapter once its overhead is charged.
 func (fr *submitFrame) hwSend() {
-	f := fr.ep.f
-	node := fr.ep.cpu.Node
-	if f.taskMode {
-		box := f.newReqBox()
-		box.r = fr.r
-		node.Agent.Submit(machine.Work{TFn: hwSendWork, Arg: box})
-	} else {
-		node.Agent.Submit(f.hwSendProcWork(node, fr.r))
-	}
+	fr.ep.f.submitHW(fr.ep.cpu.Node, fr.r)
 	fr.finish()
 }
 

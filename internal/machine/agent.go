@@ -17,10 +17,9 @@ import (
 // picked up as the loop reaches them and incur queueing delay instead,
 // which is how proxy contention emerges in the Figure 9 experiment.
 //
-// The agent runs under the engine's execution mode: as a coroutine
-// sim.Proc (ExecProc — the blocking reference model) or as a
-// run-to-completion sim.Task (ExecTask — the default hot path, no
-// goroutine handshake). Both produce identical trace streams.
+// The agent is a run-to-completion sim.Task: each turn takes one item,
+// runs it to completion through Hold continuations on the agent's task,
+// and goes back to polling.
 type Agent struct {
 	Name   string
 	eng    *sim.Engine
@@ -51,11 +50,10 @@ type Agent struct {
 	// sibling proxy instead of going idle.
 	onIdle func()
 
-	// Run-to-completion mode: the agent is a sim.Task and the fields
-	// below are its resident state machine. One work item is in flight at
-	// a time, so a single reusable frame (cur, fate) suffices; the
-	// continuations are built once at construction so the steady-state
-	// serve cycle allocates nothing.
+	// The agent's task and its resident state machine. One work item is
+	// in flight at a time, so a single reusable frame (cur, fate)
+	// suffices; the continuations are built once at construction so the
+	// steady-state serve cycle allocates nothing.
 	task    *sim.Task
 	cur     agentWork
 	fate    AgentFate
@@ -65,14 +63,11 @@ type Agent struct {
 	serveFn func()
 }
 
-// Work is one agent work item. Fn is the coroutine-mode body: a blocking
-// closure run on the agent's Proc. TFn is the run-to-completion body: it
-// runs on the agent's Task with Arg as its operand and must eventually
-// call Agent.WorkDone exactly once (possibly from a later continuation).
-// Submitters populate the field matching the engine's execution mode; a
-// Work with both bodies nil is the shutdown poison pill.
+// Work is one agent work item. TFn is its body: it runs on the agent's
+// Task with Arg as its operand and must eventually call Agent.WorkDone
+// exactly once (possibly from a later continuation). A Work with a nil
+// body is the shutdown poison pill.
 type Work struct {
-	Fn  func(p *sim.Proc)
 	TFn func(a *Agent, arg any)
 	Arg any
 }
@@ -82,71 +77,17 @@ type agentWork struct {
 	at sim.Time
 }
 
-// NewAgent creates an agent server under the engine's execution mode.
+// NewAgent creates an agent server on eng.
 func NewAgent(eng *sim.Engine, name string, notice sim.Time) *Agent {
 	a := &Agent{Name: name, eng: eng, queue: sim.NewFIFO[agentWork](eng, name+".q"), notice: notice}
-	if eng.ExecMode() == sim.ExecTask {
-		a.awaitFn = a.awaitWork
-		a.beginFn = a.begin
-		a.serveFn = a.serve
-		a.task = eng.SpawnTaskDaemon(name, func(*sim.Task) { a.awaitWork() })
-	} else {
-		eng.SpawnDaemon(name, a.loop)
-	}
+	a.awaitFn = a.awaitWork
+	a.beginFn = a.begin
+	a.serveFn = a.serve
+	a.task = eng.SpawnTaskDaemon(name, func(*sim.Task) { a.awaitWork() })
 	return a
 }
 
-// loop is the coroutine-mode server body.
-func (a *Agent) loop(p *sim.Proc) {
-	for {
-		w, ok := a.queue.TryGet()
-		if !ok && a.onIdle != nil {
-			a.onIdle()
-			w, ok = a.queue.TryGet()
-		}
-		if !ok {
-			// TryGet on an empty queue emits nothing and Get's successful
-			// take emits the same dequeue event TryGet's would have, so
-			// this try-then-block split is trace-identical to a bare Get.
-			w = a.queue.Get(p)
-		}
-		if w.w.Fn == nil && w.w.TFn == nil {
-			return // poison pill from Shutdown
-		}
-		if a.plane != nil {
-			fate := a.plane.AgentFault(a.Name, a.served, p.Now())
-			if fate.Stall > 0 {
-				a.eng.Emit(trace.KStall, a.Name, int64(fate.Stall))
-				a.stalls++
-				p.Hold(fate.Stall)
-			}
-			if fate.Restart {
-				a.restarts++
-				if a.onRestart != nil {
-					a.onRestart()
-				}
-			}
-		}
-		if p.Now() == w.at && a.notice > 0 {
-			// The agent was idle (blocked in Get) when this item arrived:
-			// charge the polling notice delay. Items found queued when a
-			// previous item finishes are reached by the ongoing scan and
-			// pay queueing delay only.
-			p.Hold(a.notice)
-		}
-		a.waitTotal += p.Now() - w.at
-		a.eng.Emit(trace.KPoll, a.Name, int64(p.Now()-w.at))
-		a.inService = true
-		a.serviceAt = p.Now()
-		w.w.Fn(p)
-		a.inService = false
-		a.busyTotal += p.Now() - a.serviceAt
-		a.served++
-	}
-}
-
-// awaitWork is the task-mode idle state: take the next item or park. Its
-// decision ladder and trace emissions mirror loop turn for turn.
+// awaitWork is the agent's idle state: take the next item or park.
 func (a *Agent) awaitWork() {
 	w, ok := a.queue.TryGet()
 	if !ok && a.onIdle != nil {
@@ -158,7 +99,7 @@ func (a *Agent) awaitWork() {
 		return
 	}
 	a.cur = w
-	if w.w.Fn == nil && w.w.TFn == nil {
+	if w.w.TFn == nil {
 		a.task.End() // poison pill from Shutdown
 		return
 	}
@@ -176,7 +117,9 @@ func (a *Agent) awaitWork() {
 }
 
 // begin runs after any stall fault: restart hook, then the notice delay
-// for items that arrived while the agent was idle.
+// for items that arrived while the agent was idle (blocked waiting for
+// work). Items found queued when a previous item finishes are reached by
+// the ongoing scan and pay queueing delay only.
 func (a *Agent) begin() {
 	if a.fate.Restart {
 		a.restarts++
@@ -201,9 +144,9 @@ func (a *Agent) serve() {
 	a.cur.w.TFn(a, a.cur.w.Arg)
 }
 
-// WorkDone completes the current work item in run-to-completion mode and
-// moves the agent to its next item (or back to idle). Every Work.TFn must
-// arrange for exactly one WorkDone call.
+// WorkDone completes the current work item and moves the agent to its
+// next item (or back to idle). Every Work.TFn must arrange for exactly
+// one WorkDone call.
 func (a *Agent) WorkDone() {
 	a.inService = false
 	a.busyTotal += a.eng.Now() - a.serviceAt
@@ -212,8 +155,8 @@ func (a *Agent) WorkDone() {
 	a.awaitWork()
 }
 
-// Task returns the agent's task in run-to-completion mode (nil under
-// ExecProc). Work bodies use it for Hold continuations.
+// Task returns the agent's task. Work bodies use it for Hold
+// continuations.
 func (a *Agent) Task() *sim.Task { return a.task }
 
 // SetExec attaches model-layer per-agent scratch state; Exec returns it.
@@ -251,7 +194,7 @@ func (a *Agent) Stalls() int64 { return a.stalls }
 // Restarts returns the number of crash-and-restart faults absorbed.
 func (a *Agent) Restarts() int64 { return a.restarts }
 
-// Shutdown terminates the agent process once queued work drains.
+// Shutdown terminates the agent's task once queued work drains.
 func (a *Agent) Shutdown() { a.queue.Put(agentWork{at: a.eng.Now()}) }
 
 // QueueLen returns the number of pending work items.

@@ -19,10 +19,9 @@ func pinAllocs(t *testing.T, what string, fn func()) {
 }
 
 // TestAllocPinTaskAgentServe: submit → dequeue → notice → serve → done on
-// a task-mode agent must not allocate once the work FIFO has grown.
+// an agent must not allocate once the work FIFO has grown.
 func TestAllocPinTaskAgentServe(t *testing.T) {
 	eng := sim.NewEngine()
-	eng.SetExecMode(sim.ExecTask)
 	a := NewAgent(eng, "ag", 0)
 	served := 0
 	w := Work{TFn: func(a *Agent, _ any) {
@@ -47,7 +46,7 @@ func TestAllocPinTaskAgentServe(t *testing.T) {
 	eng.Shutdown()
 }
 
-// TestAllocPinLinkSink: the callback-free packet delivery path
+// TestAllocPinLinkSink: the link's packet delivery path
 // (SendToSink through the recycled delivery node) must not allocate in
 // steady state.
 func TestAllocPinLinkSink(t *testing.T) {

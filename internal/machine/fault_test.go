@@ -40,11 +40,11 @@ func TestLinkFaultDispatch(t *testing.T) {
 		fate PacketFate
 	}
 	var got []arrival
+	sink := funcSink(func(arg any, f PacketFate) {
+		got = append(got, arrival{arg.(uint64), eng.Now(), f})
+	})
 	for seq := uint64(0); seq < 6; seq++ {
-		seq := seq
-		l.SendPacket(0, func(f PacketFate) {
-			got = append(got, arrival{seq, eng.Now(), f})
-		})
+		l.SendToSink(0, sink, seq)
 	}
 	eng.Spawn("idle", func(p *sim.Proc) {})
 	if err := eng.Run(); err != nil {
@@ -99,12 +99,12 @@ func TestLinkWithoutPlaneIsClean(t *testing.T) {
 	l := NewLink(eng, "clean.out", 100, sim.Microsecond)
 	n := 0
 	for i := 0; i < 10; i++ {
-		l.SendPacket(64, func(f PacketFate) {
+		l.SendToSink(64, funcSink(func(_ any, f PacketFate) {
 			if f != (PacketFate{}) {
 				t.Errorf("clean link delivered fate %+v", f)
 			}
 			n++
-		})
+		}), nil)
 	}
 	eng.Spawn("idle", func(p *sim.Proc) {})
 	if err := eng.Run(); err != nil {
@@ -116,7 +116,7 @@ func TestLinkWithoutPlaneIsClean(t *testing.T) {
 }
 
 func TestAgentStallAndRestart(t *testing.T) {
-	eachMode(t, func(t *testing.T, eng *sim.Engine) {
+	withEngine(t, func(t *testing.T, eng *sim.Engine) {
 		rec := &trace.Recorder{}
 		eng.SetTracer(rec)
 		a := NewAgent(eng, "test.proxy", 0)

@@ -294,7 +294,7 @@ type Node struct {
 	// the node's shard engine on a parallel cluster. Model layers must
 	// consult it (not Cluster.Eng) for anything that runs in a node's
 	// event context — clock reads, trace emissions, task wakes — so the
-	// same code is correct under both execution modes.
+	// same code is correct in sequential and sharded runs.
 	Eng     *sim.Engine
 	OutLink *Link
 	// DMA is the node's DMA engine, modeled as a zero-latency serializing
@@ -474,81 +474,10 @@ func (l *Link) SetRoute(r func(at sim.Time, sink PacketSink, arg any) bool) { l.
 // one hop when the link crosses simulation shards.
 func (l *Link) Latency() sim.Time { return l.latency }
 
-// Send serializes n bytes onto the link and schedules deliver at the
-// arrival time. Headers count toward serialization, so callers pass the
-// full packet size.
-func (l *Link) Send(n int, deliver func()) {
-	l.SendPacket(n, func(PacketFate) { deliver() })
-}
-
-// SendPacket is Send for callers that participate in fault injection: the
-// fate the fault plane chose for the packet (corruption, in particular)
-// is passed to deliver. Dropped packets never invoke deliver; duplicated
-// packets invoke it twice.
-func (l *Link) SendPacket(n int, deliver func(fate PacketFate)) {
-	xfer := arch.XferTime(n, l.mbps)
-	start := l.freeAt
-	if now := l.eng.Now(); start < now {
-		start = now
-	}
-	depart := start + xfer
-	l.freeAt = depart
-	l.busy += xfer
-	l.dispatch(n, depart-l.eng.Now(), deliver)
-}
-
-// SendOverlapped accounts n bytes on the link but charges no serialization
-// time, scheduling deliver after just the wire latency. It is used for
-// DMA-fed transfers, where cut-through overlaps wire serialization with the
-// (slower) DMA stream that the caller has already paid for.
-func (l *Link) SendOverlapped(n int, deliver func()) {
-	l.SendPacketOverlapped(n, func(PacketFate) { deliver() })
-}
-
-// SendPacketOverlapped is SendOverlapped with fault participation.
-func (l *Link) SendPacketOverlapped(n int, deliver func(fate PacketFate)) {
-	l.dispatch(n, 0, deliver)
-}
-
-// dispatch accounts the packet, consults the fault plane, and schedules
-// delivery depart+latency from now. The plane-free path is byte-for-byte
-// the original simulator: one schedule at the arrival time.
-func (l *Link) dispatch(n int, depart sim.Time, deliver func(fate PacketFate)) {
-	seq := uint64(l.packets)
-	l.packets++
-	l.sentByte += int64(n)
-	if l.plane == nil {
-		l.eng.Schedule(depart+l.latency, func() { deliver(PacketFate{}) })
-		return
-	}
-	fate := l.plane.PacketFate(l.name, l.node, seq, l.eng.Now())
-	switch {
-	case fate.Down:
-		l.lost++
-		l.eng.Emit(trace.KLinkDown, l.name, int64(seq))
-		return
-	case fate.Drop:
-		l.lost++
-		l.eng.Emit(trace.KDrop, l.name, int64(seq))
-		return
-	}
-	if fate.Corrupt {
-		l.lost++
-	}
-	arrive := depart + l.latency + fate.Delay
-	l.eng.Schedule(arrive, func() { deliver(fate) })
-	if fate.Dup {
-		// The duplicate is a clean copy: corruption happened to one
-		// physical packet, duplication re-delivers the original.
-		dup := PacketFate{}
-		l.eng.Schedule(arrive+fate.DupDelay, func() { deliver(dup) })
-	}
-}
-
-// PacketSink receives packets sent with SendToSink: the closure-free twin
-// of SendPacket's deliver callback, for run-to-completion receivers whose
-// packet argument outlives the call. Dropped packets are never delivered;
-// duplicated packets are delivered twice.
+// PacketSink receives packets sent on a link: every send names the sink
+// and an argument it hands back at the arrival time, together with the
+// fate the fault plane chose (corruption, in particular). Dropped packets
+// are never delivered; duplicated packets are delivered twice.
 type PacketSink interface {
 	DeliverPacket(arg any, fate PacketFate)
 }
@@ -582,9 +511,9 @@ func (d *delivery) fire() {
 	sink.DeliverPacket(arg, fate)
 }
 
-// SendToSink is SendPacket routed to a PacketSink: identical serialization
-// accounting, fault handling and schedule emissions, but no per-packet
-// closure.
+// SendToSink serializes n bytes onto the link and delivers arg to sink at
+// the arrival time. Headers count toward serialization, so callers pass
+// the full packet size.
 func (l *Link) SendToSink(n int, sink PacketSink, arg any) {
 	xfer := arch.XferTime(n, l.mbps)
 	start := l.freeAt
@@ -594,17 +523,21 @@ func (l *Link) SendToSink(n int, sink PacketSink, arg any) {
 	depart := start + xfer
 	l.freeAt = depart
 	l.busy += xfer
-	l.dispatchSink(n, depart-l.eng.Now(), sink, arg)
+	l.dispatch(n, depart-l.eng.Now(), sink, arg)
 }
 
-// SendOverlappedToSink is SendPacketOverlapped routed to a PacketSink.
+// SendOverlappedToSink accounts n bytes on the link but charges no
+// serialization time, delivering after just the wire latency. It is used
+// for DMA-fed transfers, where cut-through overlaps wire serialization
+// with the (slower) DMA stream that the caller has already paid for.
 func (l *Link) SendOverlappedToSink(n int, sink PacketSink, arg any) {
-	l.dispatchSink(n, 0, sink, arg)
+	l.dispatch(n, 0, sink, arg)
 }
 
-// dispatchSink mirrors dispatch for the sink path: same packet accounting,
-// same fault-plane consultation, same trace emissions.
-func (l *Link) dispatchSink(n int, depart sim.Time, sink PacketSink, arg any) {
+// dispatch accounts the packet, consults the fault plane, and schedules
+// delivery depart+latency from now. The plane-free path is one schedule
+// at the arrival time.
+func (l *Link) dispatch(n int, depart sim.Time, sink PacketSink, arg any) {
 	seq := uint64(l.packets)
 	l.packets++
 	l.sentByte += int64(n)
@@ -645,20 +578,27 @@ func (l *Link) dispatchSink(n int, depart sim.Time, sink PacketSink, arg any) {
 // Faulty reports whether a fault plane is installed on the link.
 func (l *Link) Faulty() bool { return l.plane != nil }
 
+// flagSink raises the *sim.Flag carried as its delivery argument: the
+// completion signal of an Occupy transfer.
+type flagSink struct{}
+
+func (flagSink) DeliverPacket(arg any, _ PacketFate) { arg.(*sim.Flag).Add(1) }
+
 // Occupy serializes n bytes through the link on behalf of p, blocking p
-// until the transfer completes. Agents use it to stay busy for the duration
-// of a DMA page transfer.
+// until the transfer completes. The system-call design point's kernel
+// path uses it to stream a DMA page with the caller blocked.
 func (l *Link) Occupy(p *sim.Proc, n int) {
 	f := l.eng.NewFlag()
-	l.Send(n, func() { f.Add(1) })
+	l.SendToSink(n, flagSink{}, f)
 	f.Wait(p, 1)
 }
 
 // OccupyTask is Occupy for a run-to-completion agent: k runs when the
-// transfer completes. Flag wiring and trace emissions match Occupy's.
+// transfer completes. Agents use it to stay busy for the duration of a
+// DMA page transfer.
 func (l *Link) OccupyTask(t *sim.Task, n int, k func()) {
 	f := l.eng.NewFlag()
-	l.Send(n, func() { f.Add(1) })
+	l.SendToSink(n, flagSink{}, f)
 	f.WaitTask(t, 1, k)
 }
 
@@ -676,7 +616,7 @@ func (l *Link) Lost() int64 { return l.lost }
 func (l *Link) Bytes() int64 { return l.sentByte }
 
 // BusyTime returns the serialization time spent up to the present instant.
-// SendPacket books a packet's full serialization at send time (l.busy) and
+// SendToSink books a packet's full serialization at send time (l.busy) and
 // pending transfers occupy the port back-to-back until freeAt, so the
 // not-yet-elapsed portion is exactly max(0, freeAt-now); clipping it keeps
 // mid-run snapshots exact. At quiesce freeAt <= now and BusyTime == l.busy.

@@ -8,40 +8,37 @@ import (
 	"mproxy/internal/sim"
 )
 
-// eachMode runs fn once per execution mode on a fresh engine: agent
-// behavior must be identical whether the agent is a coroutine Proc or a
-// run-to-completion Task.
-func eachMode(t *testing.T, fn func(t *testing.T, eng *sim.Engine)) {
-	for _, m := range []sim.ExecMode{sim.ExecTask, sim.ExecProc} {
-		t.Run(m.String(), func(t *testing.T) {
-			eng := sim.NewEngine()
-			eng.SetExecMode(m)
-			fn(t, eng)
-		})
-	}
+// withEngine runs fn on a fresh engine in a subtest named for the
+// agents' execution model, the run-to-completion task.
+func withEngine(t *testing.T, fn func(t *testing.T, eng *sim.Engine)) {
+	t.Run("task", func(t *testing.T) { fn(t, sim.NewEngine()) })
 }
 
-// holdWork returns a dual-body Work that occupies the agent for d and then
-// calls then (if non-nil) with the completion time — the same service
-// under either execution mode.
+// holdWork returns a Work that occupies the agent for d and then calls
+// then (if non-nil) with the completion time.
 func holdWork(d sim.Time, then func(now sim.Time)) Work {
-	return Work{
-		Fn: func(q *sim.Proc) {
-			q.Hold(d)
+	return Work{TFn: func(a *Agent, _ any) {
+		a.Task().Hold(d, func() {
 			if then != nil {
-				then(q.Now())
+				then(a.eng.Now())
 			}
-		},
-		TFn: func(a *Agent, _ any) {
-			a.Task().Hold(d, func() {
-				if then != nil {
-					then(a.eng.Now())
-				}
-				a.WorkDone()
-			})
-		},
-	}
+			a.WorkDone()
+		})
+	}}
 }
+
+// funcSink adapts a function to PacketSink for link tests.
+type funcSink func(arg any, fate PacketFate)
+
+func (f funcSink) DeliverPacket(arg any, fate PacketFate) { f(arg, fate) }
+
+// at returns a sink that appends each arrival instant to *arrivals.
+func at(eng *sim.Engine, arrivals *[]sim.Time) funcSink {
+	return func(any, PacketFate) { *arrivals = append(*arrivals, eng.Now()) }
+}
+
+// discard is a sink that drops every delivery.
+var discard = funcSink(func(any, PacketFate) {})
 
 func TestClusterTopology(t *testing.T) {
 	eng := sim.NewEngine()
@@ -149,8 +146,8 @@ func TestNewRejectsShardedConfig(t *testing.T) {
 }
 
 // TestNewShardedValidatesFirst: an invalid partition panics out of
-// NewSharded before any agent is constructed (under ExecProc agents own
-// goroutines, so validation must precede every spawn).
+// NewSharded before any agent is constructed (validation must precede
+// every spawn).
 func TestNewShardedValidatesFirst(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -258,8 +255,8 @@ func TestLinkSerialization(t *testing.T) {
 	l := NewLink(eng, "l", 100, 2*sim.Microsecond)
 	var arrivals []sim.Time
 	// Two back-to-back 1000-byte packets: serialization 10 us each.
-	l.Send(1000, func() { arrivals = append(arrivals, eng.Now()) })
-	l.Send(1000, func() { arrivals = append(arrivals, eng.Now()) })
+	l.SendToSink(1000, at(eng, &arrivals), nil)
+	l.SendToSink(1000, at(eng, &arrivals), nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -278,21 +275,21 @@ func TestLinkSerialization(t *testing.T) {
 func TestLinkIdleGapNoSerializationCarry(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLink(eng, "l", 100, 0)
-	var second sim.Time
-	l.Send(100, func() {}) // arrives at 1 us
+	var arrivals []sim.Time
+	l.SendToSink(100, discard, nil) // arrives at 1 us
 	eng.Schedule(sim.Micros(10), func() {
-		l.Send(100, func() { second = eng.Now() })
+		l.SendToSink(100, at(eng, &arrivals), nil)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if second != sim.Micros(11) {
-		t.Fatalf("second arrival = %v, want 11us", second)
+	if len(arrivals) != 1 || arrivals[0] != sim.Micros(11) {
+		t.Fatalf("second arrival = %v, want 11us", arrivals)
 	}
 }
 
 func TestAgentExecutesFIFOWithNotice(t *testing.T) {
-	eachMode(t, func(t *testing.T, eng *sim.Engine) {
+	withEngine(t, func(t *testing.T, eng *sim.Engine) {
 		a := NewAgent(eng, "proxy", sim.Micros(3))
 		var done []sim.Time
 		eng.Spawn("client", func(p *sim.Proc) {
@@ -314,7 +311,7 @@ func TestAgentExecutesFIFOWithNotice(t *testing.T) {
 }
 
 func TestAgentIdleThenNewNotice(t *testing.T) {
-	eachMode(t, func(t *testing.T, eng *sim.Engine) {
+	withEngine(t, func(t *testing.T, eng *sim.Engine) {
 		a := NewAgent(eng, "proxy", sim.Micros(3))
 		var done []sim.Time
 		eng.Spawn("client", func(p *sim.Proc) {
@@ -336,7 +333,7 @@ func TestAgentIdleThenNewNotice(t *testing.T) {
 }
 
 func TestAgentUtilization(t *testing.T) {
-	eachMode(t, func(t *testing.T, eng *sim.Engine) {
+	withEngine(t, func(t *testing.T, eng *sim.Engine) {
 		a := NewAgent(eng, "proxy", 0)
 		eng.Spawn("client", func(p *sim.Proc) {
 			a.Submit(holdWork(sim.Micros(25), nil))
@@ -352,14 +349,11 @@ func TestAgentUtilization(t *testing.T) {
 }
 
 func TestAgentShutdown(t *testing.T) {
-	eachMode(t, func(t *testing.T, eng *sim.Engine) {
+	withEngine(t, func(t *testing.T, eng *sim.Engine) {
 		a := NewAgent(eng, "proxy", 0)
 		ran := false
 		eng.Spawn("client", func(p *sim.Proc) {
-			a.Submit(Work{
-				Fn:  func(q *sim.Proc) { ran = true },
-				TFn: func(ag *Agent, _ any) { ran = true; ag.WorkDone() },
-			})
+			a.Submit(Work{TFn: func(ag *Agent, _ any) { ran = true; ag.WorkDone() }})
 			p.Hold(1)
 			a.Shutdown()
 		})
@@ -375,15 +369,15 @@ func TestAgentShutdown(t *testing.T) {
 func TestLinkSendOverlapped(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLink(eng, "l", 100, 2*sim.Microsecond)
-	var at sim.Time
+	var arrivals []sim.Time
 	// Overlapped sends pay only the wire latency (serialization was paid
 	// at the DMA engine) but still count toward traffic stats.
-	l.SendOverlapped(4096, func() { at = eng.Now() })
+	l.SendOverlappedToSink(4096, at(eng, &arrivals), nil)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if at != 2*sim.Microsecond {
-		t.Fatalf("arrival = %v, want 2us", at)
+	if len(arrivals) != 1 || arrivals[0] != 2*sim.Microsecond {
+		t.Fatalf("arrival = %v, want 2us", arrivals)
 	}
 	if l.Packets() != 1 || l.Bytes() != 4096 {
 		t.Fatalf("stats: %d pkts %d bytes", l.Packets(), l.Bytes())

@@ -11,7 +11,7 @@ import (
 // must stay exact when a window boundary falls inside a work item, which is
 // the common case for long DMA-backed services.
 func TestAgentUtilizationSinceMidService(t *testing.T) {
-	eachMode(t, func(t *testing.T, eng *sim.Engine) {
+	withEngine(t, func(t *testing.T, eng *sim.Engine) {
 		a := NewAgent(eng, "ag", 0)
 		eng.Spawn("client", func(p *sim.Proc) {
 			p.Hold(100)
@@ -41,7 +41,7 @@ func TestAgentUtilizationSinceMidService(t *testing.T) {
 	})
 }
 
-// TestLinkUtilizationSinceMidSerialization: Send books the whole packet's
+// TestLinkUtilizationSinceMidSerialization: a send books the whole packet's
 // serialization up front; BusyTime clips the not-yet-elapsed tail so a
 // window cut mid-packet sees only the elapsed share.
 func TestLinkUtilizationSinceMidSerialization(t *testing.T) {
@@ -53,7 +53,7 @@ func TestLinkUtilizationSinceMidSerialization(t *testing.T) {
 	var busyMid sim.Time
 	eng.Spawn("driver", func(p *sim.Proc) {
 		p.Hold(100)
-		l.Send(3000, func() {})
+		l.SendToSink(3000, discard, nil)
 		p.Hold(xfer / 2)
 		// Window [100, 100+xfer/2): the port has been serializing throughout.
 		mid = l.UtilizationSince(100, 0)

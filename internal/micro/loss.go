@@ -32,7 +32,7 @@ const sweepReps = 256
 // The sweep owns the fault plane (one per drop rate); opt contributes the
 // fabric tuning and, optionally, a non-default rel configuration.
 func newFaultRig(a arch.Params, fc fault.Config, opt Options) *rig {
-	eng := sim.NewEngine()
+	eng := opt.newEngine()
 	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 1}, a)
 	if fc.Active() {
 		cl.SetFaultPlane(fault.NewPlane(fc))

@@ -11,6 +11,7 @@ import (
 	"mproxy/internal/machine"
 	"mproxy/internal/memory"
 	"mproxy/internal/sim"
+	"mproxy/internal/trace"
 )
 
 // Table4Row holds one design point's micro-benchmark results in the
@@ -25,12 +26,23 @@ type Table4Row struct {
 }
 
 // Options carries per-run simulation parameters for the benchmark rigs:
-// fabric tuning (command-queue capacity, reliable transport) and an
-// optional fault plane. The zero value is the quiescent, fault-free
-// configuration the paper's Table 4 and Figure 7 assume.
+// fabric tuning (command-queue capacity, reliable transport), an optional
+// fault plane and an optional tracer installed on every rig's engine. The
+// zero value is the quiescent, fault-free configuration the paper's
+// Table 4 and Figure 7 assume.
 type Options struct {
 	Fabric comm.Options
 	Fault  machine.FaultPlane
+	Tracer trace.Tracer
+}
+
+// newEngine returns a rig engine with opt's tracer installed.
+func (opt Options) newEngine() *sim.Engine {
+	eng := sim.NewEngine()
+	if opt.Tracer != nil {
+		eng.SetTracer(opt.Tracer)
+	}
+	return eng
 }
 
 // rig is a two-node test cluster.
@@ -40,7 +52,7 @@ type rig struct {
 }
 
 func newRig(a arch.Params, opt Options) *rig {
-	eng := sim.NewEngine()
+	eng := opt.newEngine()
 	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 1}, a)
 	if opt.Fault != nil {
 		cl.SetFaultPlane(opt.Fault)

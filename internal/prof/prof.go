@@ -38,6 +38,9 @@ type Config struct {
 	Fabric comm.Options
 	// Fault, when non-nil, is installed on the run's cluster.
 	Fault machine.FaultPlane
+	// Tracer, when non-nil, receives the run's trace stream alongside the
+	// profiling consumers.
+	Tracer trace.Tracer
 }
 
 func (c Config) name() string {
@@ -77,9 +80,7 @@ func PingPong(cfg Config) (*Result, error) {
 	asm := span.NewAssembler()
 	smp := timeline.NewSampler(cfg.PeriodNs)
 	eng := sim.NewEngine()
-	// Keep whatever tracer the process installed (the scenario layer's
-	// observability sinks) and fan in the profiling consumers.
-	eng.SetTracer(trace.Multi(eng.Tracer(), asm, smp))
+	eng.SetTracer(trace.Multi(cfg.Tracer, asm, smp))
 	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 1}, a)
 	if cfg.Fault != nil {
 		cl.SetFaultPlane(cfg.Fault)

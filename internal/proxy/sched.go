@@ -15,7 +15,7 @@ import (
 //
 // Policies must be pure functions of their arguments: the assignment is
 // computed once at fabric construction and never consults runtime state,
-// which is what keeps runs bit-deterministic across execution modes.
+// which is what keeps runs bit-deterministic.
 type Sched interface {
 	// Name returns the policy's registry name.
 	Name() string

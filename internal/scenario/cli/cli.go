@@ -4,8 +4,7 @@
 // corresponding scenario.Spec fields. The legacy per-binary flags
 // (-trace, -metrics, -prof, -chrome, -breakdown, -fault, -seed, -rel)
 // keep working unchanged — they are aliases for Spec.Obs and Spec.Fault;
-// nothing is installed process-wide from here, scenario.Run does all the
-// wiring.
+// nothing is installed from here, scenario.Run does all the wiring.
 package cli
 
 import (

@@ -3,17 +3,23 @@ package scenario
 import (
 	"bytes"
 	"testing"
-
-	"mproxy/internal/sim"
 )
 
-// diffScale picks the problem scale for the differential sweep. The full
-// preset scales prove equivalence over the exact blessed workloads; under
-// -short or the race detector (which multiplies simulation cost several
-// times over) the app-driven presets drop to test scale — the protocol
-// paths exercised are the same, only the iteration counts shrink.
-func diffScale(spec Spec) Spec {
-	if testing.Short() || raceEnabled {
+// shortScale reports whether the scenario tests run their shrunk specs:
+// under -short or the race detector (which multiplies simulation cost
+// several times over).
+func shortScale() bool { return testing.Short() || raceEnabled }
+
+// diffScale shrinks spec to the problem scale the current test mode runs
+// (see scaleSpec).
+func diffScale(spec Spec) Spec { return scaleSpec(spec, shortScale()) }
+
+// scaleSpec picks the problem scale for the preset sweeps. The full
+// preset scales cover the exact blessed workloads; at the short scale
+// the app-driven presets drop to test scale — the protocol paths
+// exercised are the same, only the iteration counts shrink.
+func scaleSpec(spec Spec, short bool) Spec {
+	if short {
 		if spec.Scale != "" || spec.Kind == KindAppsFigure8 || spec.Kind == KindAppsTable6 {
 			spec.Scale = "test"
 		}
@@ -24,7 +30,7 @@ func diffScale(spec Spec) Spec {
 	// The serving presets shrink unconditionally: the 1k-node sweeps issue
 	// over a million requests each and belong to ci.sh full, not go test.
 	// The shrunk runs still walk every protocol path (multi-switch routing,
-	// replication fan-out, open-loop pacing) in both execution modes.
+	// replication fan-out, open-loop pacing).
 	if spec.Kind == KindServing || spec.Kind == KindProxySweep {
 		if spec.Topology.Nodes > 8 {
 			spec.Topology.Nodes = 8
@@ -52,59 +58,6 @@ func diffScale(spec Spec) Spec {
 	return spec
 }
 
-// runPresetInMode renders the preset with the default execution mode
-// pinned to m, returning the manifest and the full output bytes.
-func runPresetInMode(t *testing.T, spec Spec, m sim.ExecMode) (Manifest, []byte) {
-	t.Helper()
-	prev := sim.DefaultExecMode()
-	sim.SetDefaultExecMode(m)
-	defer sim.SetDefaultExecMode(prev)
-	var buf bytes.Buffer
-	mf, err := Run(spec, &buf)
-	if err != nil {
-		t.Fatalf("%s mode: %v", m, err)
-	}
-	return mf, buf.Bytes()
-}
-
-// TestDifferentialPresets renders every blessed preset under both
-// execution models and requires bit-identical output bytes and manifests.
-// The regress suite pins the raw event streams; this test pins the other
-// end of the stack: every table, sweep and profile the repository
-// publishes is reproduced exactly by the run-to-completion agents.
-func TestDifferentialPresets(t *testing.T) {
-	for _, name := range PresetNames() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			p, err := PresetByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec := diffScale(p.Spec)
-			if spec.Obs.Forensics != "" {
-				// The preset's directory is relative to the repo root;
-				// write the side-channel files somewhere real instead
-				// (stdout still carries the forensics note, so the
-				// differential comparison covers the recorder path).
-				spec.Obs.Forensics = t.TempDir()
-			}
-			spec.Normalize()
-			if err := spec.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			taskMF, taskOut := runPresetInMode(t, spec, sim.ExecTask)
-			procMF, procOut := runPresetInMode(t, spec, sim.ExecProc)
-			if !bytes.Equal(taskOut, procOut) {
-				t.Fatalf("output bytes diverge: task mode %d bytes (sha %s), proc mode %d bytes (sha %s)",
-					len(taskOut), taskMF.OutputSHA256, len(procOut), procMF.OutputSHA256)
-			}
-			if taskMF != procMF {
-				t.Fatalf("manifests diverge:\n  task mode %+v\n  proc mode %+v", taskMF, procMF)
-			}
-		})
-	}
-}
-
 // multiProxyServingSpec is the explicit multi-proxy open-loop case: two
 // proxies per node under each scheduling policy, heavy enough load that
 // proxies actually contend (and, under steal, actually steal).
@@ -122,27 +75,32 @@ func multiProxyServingSpec(sched string) Spec {
 	}
 }
 
-// TestDifferentialMultiProxyServing pins the proxy-scheduling layer's
-// cross-mode determinism where it matters most: multi-proxy nodes under
-// every policy, including the work-stealing path whose scan turns hop
-// between sibling proxies, must render bit-identically in both
-// execution modes.
+// TestDifferentialPresets renders every published preset once and holds
+// its output bytes to the reference implementation's, recorded in
+// testdata/preset_digests.json (see digestsFile). The regress suite pins
+// the raw event streams; this test pins the other end of the stack:
+// every table, sweep and profile the repository publishes.
+func TestDifferentialPresets(t *testing.T) {
+	for _, name := range PresetNames() {
+		t.Run(name, func(t *testing.T) {
+			p, err := PresetByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDigest(t, name, diffScale(p.Spec))
+		})
+	}
+}
+
+// TestDifferentialMultiProxyServing pins the proxy-scheduling layer where
+// it matters most: multi-proxy nodes under every policy, including the
+// work-stealing path whose scan turns hop between sibling proxies, must
+// render the reference implementation's bytes.
 func TestDifferentialMultiProxyServing(t *testing.T) {
 	for _, sched := range []string{"static", "shard", "steal"} {
 		t.Run(sched, func(t *testing.T) {
 			spec := multiProxyServingSpec(sched)
-			if err := spec.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			taskMF, taskOut := runPresetInMode(t, spec, sim.ExecTask)
-			procMF, procOut := runPresetInMode(t, spec, sim.ExecProc)
-			if !bytes.Equal(taskOut, procOut) {
-				t.Fatalf("output bytes diverge: task mode %d bytes (sha %s), proc mode %d bytes (sha %s)",
-					len(taskOut), taskMF.OutputSHA256, len(procOut), procMF.OutputSHA256)
-			}
-			if taskMF != procMF {
-				t.Fatalf("manifests diverge:\n  task mode %+v\n  proc mode %+v", taskMF, procMF)
-			}
+			checkDigest(t, spec.Name, spec)
 		})
 	}
 }
@@ -161,7 +119,7 @@ func runWithShards(t *testing.T, spec Spec, shards int) (Manifest, []byte) {
 }
 
 // parDiffSpecs collects the sharded-execution differential corpus: every
-// parallel-eligible preset (shrunk like the mode differential) plus the
+// parallel-eligible preset (shrunk like the digest sweep) plus the
 // explicit multi-proxy cases under each scheduling policy.
 func parDiffSpecs(t *testing.T) []Spec {
 	var specs []Spec
@@ -188,9 +146,9 @@ func parDiffSpecs(t *testing.T) []Spec {
 // sequential render across the whole published surface: for every
 // parallel-eligible preset and every proxy-scheduling policy, the
 // output bytes AND the manifest must be identical at 1, 2 and 8 shards
-// to the sequential run. Combined with the mode differential above this
-// pins a three-way equivalence — one engine, P engines, and both
-// execution models all produce the same bytes.
+// to the sequential run. TestPresetDigests pins the sequential bytes
+// themselves, so one engine and P engines both reproduce the recorded
+// reference.
 func TestDifferentialParSequential(t *testing.T) {
 	for _, spec := range parDiffSpecs(t) {
 		t.Run(spec.Name, func(t *testing.T) {

@@ -1,10 +1,6 @@
 package scenario
 
-import (
-	"fmt"
-
-	"mproxy/internal/sim"
-)
+import "fmt"
 
 // ParallelEligible reports whether s's experiment can execute on a
 // sharded cluster (internal/sim/par), and the first blocking reason when
@@ -20,13 +16,10 @@ func ParallelEligible(s Spec) (bool, string) {
 		return false, "fault injection draws from one global schedule"
 	}
 	if s.Obs.Enabled() {
-		return false, "process-wide observability collectors assume one engine"
+		return false, "the observability collectors share one tracer across engines"
 	}
 	if s.Obs.Forensics != "" {
 		return false, "the flight recorder's reservoirs are engine-global"
-	}
-	if sim.DefaultExecMode() != sim.ExecTask {
-		return false, "proc execution mode pins agents to one scheduler"
 	}
 	for _, a := range specArchs(s) {
 		if a.NetLatency <= 0 {

@@ -32,7 +32,7 @@ func specArchs(s Spec) []arch.Params {
 }
 
 func (o options) micro() micro.Options {
-	return micro.Options{Fabric: o.fabric, Fault: o.plane}
+	return micro.Options{Fabric: o.fabric, Fault: o.plane, Tracer: o.tracer}
 }
 
 // writeJSON emits machine-readable benchmark results so sweeps can be

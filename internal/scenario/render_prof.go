@@ -20,7 +20,7 @@ func renderProf(s Spec, opt options, w io.Writer) error {
 		for _, op := range s.Ops {
 			cfgs = append(cfgs, prof.Config{
 				Arch: a, Op: op, Bytes: s.Bytes, Reps: s.Reps, PeriodNs: s.PeriodNs,
-				Fabric: opt.fabric, Fault: opt.plane,
+				Fabric: opt.fabric, Fault: opt.plane, Tracer: opt.tracer,
 			})
 		}
 	}

@@ -71,6 +71,7 @@ func renderProxySweep(s Spec, opt options, w io.Writer) error {
 					Warmup:          sv.Warmup,
 					LoadUs:          sv.LoadUs,
 					Seed:            s.Fault.Seed,
+					Tracer:          opt.tracer,
 				})
 				if err != nil {
 					return fmt.Errorf("scenario: proxy-sweep %s/%s x%d: %w", a.Name, sched, nprox, err)

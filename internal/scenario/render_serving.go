@@ -76,6 +76,7 @@ func renderServing(s Spec, opt options, w io.Writer) error {
 			Seed:            s.Fault.Seed,
 			Flight:          fcfg,
 			SimShards:       shards,
+			Tracer:          opt.tracer,
 		})
 		if err != nil {
 			return fmt.Errorf("scenario: serving %s: %w", a.Name, err)

@@ -26,21 +26,26 @@ type options struct {
 	fabric comm.Options
 	plane  machine.FaultPlane
 	heap   int
+	// tracer, when non-nil, feeds the spec's observability collectors;
+	// every experiment installs it on each engine it builds.
+	tracer trace.Tracer
 }
 
 func (o options) workload() workload.Options {
-	return workload.Options{Fabric: o.fabric, Fault: o.plane, HeapBytes: o.heap}
+	return workload.Options{Fabric: o.fabric, Fault: o.plane, HeapBytes: o.heap, Tracer: o.tracer}
 }
 
-// resolve distills a normalized spec into driver options and the
-// human-readable fault description line the legacy binaries printed.
-func resolve(s Spec) (options, string, error) {
+// resolve distills a normalized spec and its observability tracer (nil
+// when none is enabled) into experiment options and the human-readable
+// fault description line the legacy binaries printed.
+func resolve(s Spec, tracer trace.Tracer) (options, string, error) {
 	opt := options{
 		fabric: comm.Options{
 			CommandQueueCap: s.CommandQueueCap,
 			ProxySched:      s.Topology.ProxySched,
 		},
-		heap: s.HeapBytes,
+		heap:   s.HeapBytes,
+		tracer: tracer,
 	}
 	cfg, err := fault.Parse(s.Fault.Spec, s.Fault.Seed)
 	if err != nil {
@@ -79,16 +84,13 @@ func Run(spec Spec, w io.Writer) (Manifest, error) {
 			return Manifest{}, fmt.Errorf("scenario: forensics output directory %q does not exist (create it, or point -forensics elsewhere)", dir)
 		}
 	}
-	opt, faultDesc, err := resolve(spec)
+	tracer, report := installObs(spec.Obs)
+	defer report(io.Discard) // drained below on success; detaches on error paths
+	opt, faultDesc, err := resolve(spec, tracer)
 	if err != nil {
 		return Manifest{}, err
 	}
 	dw := newDigestWriter(w)
-	report, err := installObs(spec.Obs)
-	if err != nil {
-		return Manifest{}, err
-	}
-	defer report(io.Discard) // drained below on success; uninstalls on error paths
 	if faultDesc != "" && spec.Kind != KindLoss {
 		fmt.Fprintln(dw, faultDesc)
 	}
@@ -140,18 +142,17 @@ func runKind(s Spec, opt options, w io.Writer) error {
 	panic("scenario: unhandled kind " + s.Kind)
 }
 
-// installObs activates the spec's observability collectors via the
-// process-wide tracer and returns a report function that renders their
-// summaries to the given writer and uninstalls the tracer. The report
-// runs at most once; later calls are no-ops, so the deferred cleanup in
-// Run is safe after a successful explicit report. Observability is the
-// one deliberately process-wide mechanism left (the drivers build
-// engines internally, and a cross-engine trace needs a cross-engine
-// collector); when active, the workload pool degrades to one worker so
-// the stream stays ordered.
-func installObs(o ObsSpec) (report func(io.Writer), err error) {
+// installObs builds the spec's observability collectors and returns the
+// tracer feeding them (nil when none is enabled) together with a report
+// function that renders their summaries to the given writer and detaches
+// the timeline sampler. The report runs at most once; later calls are
+// no-ops, so the deferred cleanup in Run is safe after a successful
+// explicit report. The experiments build engines internally, so resolve
+// hands the tracer to each of them; one tracer spans every engine of the
+// run, so the workload pool degrades to one worker when it is set.
+func installObs(o ObsSpec) (tracer trace.Tracer, report func(io.Writer)) {
 	if !o.Enabled() {
-		return func(io.Writer) {}, nil
+		return nil, func(io.Writer) {}
 	}
 	var digest *trace.Digest
 	var coll *metrics.Collector
@@ -172,16 +173,12 @@ func installObs(o ObsSpec) (report func(io.Writer), err error) {
 		timeline.Attach(smp)
 		tracers = append(tracers, asm, smp)
 	}
-	if t := trace.Multi(tracers...); t != nil {
-		sim.SetGlobalTracer(t)
-	}
 	done := false
-	return func(w io.Writer) {
+	return trace.Multi(tracers...), func(w io.Writer) {
 		if done {
 			return
 		}
 		done = true
-		sim.SetGlobalTracer(nil)
 		if asm != nil {
 			timeline.Detach()
 		}
@@ -223,5 +220,5 @@ func installObs(o ObsSpec) (report func(io.Writer), err error) {
 			fmt.Fprintf(w, "trace digest: sha256:%s over %d events (last at %v)\n",
 				digest.Sum(), digest.Count(), sim.Time(digest.LastAt()))
 		}
-	}, nil
+	}
 }

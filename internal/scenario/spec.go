@@ -83,9 +83,10 @@ type FaultSpec struct {
 	Rel *bool `json:"rel,omitempty"`
 }
 
-// ObsSpec selects process-wide observability collectors for the run
-// (the trace digest, metrics counters, span/timeline profiling). Their
-// reports are appended to the run's output after the experiment.
+// ObsSpec selects observability collectors for the run (the trace
+// digest, metrics counters, span/timeline profiling), fed by one tracer
+// that spans every engine the run builds. Their reports are appended to
+// the run's output after the experiment.
 type ObsSpec struct {
 	Trace     bool   `json:"trace,omitempty"`
 	Metrics   string `json:"metrics,omitempty"` // "", "text" or "json"
@@ -96,14 +97,14 @@ type ObsSpec struct {
 	// output — the slowest-requests table, the per-shard/per-tier
 	// windowed series JSON, and the Chrome exemplar trace — into this
 	// directory, which must already exist. Serving-only. Unlike the
-	// collectors above it is wired per run (no process-wide tracer), so
-	// it never degrades the worker pool and never perturbs timing.
+	// collectors above it needs no tracer, so it never degrades the
+	// worker pool and never perturbs timing.
 	Forensics string `json:"forensics,omitempty"`
 }
 
-// Enabled reports whether any process-wide collector is requested.
+// Enabled reports whether any tracer-fed collector is requested.
 // Forensics is deliberately excluded: the flight recorder travels with
-// the serving driver, not the global tracer.
+// the serving experiment, not the tracer.
 func (o ObsSpec) Enabled() bool {
 	return o.Trace || o.Metrics != "" || o.Prof != "" || o.Chrome != "" || o.Breakdown
 }

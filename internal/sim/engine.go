@@ -173,7 +173,6 @@ type Engine struct {
 	// shut down and its actor list discarded).
 	down   bool
 	actors []actor // every spawned Proc and Task, in spawn order
-	mode   ExecMode
 
 	// tracer, when non-nil, receives one trace.Event per engine
 	// occurrence. The nil check is the entire disabled-tracer cost.
@@ -185,32 +184,8 @@ type Engine struct {
 	tbuf   []trace.Event
 }
 
-// globalTracer, when set, is attached to every engine built by NewEngine.
-// It exists for the scenario layer behind cmd/mproxy, whose experiment
-// drivers create engines internally; tests and library users should
-// prefer SetTracer.
-var globalTracer trace.Tracer
-
-// SetGlobalTracer installs (or, with nil, removes) a tracer attached to
-// all subsequently created engines. The tracer is shared: it must only be
-// used when engines run sequentially, as the experiment drivers do.
-func SetGlobalTracer(t trace.Tracer) { globalTracer = t }
-
-// GlobalTracerInstalled reports whether a process-wide tracer is active.
-// Drivers that run engines concurrently must check it and fall back to
-// sequential execution: the shared tracer is not synchronized.
-//
-// Deprecated: thread a tracer through the drivers' option structs
-// (workload.Options.Tracer, apps.EnvOptions.Tracer) instead; the global
-// remains only as a shim for the scenario layer.
-func GlobalTracerInstalled() bool { return globalTracer != nil }
-
 // NewEngine returns an engine at time zero with no pending events.
-func NewEngine() *Engine {
-	e := &Engine{mode: defaultExecMode}
-	e.SetTracer(globalTracer)
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // SetTracer installs (or, with nil, removes) the engine's tracer. Install
 // before Run for a complete event stream; the golden-trace harness hashes

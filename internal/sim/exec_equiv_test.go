@@ -14,9 +14,9 @@ import (
 // a workload is described once, and whether each actor runs as a parked
 // coroutine (Proc) or a run-to-completion callback machine (Task) must be
 // unobservable in the trace — same events, same (at,seq) order, same
-// digest. The comm-layer differential suites prove this for the real
-// protocol paths; these property tests prove it for adversarial random
-// schedules the protocol code would never reach.
+// digest. Communication agents run as Tasks while application processes
+// run as Procs, so the two models share every engine; these property
+// tests prove the equivalence for adversarial random schedules.
 
 // scriptOp is one step of a generated actor script: hold for d, or block
 // until the shared flag reaches need.

@@ -2,51 +2,6 @@ package sim
 
 import "mproxy/internal/trace"
 
-// ExecMode selects how the model layers' hot-path actors — communication
-// agents and the protocol state machines they run — execute. The two modes
-// produce bit-identical trace streams (the differential suite in
-// internal/regress proves it scenario by scenario); they differ only in
-// how control moves between the engine and the actor.
-type ExecMode uint8
-
-const (
-	// ExecTask runs hot-path actors as run-to-completion Tasks: callback
-	// continuations dispatched inline from the engine's event loop, with
-	// no goroutine handshake. This is the default.
-	ExecTask ExecMode = iota
-	// ExecProc runs hot-path actors as coroutine Procs — the blocking
-	// reference model the golden traces were originally blessed under.
-	ExecProc
-)
-
-func (m ExecMode) String() string {
-	if m == ExecProc {
-		return "proc"
-	}
-	return "task"
-}
-
-// defaultExecMode seeds every engine built by NewEngine. Like the global
-// tracer, it exists for layers (scenario drivers, regress harness) whose
-// engines are created internally; tests and library users should prefer
-// Engine.SetExecMode.
-var defaultExecMode = ExecTask
-
-// SetDefaultExecMode sets the execution mode applied to all subsequently
-// created engines. The differential equivalence suite flips it around
-// whole scenario runs; nothing should change it mid-simulation.
-func SetDefaultExecMode(m ExecMode) { defaultExecMode = m }
-
-// DefaultExecMode returns the mode NewEngine will apply.
-func DefaultExecMode() ExecMode { return defaultExecMode }
-
-// SetExecMode sets this engine's execution mode. Call it before building
-// any model state (agents capture the mode at construction).
-func (e *Engine) SetExecMode(m ExecMode) { e.mode = m }
-
-// ExecMode returns the engine's execution mode.
-func (e *Engine) ExecMode() ExecMode { return e.mode }
-
 // Task is a run-to-completion actor: the callback/state-machine
 // counterpart of Proc. A Task never owns a goroutine; each wake-up runs a
 // continuation inline from the engine loop until the continuation either
@@ -56,8 +11,8 @@ func (e *Engine) ExecMode() ExecMode { return e.mode }
 // spawning emits KSchedule/KFire/KSpawn, parking emits KPark, waking
 // emits KSchedule then KFire/KUnpark, and termination emits KProcEnd —
 // in exactly the coroutine order. That equivalence is what lets the two
-// models interleave in one engine under one (at, seq) total order and
-// lets golden digests stay byte-identical across modes.
+// models interleave in one engine under one (at, seq) total order:
+// communication agents run as Tasks, application processes as Procs.
 type Task struct {
 	eng     *Engine
 	name    string

@@ -73,30 +73,6 @@ func TestEngineTraceStream(t *testing.T) {
 	}
 }
 
-// TestGlobalTracerAdoption checks that engines created after
-// SetGlobalTracer feed the installed tracer, and that clearing it stops
-// adoption without detaching already-built engines.
-func TestGlobalTracerAdoption(t *testing.T) {
-	r := &trace.Recorder{}
-	SetGlobalTracer(r)
-	defer SetGlobalTracer(nil)
-	e := NewEngine()
-	if e.Tracer() != trace.Tracer(r) {
-		t.Fatal("NewEngine did not adopt the global tracer")
-	}
-	SetGlobalTracer(nil)
-	if NewEngine().Tracer() != nil {
-		t.Fatal("engine adopted a cleared global tracer")
-	}
-	e.Spawn("p", func(p *Proc) { p.Hold(1) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Events()) == 0 {
-		t.Fatal("adopted tracer recorded nothing")
-	}
-}
-
 // TestRecorderLimit checks bounded recording: events over Limit are counted
 // as dropped, not stored.
 func TestRecorderLimit(t *testing.T) {

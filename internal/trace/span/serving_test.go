@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"mproxy/internal/arch"
-	"mproxy/internal/sim"
 	"mproxy/internal/trace/span"
 	"mproxy/internal/workload/openloop"
 )
 
 // TestServingMultiHopAttribution runs the serving stack over a 64-node
-// fat-tree with the span assembler installed as the global tracer and
+// fat-tree with the span assembler installed as the run's tracer and
 // requires clean attribution quality: requests routed hop by hop through
 // topo.Net switches must neither orphan their completions nor degrade to
 // fallback/approximate attribution. Before the multi-hop fix the
@@ -18,8 +17,6 @@ import (
 // launch, so the serving stream showed thousands of approximate spans.
 func TestServingMultiHopAttribution(t *testing.T) {
 	asm := span.NewAssembler()
-	sim.SetGlobalTracer(asm)
-	defer sim.SetGlobalTracer(nil)
 
 	a, ok := arch.ByName("MP1")
 	if !ok {
@@ -32,6 +29,7 @@ func TestServingMultiHopAttribution(t *testing.T) {
 		Keys: 512, Theta: 0.99,
 		Requests: 400, Warmup: 50,
 		LoadUs: []float64{80}, Seed: 7,
+		Tracer: asm,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -86,7 +86,7 @@ func NetProbes(n *topo.Net) []Probe {
 
 // Attach wires the sampler to every cluster, interconnect and fabric the
 // process builds from now on, via the machine/topo/comm construction
-// hooks — the same pattern the tracecli uses for the global tracer. Each
+// hooks. Each
 // new cluster replaces the probe set (keeping windows already
 // collected); its interconnect's switch links and its fabric's command
 // queues are appended when those are built moments later.

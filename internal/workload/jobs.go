@@ -2,13 +2,13 @@ package workload
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 
 	"mproxy/internal/apps"
 	"mproxy/internal/arch"
 	"mproxy/internal/machine"
-	"mproxy/internal/sim"
 )
 
 // Job is one cell of an experiment matrix: an application instance on a
@@ -24,14 +24,40 @@ type Job struct {
 	Opts    Options
 }
 
+// sharedTracer reports whether two jobs carry the same tracer. Tracers
+// are references (pointers, or fan-out slices of them), so a tracer's
+// identity is the address it refers to; one of any other kind counts as
+// shared.
+func sharedTracer(jobs []Job) bool {
+	seen := make(map[uintptr]bool)
+	for _, j := range jobs {
+		if j.Opts.Tracer == nil {
+			continue
+		}
+		v := reflect.ValueOf(j.Opts.Tracer)
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Slice:
+		default:
+			return true
+		}
+		if seen[v.Pointer()] {
+			return true
+		}
+		seen[v.Pointer()] = true
+	}
+	return false
+}
+
 // RunJobs executes every job and returns their results in job order.
 // Jobs run on a bounded pool of worker goroutines — each cell owns an
 // independent sim.Engine, and the simulator keeps all mutable state
 // inside the engine, so cells are embarrassingly parallel and results
 // are bit-identical to a serial run. workers <= 0 picks GOMAXPROCS.
-// When a process-wide tracer is installed (tracecli) the pool degrades
-// to a single worker: the shared tracer is not synchronized, and trace
-// streams interleaved across engines would be meaningless anyway.
+// When jobs share a tracer (the scenario layer hands one tracer to every
+// job of a run) the pool degrades to a single worker: a tracer is not
+// synchronized, and trace streams interleaved across engines would be
+// meaningless anyway. Jobs with tracers of their own still run in
+// parallel.
 //
 // The first job error aborts scheduling of not-yet-started jobs and is
 // returned; completed results are still valid.
@@ -39,7 +65,7 @@ func RunJobs(jobs []Job, workers int) ([]Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if sim.GlobalTracerInstalled() {
+	if sharedTracer(jobs) {
 		workers = 1
 	}
 	if workers > len(jobs) {

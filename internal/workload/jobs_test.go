@@ -77,10 +77,9 @@ func TestRunJobsOrderAndResults(t *testing.T) {
 }
 
 // TestPerJobTracersComposeWithParallelism is the contract of
-// Options.Tracer: tracing no longer forces the pool serial (that was the
-// process-global tracer's limitation), and each job's digest is identical
-// whether the matrix ran on one worker or four — per-engine trace streams
-// don't interleave.
+// Options.Tracer: per-job tracers do not force the pool serial, and each
+// job's digest is identical whether the matrix ran on one worker or four
+// — per-engine trace streams don't interleave.
 func TestPerJobTracersComposeWithParallelism(t *testing.T) {
 	newApp := factory(t, "Sample")
 	cells := []struct {
@@ -114,5 +113,27 @@ func TestPerJobTracersComposeWithParallelism(t *testing.T) {
 	parallel := run(4)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("per-job digests diverge between pool sizes:\nserial:   %v\nparallel: %v", serial, parallel)
+	}
+}
+
+// TestSharedTracerRunsSerially: jobs that share one tracer run on a
+// single worker whatever pool size is asked for, so the shared stream is
+// the serial one (and -race sees no concurrent Record calls).
+func TestSharedTracerRunsSerially(t *testing.T) {
+	newApp := factory(t, "Sample")
+	run := func(workers int) string {
+		t.Helper()
+		d := trace.NewDigest()
+		var jobs []Job
+		for _, a := range []arch.Params{arch.MP1, arch.HW1, arch.SW1, arch.MP2} {
+			jobs = append(jobs, Job{Factory: newApp, Arch: a, Nodes: 2, PPN: 1, Opts: Options{Tracer: d}})
+		}
+		if _, err := RunJobs(jobs, workers); err != nil {
+			t.Fatal(err)
+		}
+		return d.Sum()
+	}
+	if serial, parallel := run(1), run(4); serial != parallel {
+		t.Fatalf("shared-tracer digest depends on pool size: serial %s, parallel %s", serial, parallel)
 	}
 }

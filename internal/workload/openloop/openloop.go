@@ -23,6 +23,7 @@ import (
 	"mproxy/internal/machine/topo"
 	"mproxy/internal/sim"
 	"mproxy/internal/sim/par"
+	"mproxy/internal/trace"
 	"mproxy/internal/trace/flight"
 	"mproxy/internal/trace/metrics"
 )
@@ -69,8 +70,12 @@ type Config struct {
 	// of the wire latency (see internal/sim/par). Results are
 	// bit-deterministic across repeat runs. Requires Nodes divisible by
 	// SimShards, a positive Arch.NetLatency, no Flight recorder, and no
-	// process-global tracer. 0 or 1 = sequential.
+	// Tracer. 0 or 1 = sequential.
 	SimShards int
+	// Tracer, when non-nil, receives every load point's full trace
+	// stream, installed on each point's engine before the cluster is
+	// built.
+	Tracer trace.Tracer
 }
 
 // opMix is the fixed GET/PUT/SCAN request mix (YCSB-style read-heavy).
@@ -146,8 +151,8 @@ func Run(cfg Config) (Result, error) {
 		if cfg.Flight != nil {
 			return Result{}, fmt.Errorf("openloop: the flight recorder is sequential-only; unset Flight or SimShards")
 		}
-		if sim.GlobalTracerInstalled() {
-			return Result{}, fmt.Errorf("openloop: a process-global tracer is installed; parallel shards cannot share it")
+		if cfg.Tracer != nil {
+			return Result{}, fmt.Errorf("openloop: a tracer is sequential-only; unset Tracer or SimShards")
 		}
 	}
 	zp := zipfFor(cfg.Keys, cfg.Theta)
@@ -315,6 +320,9 @@ func runPoint(cfg *Config, zp *zipfParams, idx int, loadUs float64) (Point, erro
 		engs[i] = sim.NewEngine()
 	}
 	eng := engs[0]
+	if cfg.Tracer != nil {
+		eng.SetTracer(cfg.Tracer) // Run admits a tracer on one shard only
+	}
 	ppn := 1 + cfg.Clients
 	mcfg := machine.Config{
 		Nodes:          cfg.Nodes,

@@ -38,10 +38,8 @@ type Options struct {
 	// DefaultHeapBytes.
 	HeapBytes int
 	// Tracer, when non-nil, receives the run's full trace stream (see
-	// apps.EnvOptions.Tracer). Because it is per-run state rather than the
-	// deprecated process-global tracer, RunJobs parallelism and tracing
-	// compose: give each job its own tracer. A single tracer must not be
-	// shared across jobs that may run concurrently.
+	// apps.EnvOptions.Tracer). A tracer is not synchronized, so RunJobs
+	// runs jobs that carry one on a single worker.
 	Tracer trace.Tracer
 }
 
