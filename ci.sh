@@ -59,15 +59,17 @@ if ! cmp -s "$tmpdir/chrome.json" internal/prof/testdata/pingpong-mp1-chrome.jso
     exit 1
 fi
 
-echo "== bench shard (schema + regression gate vs BENCH_15.json)"
+echo "== bench shard (schema + regression gate vs BENCH_17.json)"
 # 15% tolerance plus one retry: the shared runners' noise is one-sided
 # (load spikes only ever slow a rep down) and an occasional spike exceeds
 # any tolerance a real regression should be allowed to hide in. A genuine
 # regression trips both attempts; a spike almost never hits twice.
+# Simulated events per op are deterministic and gated exactly: any change
+# fails both attempts.
 bench_ok=0
 for attempt in 1 2; do
     if "$tmpdir/mproxy" bench -quick -out "$tmpdir/bench.json" \
-        -baseline BENCH_15.json -tolerance 0.15 2>"$tmpdir/bench.log"; then
+        -baseline BENCH_17.json -tolerance 0.15 2>"$tmpdir/bench.log"; then
         bench_ok=1
         break
     fi
@@ -128,7 +130,9 @@ echo "== race shard (reference digests + parallel determinism + concurrent fabri
 # TestPresetDigests keeps the digest file in step with the cases;
 # TestParallel* adds the parallel executor's repeat-run determinism and
 # warn-and-fall-back contract. Under -race the detector watches every
-# cross-shard mailbox and barrier edge.
+# cross-shard mailbox and barrier edge, and, in
+# TestDifferentialFigure8SharedReferences (Figure 8 at jobs: 2 against
+# jobs: 1), the serial references concurrent cells share.
 go test -race -run 'TestDifferential|TestPresetDigests|TestStealRepeatRunDigest|TestParallel|TestConcurrentFabricsDistinctQueueCaps' \
     ./internal/scenario/ ./internal/comm/ ./internal/workload/openloop/
 go test -race ./internal/sim/par/

@@ -18,7 +18,9 @@ import (
 
 // Handler is an active-message handler. It runs on the destination process
 // when the message is polled, with the sender's rank, the small argument
-// words, and any payload bytes.
+// words, and any payload bytes. args and payload are valid only until the
+// handler returns: the port then reuses both, so a handler that keeps
+// either must copy it.
 type Handler func(p *Port, src int, args []int64, payload []byte)
 
 // Layer is the cluster-wide active-message state: the handler table
@@ -35,17 +37,34 @@ type Layer struct {
 	ports        []*Port
 }
 
+// recordPool recycles record buffers for every port whose node runs on
+// one engine. A record is taken from the sender's engine pool and
+// returned to the receiver's once consumed, so a pool stays in balance
+// whenever its engine's traffic does — in a sequential run always, even
+// under one-way flows (Sample's key exchange) that would drain one
+// port's private pool into another's. A sharded run has one pool per
+// shard engine, each touched only in its shard's event context.
+type recordPool struct {
+	free [][]byte
+}
+
 // New builds the layer over a fabric, allocating each rank's message queue
 // and granting every rank permission to enqueue into it.
 func New(f *comm.Fabric) *Layer {
 	n := len(f.Cl.CPUs)
 	l := &Layer{f: f}
+	pools := map[*sim.Engine]*recordPool{}
 	for rank := 0; rank < n; rank++ {
 		q := f.Registry().NewQueue(rank)
 		q.GrantWorld()
 		l.queues = append(l.queues, q)
 		l.refs = append(l.refs, memory.QueueRef{Owner: rank, ID: q.ID})
-		l.ports = append(l.ports, &Port{l: l, rank: rank, ep: f.Endpoint(rank)})
+		ep := f.Endpoint(rank)
+		eng := ep.Node().Eng
+		if pools[eng] == nil {
+			pools[eng] = &recordPool{}
+		}
+		l.ports = append(l.ports, &Port{l: l, rank: rank, ep: ep, recs: pools[eng]})
 	}
 	return l
 }
@@ -75,11 +94,15 @@ type Port struct {
 
 	delivered int64 // messages dispatched on this port
 
-	// Task-side pools (see task.go): record buffers and send frames. A
+	// recs is the record pool of the engine the port's node runs on. A
 	// port sends and consumes only in its own node's event context, so a
-	// parallel run's shards never share a pool; record buffers migrate
-	// from the sending port's pool to the receiving port's.
-	recFree  [][]byte
+	// parallel run's shards never share a pool.
+	recs *recordPool
+	// argFree holds decode scratch for the blocking dispatch path. A
+	// dispatch takes a slice and returns it when its handler returns, so
+	// a handler that polls again (a nested dispatch) decodes into another.
+	argFree [][]int64
+	// sendFree pools the task-side send frames (see task.go).
 	sendFree sim.Freelist[sendFrame]
 }
 
@@ -96,10 +119,6 @@ func (p *Port) Delivered() int64 { return p.delivered }
 // (4), args (8 each), payload (rest).
 const msgHeader = 12
 
-func encode(handler, src int, args []int64, payload []byte) []byte {
-	return encodeInto(make([]byte, RecordBytes(len(args), len(payload))), handler, src, args, payload)
-}
-
 // encodeInto marshals a record into buf, which must hold exactly
 // RecordBytes(len(args), len(payload)) bytes.
 func encodeInto(buf []byte, handler, src int, args []int64, payload []byte) []byte {
@@ -111,10 +130,6 @@ func encodeInto(buf []byte, handler, src int, args []int64, payload []byte) []by
 	}
 	copy(buf[msgHeader+8*len(args):], payload)
 	return buf
-}
-
-func decode(rec []byte) (handler, src int, args []int64, payload []byte) {
-	return decodeInto(rec, nil)
 }
 
 // decodeInto is decode with the argument words appended to buf[:0], so a
@@ -153,7 +168,7 @@ func (p *Port) Send(dst, handler int, args []int64, payload []byte) {
 	// Marshal the request record (touches a fresh buffer line).
 	a := p.l.f.A
 	p.ep.Compute(a.Instr(1.5) + a.CacheMiss)
-	rec := encode(handler, p.rank, args, payload)
+	rec := encodeInto(p.newRecord(RecordBytes(len(args), len(payload))), handler, p.rank, args, payload)
 	if dst == p.rank {
 		// Local delivery still goes through the message queue: handlers
 		// must never run nested inside the sender (a handler that sends to
@@ -197,8 +212,7 @@ func (p *Port) Poll() bool {
 		return false
 	}
 	p.ep.Compute(p.signalCost())
-	h, src, args, payload := decode(rec)
-	p.dispatch(h, src, args, payload)
+	p.consume(rec)
 	return true
 }
 
@@ -226,8 +240,7 @@ func (p *Port) PollAll() int {
 		if !ok {
 			return n
 		}
-		h, src, args, payload := decode(rec)
-		p.dispatch(h, src, args, payload)
+		p.consume(rec)
 		n++
 	}
 }
@@ -236,8 +249,7 @@ func (p *Port) PollAll() int {
 func (p *Port) ServeOne() {
 	rec := p.ep.Recv(p.l.queues[p.rank])
 	p.ep.Compute(p.signalCost())
-	h, src, args, payload := decode(rec)
-	p.dispatch(h, src, args, payload)
+	p.consume(rec)
 }
 
 // WaitUntil serves messages until cond becomes true. cond is checked after
@@ -247,6 +259,20 @@ func (p *Port) WaitUntil(cond func() bool) {
 	for !cond() {
 		p.ServeOne()
 	}
+}
+
+// consume decodes a received record into scratch of its own, dispatches
+// it, and recycles the record and the scratch once the handler returns.
+func (p *Port) consume(rec []byte) {
+	var buf []int64
+	if k := len(p.argFree); k > 0 {
+		buf = p.argFree[k-1]
+		p.argFree = p.argFree[:k-1]
+	}
+	h, src, args, payload := decodeInto(rec, buf)
+	p.dispatch(h, src, args, payload)
+	p.argFree = append(p.argFree, args)
+	p.freeRecord(rec)
 }
 
 func (p *Port) dispatch(handler, src int, args []int64, payload []byte) {
@@ -271,3 +297,44 @@ func F2I(x float64) int64 { return int64(math.Float64bits(x)) }
 
 // I2F recovers a float64 from an argument word.
 func I2F(x int64) float64 { return math.Float64frombits(uint64(x)) }
+
+// recordCap is the capacity of a pooled record buffer. Records that fit
+// (every application and KV message but a SCAN reply or a bulk payload)
+// recycle; larger ones are allocated and left to the collector.
+const recordCap = 128
+
+// maxFreeRecords bounds each engine's record pool (128 KiB of buffers).
+// In a sequential run a pool never holds more records than were in
+// flight at once, but that can be thousands (Sample's receivers drain
+// their queues in bursts), and a sharded run's flows between shards need
+// not balance at all (a server shard receives pooled SCAN requests and
+// answers with unpooled replies), so the bound keeps a pool from holding
+// a burst's worth of buffers for the rest of the run.
+const maxFreeRecords = 1024
+
+// newRecord returns an n-byte record buffer, from the engine's pool when
+// n fits a pooled buffer.
+func (p *Port) newRecord(n int) []byte {
+	if n > recordCap {
+		return make([]byte, n)
+	}
+	pool := p.recs
+	if k := len(pool.free); k > 0 {
+		rec := pool.free[k-1][:n]
+		pool.free[k-1] = nil
+		pool.free = pool.free[:k-1]
+		return rec
+	}
+	return make([]byte, n, recordCap)
+}
+
+// freeRecord returns a consumed record to the engine's pool. A record is
+// recycled only when the fabric delivers exactly once: a duplicated
+// packet would otherwise deliver a buffer already reused.
+func (p *Port) freeRecord(rec []byte) {
+	pool := p.recs
+	if cap(rec) != recordCap || len(pool.free) >= maxFreeRecords || !p.l.f.ExactlyOnce() {
+		return
+	}
+	pool.free = append(pool.free, rec)
+}

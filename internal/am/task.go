@@ -47,41 +47,6 @@ func (p *Port) SendTask(t *sim.Task, dst, handler int, args []int64, payload []b
 	p.ep.CPU().ComputeTask(t, a.Instr(1.5)+a.CacheMiss, fr.marshaledK)
 }
 
-// recordCap is the capacity of a pooled record buffer. Records that fit
-// (every KV request and reply but a SCAN's) recycle; larger ones are
-// allocated and left to the collector.
-const recordCap = 128
-
-// maxFreeRecords bounds each port's record pool. Flows that are not
-// symmetric (a server receives pooled SCAN requests but answers with
-// unpooled replies) would otherwise grow it without limit.
-const maxFreeRecords = 16
-
-// newRecord returns an n-byte record buffer, from the port's pool when n
-// fits a pooled buffer.
-func (p *Port) newRecord(n int) []byte {
-	if n > recordCap {
-		return make([]byte, n)
-	}
-	if k := len(p.recFree); k > 0 {
-		rec := p.recFree[k-1][:n]
-		p.recFree[k-1] = nil
-		p.recFree = p.recFree[:k-1]
-		return rec
-	}
-	return make([]byte, n, recordCap)
-}
-
-// freeRecord returns a consumed record to the port's pool. A record is
-// recycled only when the fabric delivers exactly once: a duplicated
-// packet would otherwise deliver a buffer already reused.
-func (p *Port) freeRecord(rec []byte) {
-	if cap(rec) != recordCap || len(p.recFree) >= maxFreeRecords || !p.l.f.ExactlyOnce() {
-		return
-	}
-	p.recFree = append(p.recFree, rec)
-}
-
 // sendFrame is one in-flight SendTask: the marshaled record and the
 // caller's continuation, carried across the marshaling interval.
 type sendFrame struct {

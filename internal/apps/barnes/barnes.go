@@ -32,6 +32,7 @@ type Barnes struct {
 	rids   []crl.RID
 	sums   []float64
 	serial float64
+	tree   arena // octree storage, shared by the ranks (see Body)
 }
 
 // New returns a Barnes-Hut instance.
@@ -66,8 +67,30 @@ type node struct {
 	leaf             bool
 }
 
-func newNode(cx, cy, cz, half float64) *node {
-	return &node{cx: cx, cy: cy, cz: cz, half: half, body: -1, leaf: true}
+// arena hands out octree nodes from chunks it keeps across builds.
+// buildTree resets the arena first, so the previous tree's nodes become
+// the new tree's storage instead of garbage. A run keeps one arena for
+// all its ranks: each rank builds its tree and finishes using it without
+// yielding (see Body), so only one tree per run is ever live.
+type arena struct {
+	chunks [][]node
+	used   int // nodes handed out since the last reset
+}
+
+// arenaChunk is the number of nodes per arena chunk.
+const arenaChunk = 1024
+
+func (a *arena) reset() { a.used = 0 }
+
+func (a *arena) newNode(cx, cy, cz, half float64) *node {
+	c, i := a.used/arenaChunk, a.used%arenaChunk
+	if c == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]node, arenaChunk))
+	}
+	a.used++
+	nd := &a.chunks[c][i]
+	*nd = node{cx: cx, cy: cy, cz: cz, half: half, body: -1, leaf: true}
+	return nd
 }
 
 func (nd *node) octant(x, y, z float64) int {
@@ -84,9 +107,9 @@ func (nd *node) octant(x, y, z float64) int {
 	return o
 }
 
-// insert adds body i (work counts tree-build operations for cost
-// charging).
-func (nd *node) insert(bd []float64, i int, work *int) {
+// insert adds body i, taking new nodes from a (work counts tree-build
+// operations for cost charging).
+func (nd *node) insert(bd []float64, i int, work *int, a *arena) {
 	*work++
 	x, y, z := bd[i*bodyWords], bd[i*bodyWords+1], bd[i*bodyWords+2]
 	if nd.leaf {
@@ -98,12 +121,12 @@ func (nd *node) insert(bd []float64, i int, work *int) {
 		old := nd.body
 		nd.body = -1
 		nd.leaf = false
-		nd.child(nd.octant(bd[old*bodyWords], bd[old*bodyWords+1], bd[old*bodyWords+2])).insert(bd, old, work)
+		nd.child(nd.octant(bd[old*bodyWords], bd[old*bodyWords+1], bd[old*bodyWords+2]), a).insert(bd, old, work, a)
 	}
-	nd.child(nd.octant(x, y, z)).insert(bd, i, work)
+	nd.child(nd.octant(x, y, z), a).insert(bd, i, work, a)
 }
 
-func (nd *node) child(o int) *node {
+func (nd *node) child(o int, a *arena) *node {
 	if nd.kids[o] == nil {
 		q := nd.half / 2
 		cx, cy, cz := nd.cx-q, nd.cy-q, nd.cz-q
@@ -116,7 +139,7 @@ func (nd *node) child(o int) *node {
 		if o&4 != 0 {
 			cz = nd.cz + q
 		}
-		nd.kids[o] = newNode(cx, cy, cz, q)
+		nd.kids[o] = a.newNode(cx, cy, cz, q)
 	}
 	return nd.kids[o]
 }
@@ -146,8 +169,9 @@ func (nd *node) moments(bd []float64) {
 	}
 }
 
-// buildTree constructs the octree over all bodies.
-func buildTree(bd []float64, n int) (*node, int) {
+// buildTree constructs the octree over all bodies in a, whose previous
+// tree it discards.
+func buildTree(bd []float64, n int, a *arena) (*node, int) {
 	// Bounding cube.
 	lim := 1.0
 	for i := 0; i < n; i++ {
@@ -157,10 +181,11 @@ func buildTree(bd []float64, n int) (*node, int) {
 			}
 		}
 	}
-	root := newNode(0, 0, 0, lim*1.01)
+	a.reset()
+	root := a.newNode(0, 0, 0, lim*1.01)
 	work := 0
 	for i := 0; i < n; i++ {
-		root.insert(bd, i, &work)
+		root.insert(bd, i, &work, a)
 	}
 	root.moments(bd)
 	return root, work
@@ -230,8 +255,9 @@ func serialRun(n, steps int) float64 {
 	bd := initBodies(n)
 	prev := append([]float64(nil), bd...)
 	next := make([]float64, len(bd))
+	var tree arena
 	for s := 0; s < steps; s++ {
-		root, _ := buildTree(bd, n)
+		root, _ := buildTree(bd, n, &tree)
 		advance(bd, prev, next, root, 0, n)
 		prev, bd, next = bd, next, prev
 	}
@@ -249,8 +275,11 @@ func (b *Barnes) Setup(env *apps.Env) {
 	for c := 0; c < nc; c++ {
 		b.rids[c] = env.CRL.Create(c%p, chunkSize*bodyWords*8)
 	}
-	b.serial = serialRun(b.Bodies, b.Steps)
+	b.serial = apps.Reference(refKey{b.Bodies, b.Steps}, func() float64 { return serialRun(b.Bodies, b.Steps) })
 }
+
+// refKey keys Barnes-Hut's shared serial reference.
+type refKey struct{ bodies, steps int }
 
 // Body implements apps.App.
 func (b *Barnes) Body(env *apps.Env, rank int) {
@@ -308,15 +337,17 @@ func (b *Barnes) Body(env *apps.Env, rank int) {
 		}
 		co.Barrier()
 		// Build the tree (every rank builds it, as in CRL Barnes where the
-		// tree is shared data read by everyone; we charge the build).
-		root, work := buildTree(bd, n)
-		ep.Compute(costmodel.IntOps(30 * work))
-		// Advance my chunks.
+		// tree is shared data read by everyone; we charge the build) and
+		// advance my chunks. Both are host computation: they run before
+		// either is charged, so no rank yields while its tree is live and
+		// the ranks can take turns building in the run's one arena.
+		root, work := buildTree(bd, n, &b.tree)
 		inter := 0
 		for c := rank; c < nc; c += p {
 			lo, hi := chunkRange(c)
 			inter += advance(bd, prev, next, root, lo, hi)
 		}
+		ep.Compute(costmodel.IntOps(30 * work))
 		ep.Compute(costmodel.Flops(22 * inter))
 		// Write back my chunks and roll prev forward.
 		for c := rank; c < nc; c += p {

@@ -7,7 +7,7 @@ import (
 
 func TestTreeMomentsConserveMass(t *testing.T) {
 	bd := initBodies(128)
-	root, work := buildTree(bd, 128)
+	root, work := buildTree(bd, 128, &arena{})
 	if work < 128 {
 		t.Fatalf("tree build work = %d", work)
 	}
@@ -27,7 +27,7 @@ func TestThetaZeroMatchesDirectSum(t *testing.T) {
 	// multipole acceptance guarantees for well-separated bodies.
 	const n = 64
 	bd := initBodies(n)
-	root, _ := buildTree(bd, n)
+	root, _ := buildTree(bd, n, &arena{})
 	var fx, fy, fz float64
 	inter := 0
 	root.force(bd, 0, &fx, &fy, &fz, &inter)
@@ -56,5 +56,34 @@ func TestThetaZeroMatchesDirectSum(t *testing.T) {
 func TestSerialRunDeterministic(t *testing.T) {
 	if serialRun(96, 2) != serialRun(96, 2) {
 		t.Fatal("serial run not deterministic")
+	}
+}
+
+func TestArenaReuseRebuildsIdenticalTree(t *testing.T) {
+	// Every build of a run reuses the run's arena: a rebuild over
+	// recycled nodes must compute exactly what a fresh arena does,
+	// including when the new tree is smaller than the old one.
+	big, small := initBodies(3*arenaChunk), initBodies(40)
+	var reused arena
+	buildTree(big, 3*arenaChunk, &reused)
+	for _, n := range []int{40, 3 * arenaChunk} {
+		bd := small
+		if n > 40 {
+			bd = big
+		}
+		r1, w1 := buildTree(bd, n, &reused)
+		r2, w2 := buildTree(bd, n, &arena{})
+		if w1 != w2 || r1.mass != r2.mass || r1.mx != r2.mx {
+			t.Fatalf("n=%d: reused arena built work %d mass %v, fresh %d %v", n, w1, r1.mass, w2, r2.mass)
+		}
+		for i := 0; i < n; i += 7 {
+			var f1, f2 [3]float64
+			var i1, i2 int
+			r1.force(bd, i, &f1[0], &f1[1], &f1[2], &i1)
+			r2.force(bd, i, &f2[0], &f2[1], &f2[2], &i2)
+			if f1 != f2 || i1 != i2 {
+				t.Fatalf("n=%d body %d: force %v/%d on reused arena, %v/%d fresh", n, i, f1, i1, f2, i2)
+			}
+		}
 	}
 }

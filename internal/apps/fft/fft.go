@@ -69,19 +69,29 @@ func fftInPlace(a []complex128) {
 
 // Setup implements apps.App.
 func (f *FFT) Setup(env *apps.Env) {
-	n := f.N1 * f.N2
-	// Reference: a handful of spot coefficients by direct DFT.
-	f.serial = make(map[int]complex128)
 	f.spot = make(map[int]complex128)
-	for _, k := range []int{0, 1, f.N2 + 3, n/2 + 7, n - 1} {
+	f.serial = apps.Reference(refKey{f.N1, f.N2}, func() map[int]complex128 { return spotDFT(f.N1, f.N2) })
+}
+
+// refKey keys FFT's shared serial reference (read-only: Body and Verify
+// only read the map).
+type refKey struct{ n1, n2 int }
+
+// spotDFT computes the reference: a handful of spot coefficients of the
+// n1*n2-point transform by direct DFT.
+func spotDFT(n1, n2 int) map[int]complex128 {
+	n := n1 * n2
+	out := make(map[int]complex128)
+	for _, k := range []int{0, 1, n2 + 3, n/2 + 7, n - 1} {
 		k %= n
 		var s complex128
 		for t := 0; t < n; t++ {
 			ang := -2 * math.Pi * float64(t) * float64(k) / float64(n)
 			s += input(t) * cmplx.Rect(1, ang)
 		}
-		f.serial[k] = s
+		out[k] = s
 	}
+	return out
 }
 
 // Body implements apps.App.

@@ -142,8 +142,12 @@ func (l *LU) Setup(env *apps.Env) {
 	for i := range l.rids {
 		l.rids[i] = env.CRL.Create(i%p, l.B*l.B*8)
 	}
-	l.serial = serialLU(l.N, l.B)
+	l.serial = apps.Reference(refKey{l.N, l.B}, func() []float64 { return serialLU(l.N, l.B) })
 }
+
+// refKey keys LU's shared serial reference (read-only: Verify only
+// compares against it).
+type refKey struct{ n, b int }
 
 // Body implements apps.App.
 func (l *LU) Body(env *apps.Env, rank int) {

@@ -38,15 +38,24 @@ func bElem(i, j int) float64 { return math.Cos(float64(i*13 + j*29)) }
 
 // Setup implements apps.App.
 func (m *MM) Setup(env *apps.Env) {
-	// Serial reference: row 0 of C.
-	m.serial = make([]float64, m.N)
-	for j := 0; j < m.N; j++ {
+	m.serial = apps.Reference(refKey{m.N}, func() []float64 { return serialRow0(m.N) })
+}
+
+// refKey keys MM's shared serial reference (read-only: Verify only
+// compares against it).
+type refKey struct{ n int }
+
+// serialRow0 computes the reference: row 0 of C = A*B.
+func serialRow0(n int) []float64 {
+	row := make([]float64, n)
+	for j := 0; j < n; j++ {
 		s := 0.0
-		for k := 0; k < m.N; k++ {
+		for k := 0; k < n; k++ {
 			s += aElem(0, k) * bElem(k, j)
 		}
-		m.serial[j] = s
+		row[j] = s
 	}
+	return row
 }
 
 // Body implements apps.App.

@@ -63,8 +63,15 @@ func (m *Moldy) Setup(env *apps.Env) {
 	for r := 0; r < p; r++ {
 		memory.Float64s(m.replicas[r], 0, m.Atoms*doublesPerAtom).Store(init)
 	}
-	m.serial = serialEnergy(m.Atoms, m.Iters, p)
+	m.serial = apps.Reference(refKey{m.Atoms, m.Iters, p}, func() float64 {
+		return serialEnergy(m.Atoms, m.Iters, p)
+	})
 }
+
+// refKey keys Moldy's shared serial reference: the Monte-Carlo streams are
+// seeded per (iteration, rank), so the energy depends on the processor
+// count as well as the problem size.
+type refKey struct{ atoms, iters, procs int }
 
 func initialState(n int) []float64 {
 	state := make([]float64, n*doublesPerAtom)
@@ -102,16 +109,14 @@ func step(state []float64, atoms, lo, hi, iter, rank int) float64 {
 			state[i*doublesPerAtom+d] += (rng.next() - 0.5) * 0.1
 		}
 		// Lennard-Jones-ish pair energy against all atoms.
+		xi, yi, zi := state[i*doublesPerAtom], state[i*doublesPerAtom+1], state[i*doublesPerAtom+2]
 		for j := 0; j < atoms; j++ {
 			if j == i {
 				continue
 			}
-			var r2 float64
-			for d := 0; d < 3; d++ {
-				dx := state[i*doublesPerAtom+d] - state[j*doublesPerAtom+d]
-				r2 += dx * dx
-			}
-			r2 += 0.5 // softening
+			pj := state[j*doublesPerAtom : j*doublesPerAtom+3]
+			dx, dy, dz := xi-pj[0], yi-pj[1], zi-pj[2]
+			r2 := dx*dx + dy*dy + dz*dz + 0.5 // softening
 			inv := 1 / r2
 			inv3 := inv * inv * inv
 			energy += inv3*inv3 - inv3

@@ -98,16 +98,26 @@ func New(w, h int) *PRay { return &PRay{W: w, H: h} }
 // Name implements apps.App.
 func (p *PRay) Name() string { return "P-Ray" }
 
+// refKey keys P-Ray's shared serial reference.
+type refKey struct{ w, h int }
+
+// serialRender computes the reference: the checksum of every row of a
+// w x h render.
+func serialRender(w, h int) float64 {
+	objs := scene()
+	sum := 0.0
+	for y := 0; y < h; y++ {
+		sum += renderRow(objs, w, h, y)
+	}
+	return sum
+}
+
 // Setup implements apps.App.
 func (p *PRay) Setup(env *apps.Env) {
 	n := env.Procs()
 	p.granted = make([]int, n)
 	p.sums = make([]float64, n)
-	objs := scene()
-	p.serial = 0
-	for y := 0; y < p.H; y++ {
-		p.serial += renderRow(objs, p.W, p.H, y)
-	}
+	p.serial = apps.Reference(refKey{p.W, p.H}, func() float64 { return serialRender(p.W, p.H) })
 	p.hGrant = env.AM.Register(func(port *am.Port, src int, args []int64, _ []byte) {
 		p.granted[port.Rank()] = int(args[0])
 	})

@@ -69,15 +69,26 @@ func key(g int) float64 {
 	return float64(x%1000000007) / 1000.0
 }
 
+// refKey keys the shared input summary, the reference Verify checks the
+// sorted output against. Sample and Sampleb read the same key stream.
+type refKey struct{ keys int }
+
+// inputSummary summarizes the first n keys of the input stream.
+func inputSummary(n int) summary {
+	var s summary
+	for g := 0; g < n; g++ {
+		s.add(key(g))
+	}
+	return s
+}
+
 // Setup implements apps.App.
 func (s *Sort) Setup(env *apps.Env) {
 	p := env.Procs()
 	s.recvd = make([][]float64, p)
 	s.nRemote = make([]int, p)
 	s.buckets = make([][]float64, p)
-	for g := 0; g < s.Keys; g++ {
-		s.input.add(key(g))
-	}
+	s.input = apps.Reference(refKey{s.Keys}, func() summary { return inputSummary(s.Keys) })
 	if !s.Bulk {
 		s.hKey = env.AM.Register(func(port *am.Port, src int, args []int64, _ []byte) {
 			s.recvd[port.Rank()] = append(s.recvd[port.Rank()], am.I2F(args[0]))

@@ -109,8 +109,11 @@ func (w *Water) Setup(env *apps.Env) {
 	for c := 0; c < nc; c++ {
 		w.rids[c] = env.CRL.Create(c%p, chunkSize*molWords*8)
 	}
-	w.serial = serialRun(w.Mols, w.Steps)
+	w.serial = apps.Reference(refKey{w.Mols, w.Steps}, func() float64 { return serialRun(w.Mols, w.Steps) })
 }
+
+// refKey keys Water's shared serial reference.
+type refKey struct{ mols, steps int }
 
 // chunkRange returns the molecule range of chunk c.
 func (w *Water) chunkRange(c int) (lo, hi int) {

@@ -102,8 +102,11 @@ func serialRun(n, steps int) float64 {
 // Setup implements apps.App.
 func (w *Wator) Setup(env *apps.Env) {
 	w.sums = make([]float64, env.Procs())
-	w.serial = serialRun(w.Fish, w.Steps)
+	w.serial = apps.Reference(refKey{w.Fish, w.Steps}, func() float64 { return serialRun(w.Fish, w.Steps) })
 }
+
+// refKey keys Wator's shared serial reference.
+type refKey struct{ fish, steps int }
 
 // Body implements apps.App.
 func (w *Wator) Body(env *apps.Env, rank int) {

@@ -48,6 +48,12 @@ type Result struct {
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
+	// EventsPerOp is the simulated events the row schedules per op (the
+	// sim.Engine.Scheduled delta over ops). Every row is deterministic, so
+	// the figure is exact: measure rejects a row whose reps disagree, and
+	// Compare holds it equal to the baseline's. Absent from baselines
+	// recorded before the field existed.
+	EventsPerOp float64 `json:"events_per_op,omitempty"`
 }
 
 // Suite is a full harness run.
@@ -72,7 +78,7 @@ func Run(opt Options) (Suite, error) {
 	type bm struct {
 		name string
 		ops  int64
-		fn   func(ops int64) error
+		fn   benchFunc
 	}
 	// Every row runs its baseline's shape in every mode: the serving rows
 	// cost tens of milliseconds at 4,000 requests, and the per-op figures
@@ -101,6 +107,10 @@ func Run(opt Options) (Suite, error) {
 	return s, Validate(s)
 }
 
+// benchFunc runs a benchmark of ops operations and returns how many
+// simulated events it scheduled.
+type benchFunc func(ops int64) (events uint64, err error)
+
 // measureReps is how many times each benchmark runs; the fastest
 // repetition is reported. Best-of-N is what keeps the CI shard's short
 // measurement windows comparable against the checked-in baseline:
@@ -111,17 +121,24 @@ func Run(opt Options) (Suite, error) {
 const measureReps = 5
 
 // measure runs fn(ops) measureReps times between MemStats snapshots and
-// reports the fastest repetition's per-op figures.
-func measure(name string, ops int64, fn func(ops int64) error) (Result, error) {
+// reports the fastest repetition's per-op figures. Every repetition must
+// schedule the same number of events.
+func measure(name string, ops int64, fn benchFunc) (Result, error) {
 	best := Result{Name: name, Ops: ops}
+	var events uint64
 	for rep := 0; rep < measureReps; rep++ {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		start := time.Now()
-		if err := fn(ops); err != nil {
+		ev, err := fn(ops)
+		if err != nil {
 			return Result{}, err
 		}
+		if rep > 0 && ev != events {
+			return Result{}, fmt.Errorf("scheduled %d events, %d on the first rep: the row is not deterministic", ev, events)
+		}
+		events = ev
 		wall := time.Since(start)
 		runtime.ReadMemStats(&m1)
 		r := Result{
@@ -130,6 +147,7 @@ func measure(name string, ops int64, fn func(ops int64) error) (Result, error) {
 			NsPerOp:     float64(wall.Nanoseconds()) / float64(ops),
 			AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(ops),
 			BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops),
+			EventsPerOp: float64(events) / float64(ops),
 		}
 		if wall > 0 {
 			r.OpsPerSec = float64(ops) / wall.Seconds()
@@ -144,7 +162,7 @@ func measure(name string, ops int64, fn func(ops int64) error) (Result, error) {
 // benchEngineEvents is the engine event-throughput benchmark: a
 // self-rescheduling zero-delay chain, one schedule+fire per op — the
 // pattern every Wake/park handoff reduces to.
-func benchEngineEvents(ops int64) error {
+func benchEngineEvents(ops int64) (uint64, error) {
 	e := sim.NewEngine()
 	var n int64
 	var step func()
@@ -156,17 +174,17 @@ func benchEngineEvents(ops int64) error {
 	}
 	e.Schedule(0, step)
 	if err := e.Run(); err != nil {
-		return err
+		return 0, err
 	}
 	if n < ops {
-		return fmt.Errorf("ran %d of %d events", n, ops)
+		return 0, fmt.Errorf("ran %d of %d events", n, ops)
 	}
-	return nil
+	return e.Scheduled(), nil
 }
 
 // benchEngineTimer exercises the timer queue: 64 outstanding future events,
 // each pop followed by a push at a varying delay.
-func benchEngineTimer(ops int64) error {
+func benchEngineTimer(ops int64) (uint64, error) {
 	const outstanding = 64
 	e := sim.NewEngine()
 	var n int64
@@ -180,12 +198,13 @@ func benchEngineTimer(ops int64) error {
 	for i := int64(0); i < outstanding && i < ops; i++ {
 		e.Schedule(sim.Time(1+i), step)
 	}
-	return e.Run()
+	err := e.Run()
+	return e.Scheduled(), err
 }
 
 // benchEngineTraced is benchEngineEvents with the golden-trace digest
 // installed: schedule + fire + two batched trace events per op.
-func benchEngineTraced(ops int64) error {
+func benchEngineTraced(ops int64) (uint64, error) {
 	e := sim.NewEngine()
 	e.SetTracer(trace.NewDigest())
 	var n int64
@@ -197,17 +216,18 @@ func benchEngineTraced(ops int64) error {
 		}
 	}
 	e.Schedule(0, step)
-	return e.Run()
+	err := e.Run()
+	return e.Scheduled(), err
 }
 
 // benchPingPong is the end-to-end latency path: the golden-trace pingpong
 // scenario (64-byte PUTs bounced between two MP1 nodes through command
 // queue, proxy scan, wire, and remote deposit), one round trip per op.
-func benchPingPong(ops int64) error {
+func benchPingPong(ops int64) (uint64, error) {
 	const n = 64
 	a, ok := arch.ByName("MP1")
 	if !ok {
-		return fmt.Errorf("unknown arch MP1")
+		return 0, fmt.Errorf("unknown arch MP1")
 	}
 	reps := int(ops)
 	eng := sim.NewEngine()
@@ -242,7 +262,8 @@ func benchPingPong(ops int64) error {
 			}
 		}
 	})
-	return eng.Run()
+	err := eng.Run()
+	return eng.Scheduled(), err
 }
 
 // benchServing measures the open-loop serving stack end-to-end: a small
@@ -260,11 +281,11 @@ func benchPingPong(ops int64) error {
 // executor (the serving-smoke-par row), gating the sharded driver's
 // overhead — mailbox posts, window barriers, pooling disabled — against
 // the identical sequential configuration next to it in the suite.
-func benchServing(fcfg *flight.Config, proxies int, sched string, shards int) func(ops int64) error {
-	return func(ops int64) error {
+func benchServing(fcfg *flight.Config, proxies int, sched string, shards int) benchFunc {
+	return func(ops int64) (uint64, error) {
 		a, ok := arch.ByName("MP1")
 		if !ok {
-			return fmt.Errorf("unknown arch MP1")
+			return 0, fmt.Errorf("unknown arch MP1")
 		}
 		res, err := openloop.Run(openloop.Config{
 			Arch: a, Nodes: 4, Clients: 2, Proxies: proxies, ProxySched: sched,
@@ -278,15 +299,15 @@ func benchServing(fcfg *flight.Config, proxies int, sched string, shards int) fu
 			SimShards: shards,
 		})
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if got := int64(res.Points[0].Latency.Count); got != ops {
-			return fmt.Errorf("measured %d of %d requests", got, ops)
+			return 0, fmt.Errorf("measured %d of %d requests", got, ops)
 		}
 		if fcfg != nil && res.Points[0].Flight == nil {
-			return fmt.Errorf("flight recorder produced no data")
+			return 0, fmt.Errorf("flight recorder produced no data")
 		}
-		return nil
+		return res.Points[0].Events, nil
 	}
 }
 
@@ -316,35 +337,35 @@ func servingParConfig(a arch.Params, ops int64, shards int) openloop.Config {
 // can never be the fastest). The row's own per-op figures gate the
 // sharded driver's scaling overhead against the baseline like any other
 // row.
-func benchServingPar() func(ops int64) error {
+func benchServingPar() benchFunc {
 	const shards = 8
 	first := true
-	return func(ops int64) error {
+	return func(ops int64) (uint64, error) {
 		a, ok := arch.ByName("MP1")
 		if !ok {
-			return fmt.Errorf("unknown arch MP1")
+			return 0, fmt.Errorf("unknown arch MP1")
 		}
 		var seqWall time.Duration
 		if first {
 			first = false
 			start := time.Now()
 			if _, err := openloop.Run(servingParConfig(a, ops, 0)); err != nil {
-				return err
+				return 0, err
 			}
 			seqWall = time.Since(start)
 		}
 		start := time.Now()
 		res, err := openloop.Run(servingParConfig(a, ops, shards))
 		if err != nil {
-			return err
+			return 0, err
 		}
 		parWall := time.Since(start)
 		if got := int64(res.Points[0].Latency.Count); got != ops {
-			return fmt.Errorf("measured %d of %d requests", got, ops)
+			return 0, fmt.Errorf("measured %d of %d requests", got, ops)
 		}
 		st := res.Points[0].Par
 		if st == nil || st.Shards != shards {
-			return fmt.Errorf("parallel run reported no %d-shard stats", shards)
+			return 0, fmt.Errorf("parallel run reported no %d-shard stats", shards)
 		}
 		if seqWall > 0 {
 			fmt.Fprintf(os.Stderr, "par-speedup: %.2fx (seq %v, par %v, %d shards, GOMAXPROCS %d)\n",
@@ -352,27 +373,30 @@ func benchServingPar() func(ops int64) error {
 				parWall.Round(time.Millisecond), shards, runtime.GOMAXPROCS(0))
 			fmt.Fprintf(os.Stderr, "par-stats: %s\n", st)
 		}
-		return nil
+		return res.Points[0].Events, nil
 	}
 }
 
 // benchFigure8 measures application wall-clock: the Sample kernel on MP1
 // at 1, 2 and 4 processors (one cell per op), at small scale.
-func benchFigure8(ops int64) error {
+func benchFigure8(ops int64) (uint64, error) {
 	spec, err := registry.ByName("Sample")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	a, ok := arch.ByName("MP1")
 	if !ok {
-		return fmt.Errorf("unknown arch MP1")
+		return 0, fmt.Errorf("unknown arch MP1")
 	}
+	var events uint64
 	for _, nodes := range []int{1, 2, 4} {
-		if _, err := workload.Run(spec.New(registry.Small), a, nodes, 1); err != nil {
-			return err
+		res, err := workload.Run(spec.New(registry.Small), a, nodes, 1)
+		if err != nil {
+			return 0, err
 		}
+		events += res.Events
 	}
-	return nil
+	return events, nil
 }
 
 // Validate checks a suite for schema conformance: the exact schema tag,
@@ -402,6 +426,7 @@ func Validate(s Suite) error {
 		}{
 			{"ns_per_op", r.NsPerOp}, {"ops_per_sec", r.OpsPerSec},
 			{"allocs_per_op", r.AllocsPerOp}, {"bytes_per_op", r.BytesPerOp},
+			{"events_per_op", r.EventsPerOp},
 		} {
 			if math.IsNaN(v.val) || math.IsInf(v.val, 0) || v.val < 0 {
 				return fmt.Errorf("bench %s: %s = %v, want finite and >= 0", r.Name, v.what, v.val)
@@ -439,11 +464,6 @@ func (s Suite) JSON() []byte {
 	return append(out, '\n')
 }
 
-// Compare checks current against a baseline: every baseline benchmark must
-// still be present, its throughput may not regress by more than tol
-// (fractional, e.g. 0.10), and its allocs/op may not grow by more than tol
-// plus half an allocation of absolute slack (so a 0-alloc baseline stays
-// pinned at 0 while jittery fractional rates don't flap).
 // WriteComparison renders a per-benchmark delta table of current against
 // baseline — ns/op, allocs/op, and the throughput ratio — so every CI log
 // shows where the time went, not just whether the gate tripped.
@@ -452,24 +472,30 @@ func WriteComparison(w io.Writer, current, baseline Suite) {
 	for _, r := range baseline.Results {
 		base[r.Name] = r
 	}
-	fmt.Fprintf(w, "%-16s %14s %14s %8s %12s %12s\n",
-		"benchmark", "ns/op", "base ns/op", "speedup", "allocs/op", "base allocs")
+	fmt.Fprintf(w, "%-16s %14s %14s %8s %12s %12s %12s %12s\n",
+		"benchmark", "ns/op", "base ns/op", "speedup", "allocs/op", "base allocs", "events/op", "base events")
 	for _, c := range current.Results {
 		b, ok := base[c.Name]
 		if !ok {
-			fmt.Fprintf(w, "%-16s %14.2f %14s %8s %12.2f %12s\n",
-				c.Name, c.NsPerOp, "-", "-", c.AllocsPerOp, "-")
+			fmt.Fprintf(w, "%-16s %14.2f %14s %8s %12.2f %12s %12.2f %12s\n",
+				c.Name, c.NsPerOp, "-", "-", c.AllocsPerOp, "-", c.EventsPerOp, "-")
 			continue
 		}
 		speedup := 0.0
 		if c.NsPerOp > 0 {
 			speedup = b.NsPerOp / c.NsPerOp
 		}
-		fmt.Fprintf(w, "%-16s %14.2f %14.2f %7.2fx %12.2f %12.2f\n",
-			c.Name, c.NsPerOp, b.NsPerOp, speedup, c.AllocsPerOp, b.AllocsPerOp)
+		fmt.Fprintf(w, "%-16s %14.2f %14.2f %7.2fx %12.2f %12.2f %12.2f %12.2f\n",
+			c.Name, c.NsPerOp, b.NsPerOp, speedup, c.AllocsPerOp, b.AllocsPerOp, c.EventsPerOp, b.EventsPerOp)
 	}
 }
 
+// Compare checks current against a baseline: every baseline benchmark must
+// still be present, its throughput may not regress by more than tol
+// (fractional, e.g. 0.10), its allocs/op may not grow by more than tol
+// plus half an allocation of absolute slack (so a 0-alloc baseline stays
+// pinned at 0 while jittery fractional rates don't flap), and its
+// events/op, when the baseline records it, must be exactly equal.
 func Compare(current, baseline Suite, tol float64) error {
 	cur := map[string]Result{}
 	for _, r := range current.Results {
@@ -487,6 +513,12 @@ func Compare(current, baseline Suite, tol float64) error {
 		if ceil := b.AllocsPerOp*(1+tol) + 0.5; c.AllocsPerOp > ceil {
 			return fmt.Errorf("bench %s: allocation regression: %.2f allocs/op > %.2f (baseline %.2f)",
 				b.Name, c.AllocsPerOp, ceil, b.AllocsPerOp)
+		}
+		// Simulated events are deterministic: any change at all means the
+		// model schedules differently, which no tolerance should hide.
+		if b.EventsPerOp != 0 && c.EventsPerOp != b.EventsPerOp {
+			return fmt.Errorf("bench %s: events/op %v, baseline %v: the simulation schedules differently",
+				b.Name, c.EventsPerOp, b.EventsPerOp)
 		}
 	}
 	return nil

@@ -9,8 +9,8 @@ func goodSuite() Suite {
 	return Suite{
 		Schema: Schema,
 		Results: []Result{
-			{Name: "a", Ops: 100, NsPerOp: 10, OpsPerSec: 1e8, AllocsPerOp: 0, BytesPerOp: 0},
-			{Name: "b", Ops: 50, NsPerOp: 200, OpsPerSec: 5e6, AllocsPerOp: 2.5, BytesPerOp: 128},
+			{Name: "a", Ops: 100, NsPerOp: 10, OpsPerSec: 1e8, AllocsPerOp: 0, BytesPerOp: 0, EventsPerOp: 1},
+			{Name: "b", Ops: 50, NsPerOp: 200, OpsPerSec: 5e6, AllocsPerOp: 2.5, BytesPerOp: 128, EventsPerOp: 10.42},
 		},
 	}
 }
@@ -34,6 +34,7 @@ func TestValidateRejections(t *testing.T) {
 		{"zero ops", func(s *Suite) { s.Results[0].Ops = 0 }, "ops"},
 		{"negative allocs", func(s *Suite) { s.Results[0].AllocsPerOp = -1 }, "allocs_per_op"},
 		{"nan bytes", func(s *Suite) { s.Results[0].BytesPerOp = nan() }, "bytes_per_op"},
+		{"negative events", func(s *Suite) { s.Results[1].EventsPerOp = -1 }, "events_per_op"},
 		{"zero timing", func(s *Suite) { s.Results[0].NsPerOp = 0 }, "timing"},
 	}
 	for _, tc := range cases {
@@ -122,6 +123,23 @@ func TestCompare(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Run("any events change fails", func(t *testing.T) {
+		for _, f := range []float64{0.98, 1.02} {
+			cur := goodSuite()
+			cur.Results[1].EventsPerOp = base.Results[1].EventsPerOp * f
+			err := Compare(cur, base, 0.10)
+			if err == nil || !strings.Contains(err.Error(), "events/op") {
+				t.Fatalf("events/op x%v: err = %v, want an exact-gate failure", f, err)
+			}
+		}
+	})
+	t.Run("baseline without events is not gated", func(t *testing.T) {
+		old := goodSuite()
+		old.Results[1].EventsPerOp = 0 // recorded before the field existed
+		if err := Compare(goodSuite(), old, 0.10); err != nil {
+			t.Fatal(err)
+		}
+	})
 	t.Run("alloc regression fails", func(t *testing.T) {
 		cur := goodSuite()
 		cur.Results[0].AllocsPerOp = 1.0 // baseline 0: a whole new alloc/op is real
@@ -145,6 +163,11 @@ func TestRunQuickSmoke(t *testing.T) {
 	}
 	if len(s.Results) != 10 {
 		t.Fatalf("suite has %d results, want 10", len(s.Results))
+	}
+	for _, r := range s.Results {
+		if r.EventsPerOp <= 0 {
+			t.Errorf("%s: events_per_op %v, want > 0 on every row", r.Name, r.EventsPerOp)
+		}
 	}
 	reparsed, err := ParseJSON(s.JSON())
 	if err != nil {

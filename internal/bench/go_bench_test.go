@@ -7,19 +7,19 @@ import "testing"
 // going through the mproxy CLI harness.
 
 func BenchmarkEngineEvents(b *testing.B) {
-	if err := benchEngineEvents(int64(b.N)); err != nil {
+	if _, err := benchEngineEvents(int64(b.N)); err != nil {
 		b.Fatal(err)
 	}
 }
 
 func BenchmarkEngineTraced(b *testing.B) {
-	if err := benchEngineTraced(int64(b.N)); err != nil {
+	if _, err := benchEngineTraced(int64(b.N)); err != nil {
 		b.Fatal(err)
 	}
 }
 
 func BenchmarkPingPong(b *testing.B) {
-	if err := benchPingPong(int64(b.N)); err != nil {
+	if _, err := benchPingPong(int64(b.N)); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -16,12 +16,19 @@ import (
 // and resuming around it — must not allocate. The warmup covers the
 // one-time growth (packet and delivery freelists, FIFO rings, event
 // queues); after that, any allocation is a regression on the exact path
-// the pingpong-e2e benchmark gates.
+// the pingpong-e2e benchmark gates. SW1 runs the same round trip through
+// its kernel paths: pooled packets and pooled interrupt-handler frames.
 func TestAllocPinTaskPutRound(t *testing.T) {
+	for _, name := range []string{"MP1", "SW1"} {
+		t.Run(name, func(t *testing.T) { allocPinPutRound(t, name) })
+	}
+}
+
+func allocPinPutRound(t *testing.T, archName string) {
 	const n = 64
-	a, ok := arch.ByName("MP1")
+	a, ok := arch.ByName(archName)
 	if !ok {
-		t.Fatal("unknown arch MP1")
+		t.Fatalf("unknown arch %s", archName)
 	}
 	eng := sim.NewEngine()
 	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 1}, a)

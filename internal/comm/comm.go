@@ -187,6 +187,8 @@ type Fabric struct {
 	// pooling gate).
 	pktFree sim.Freelist[packet]
 	reqFree sim.Freelist[reqBox]
+	// intrFree recycles SW1's interrupt-handler frames (see swAfter).
+	intrFree sim.Freelist[swIntr]
 
 	// parallel marks a fabric running under the sharded windowing driver
 	// (Parallelize): packet pooling is disabled — a packet is allocated on
@@ -524,15 +526,16 @@ func (ep *Endpoint) Enq(local memory.Addr, rq memory.QueueRef, n int, lsync memo
 }
 
 // EnqBytes is Enq with an immediate payload (a record composed in
-// registers rather than in a memory buffer); it costs the same.
+// registers rather than in a memory buffer); it costs the same. Like
+// EnqBytesTask it takes ownership of data: the record travels as is and
+// the destination queue receives the same slice, so the caller must not
+// modify it after the call.
 func (ep *Endpoint) EnqBytes(data []byte, rq memory.QueueRef, lsync memory.FlagRef) error {
 	if _, err := ep.f.Cl.Reg.CheckQueue(ep.rank, rq, "ENQ"); err != nil {
 		return err
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
 	ep.record(OpEnq, len(data))
-	ep.submit(request{kind: OpEnq, from: ep.rank, payload: buf, rq: rq, n: len(data), fsync: lsync})
+	ep.submit(request{kind: OpEnq, from: ep.rank, payload: data, rq: rq, n: len(data), fsync: lsync})
 	return nil
 }
 

@@ -296,3 +296,96 @@ func TestRelCrossesSwitchFabric(t *testing.T) {
 		t.Fatalf("PUT with rel completes at %v, before the same PUT without it at %v", relDone, plain)
 	}
 }
+
+// dupAllPlane duplicates every packet leaving a node, the copy trailing
+// the original by a fixed delay.
+type dupAllPlane struct{}
+
+func (dupAllPlane) PacketFate(link string, node int, seq uint64, now sim.Time) machine.PacketFate {
+	return machine.PacketFate{Dup: true, DupDelay: 3 * sim.Microsecond}
+}
+
+func (dupAllPlane) AgentFault(agent string, item int64, now sim.Time) machine.AgentFate {
+	return machine.AgentFate{}
+}
+
+// TestRelOverDuplicatingFatTree runs PUTs between every pair of ranks of
+// a 16-node MP1 fat-tree whose node links duplicate every packet, with
+// the reliable transport filtering the copies. Each duplicate must travel
+// the switches as a packet of its own: every PUT lands exactly once, with
+// its data intact, and the interconnect carries both copies of every
+// frame to their destination.
+func TestRelOverDuplicatingFatTree(t *testing.T) {
+	const n, rounds = 16, 4
+	eng := sim.NewEngine()
+	cl := machine.New(eng, machine.Config{Nodes: n, ProcsPerNode: 1}, arch.MP1)
+	net := topo.NewNet(cl, topo.FatTree(n))
+	cl.SetInterconnect(net)
+	cl.SetFaultPlane(dupAllPlane{})
+	cfg := rel.DefaultConfig()
+	f := NewWith(cl, Options{Rel: &cfg})
+	reg := f.Registry()
+	src := make([]*memory.Segment, n)
+	dst := make([]*memory.Segment, n) // rank r's landing zone: one slot per (sender, round)
+	rsync := make([]memory.FlagRef, n)
+	fsync := make([]memory.FlagRef, n)
+	for r := 0; r < n; r++ {
+		src[r] = reg.NewSegment(r, rounds*8)
+		for i := range src[r].Data {
+			src[r].Data[i] = byte(r*31 + i)
+		}
+		dst[r] = reg.NewSegment(r, n*rounds*8)
+		dst[r].GrantAll(n)
+		rsync[r] = reg.NewFlag(r)
+		fsync[r] = reg.NewFlag(r)
+	}
+	for r := 0; r < n; r++ {
+		r := r
+		eng.Spawn("rank", func(p *sim.Proc) {
+			ep := f.Endpoint(r)
+			ep.Bind(p)
+			sent := 0
+			for i := 0; i < rounds; i++ {
+				for d := 0; d < n; d++ {
+					if d == r {
+						continue
+					}
+					off := (r*rounds + i) * 8
+					if err := ep.Put(src[r].Addr(i*8), dst[d].Addr(off), 8, fsync[r], rsync[d]); err != nil {
+						t.Error(err)
+					}
+					sent++
+				}
+				ep.WaitFlag(fsync[r], int64(sent))
+			}
+			ep.WaitFlag(rsync[r], int64(rounds*(n-1)))
+		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.RelErr(); err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < n; d++ {
+		fl, _ := reg.Flag(rsync[d])
+		if got, want := fl.Value(), int64(rounds*(n-1)); got != want {
+			t.Errorf("rank %d: %d PUTs landed, want %d (each exactly once)", d, got, want)
+		}
+		for s := 0; s < n; s++ {
+			if s == d {
+				continue
+			}
+			for i := 0; i < rounds; i++ {
+				off := (s*rounds + i) * 8
+				want := src[s].Data[i*8 : i*8+8]
+				if got := dst[d].Data[off : off+8]; string(got) != string(want) {
+					t.Fatalf("rank %d slot (from %d, round %d) holds %v, want %v", d, s, i, got, want)
+				}
+			}
+		}
+	}
+	if net.Delivered()%2 != 0 {
+		t.Errorf("interconnect delivered %d packets; every frame should arrive twice", net.Delivered())
+	}
+}

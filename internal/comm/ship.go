@@ -277,12 +277,15 @@ func (f *Fabric) sendPages(p *sim.Proc, node *machine.Node, proto packet, srcAdd
 			p.Hold(2 * f.A.PinPerPage)
 		}
 		node.DMA.Occupy(p, chunk)
-		pg := proto
+		pg := f.newPacket(node.OutLink)
+		buf, pooled := pg.buf, pg.pooled
+		*pg = proto
+		pg.buf, pg.pooled = buf, pooled
 		pg.n = chunk
-		pg.data = f.readBytes(srcAddr.Plus(off), chunk)
+		f.readBytesInto(pg, srcAddr.Plus(off), chunk) // read after the DMA completes
 		pg.dst = proto.dst.Plus(off)
 		pg.last = off+chunk == proto.n
-		f.shipOverlapped(node, &pg)
+		f.shipOverlapped(node, pg)
 		off += chunk
 	}
 }

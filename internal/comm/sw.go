@@ -17,6 +17,8 @@ import (
 
 // swSend runs inline on the user's process — the caller is inside the
 // kernel until the data has been handed to the adapter (no overlap).
+// Packets come from the fabric's pool (newPacket) and are released by the
+// interrupt handler that consumes them (swIntr.finish).
 func (f *Fabric) swSend(ep *Endpoint, r request) {
 	A := f.A
 	node := ep.cpu.Node
@@ -37,21 +39,71 @@ func (f *Fabric) swSend(ep *Endpoint, r request) {
 				issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local)
 		} else {
 			ep.cpu.Compute(ep.proc, base+A.CacheMiss+2*A.Uncached+f.pio(r.n))
-			f.ship(node, &packet{kind: kind, from: r.from, to: to, n: r.n,
-				issued: r.issued, data: f.readSource(&r), dst: r.remote, rq: r.rq, fsync: r.fsync, rsync: r.rsync})
+			pkt := f.newPacket(node.OutLink)
+			pkt.kind, pkt.from, pkt.to, pkt.n, pkt.issued = kind, r.from, to, r.n, r.issued
+			pkt.dst, pkt.rq, pkt.fsync, pkt.rsync = r.remote, r.rq, r.fsync, r.rsync
+			if r.kind == OpEnq {
+				// The destination queue retains the record: it must not
+				// alias the packet's reusable buf.
+				pkt.data = f.readSource(&r)
+			} else {
+				f.readSourceInto(pkt, &r)
+			}
+			f.ship(node, pkt)
 		}
 		if r.kind == OpEnq {
 			f.Cl.Reg.Signal(r.fsync)
 		}
 	case OpGet:
 		ep.cpu.Compute(ep.proc, base+2*A.Uncached)
-		f.ship(node, &packet{kind: pktGetReq, from: r.from, to: to, n: r.n,
-			issued: r.issued, src: r.remote, dst: r.local, fsync: r.fsync, rsync: r.rsync})
+		pkt := f.newPacket(node.OutLink)
+		pkt.kind, pkt.from, pkt.to, pkt.n, pkt.issued = pktGetReq, r.from, to, r.n, r.issued
+		pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.remote, r.local, r.fsync, r.rsync
+		f.ship(node, pkt)
 	case OpDeq:
 		ep.cpu.Compute(ep.proc, base+2*A.Uncached)
-		f.ship(node, &packet{kind: pktDeqReq, from: r.from, to: to, n: r.n,
-			issued: r.issued, rq: r.rq, dst: r.local, fsync: r.fsync})
+		pkt := f.newPacket(node.OutLink)
+		pkt.kind, pkt.from, pkt.to, pkt.n, pkt.issued = pktDeqReq, r.from, to, r.n, r.issued
+		pkt.rq, pkt.dst, pkt.fsync = r.rq, r.local, r.fsync
+		f.ship(node, pkt)
 	}
+}
+
+// swIntr is one interrupt handler in progress on a destination CPU: the
+// packet it services, whose effects materialize when the handler's cost
+// has elapsed. Frames recycle through Fabric.intrFree, so the receive
+// path schedules without allocating.
+type swIntr struct {
+	f    *Fabric
+	dest *machine.Node
+	pkt  *packet
+	run  func() // prebuilt fr.finish
+}
+
+// swAfter charges cost to cpu as interrupt time and finishes servicing
+// pkt when it has elapsed.
+func (f *Fabric) swAfter(cpu *machine.CPU, dest *machine.Node, pkt *packet, cost sim.Time) {
+	var fr *swIntr
+	if !f.parallel { // the freelist is fabric-global: shards must not share it
+		fr = f.intrFree.Get()
+	}
+	if fr == nil {
+		fr = &swIntr{f: f}
+		fr.run = fr.finish
+	}
+	fr.dest, fr.pkt = dest, pkt
+	cpu.Interrupt(cost)
+	f.Cl.Eng.Schedule(cost, fr.run)
+}
+
+func (fr *swIntr) finish() {
+	f, dest, pkt := fr.f, fr.dest, fr.pkt
+	fr.dest, fr.pkt = nil, nil
+	if !f.parallel {
+		f.intrFree.Put(fr)
+	}
+	f.swFinish(dest, pkt)
+	f.freePacket(pkt)
 }
 
 // swRecv services an arriving packet: the destination rank's CPU takes an
@@ -59,113 +111,120 @@ func (f *Fabric) swSend(ep *Endpoint, r request) {
 // (deposit, flag, reply) materialize when the handler finishes.
 func (f *Fabric) swRecv(dest *machine.Node, pkt *packet) {
 	A := f.A
-	reg := f.Cl.Reg
 	cpu := f.Cl.CPUs[pkt.to]
 	if cpu.Node != dest {
 		panic(fmt.Sprintf("comm: packet for rank %d delivered to node %d", pkt.to, dest.ID))
 	}
-	after := func(cost sim.Time, fn func()) {
-		cpu.Interrupt(cost)
-		f.Cl.Eng.Schedule(cost, fn)
-	}
 	// Data deposits happen at packet arrival so that same-channel messages
 	// observe FIFO order regardless of their differing handler costs;
 	// synchronization flags and replies materialize only after the handler
-	// cost, which is what latency measurements observe.
+	// cost (swFinish), which is what latency measurements observe.
+	var cost sim.Time
 	switch pkt.kind {
 	case pktPutData:
 		f.depositBytes(pkt.dst, pkt.data)
-		after(A.InterruptOvh+A.ProtocolOvh+f.pio(pkt.n)+2*A.CacheMiss, func() {
-			f.opDone(dest, OpPut, pkt.issued)
-			reg.Signal(pkt.rsync)
-			f.swAck(dest, pkt)
-		})
-	case pktPutPage:
+		cost = A.InterruptOvh + A.ProtocolOvh + f.pio(pkt.n) + 2*A.CacheMiss
+	case pktPutPage, pktGetPage:
 		f.depositBytes(pkt.dst, pkt.data)
-		cost := A.Instr(0.1)
+		cost = A.Instr(0.1)
 		if pkt.last {
 			cost += A.InterruptOvh + A.CacheMiss
 		}
-		after(cost, func() {
-			if pkt.last {
-				f.opDone(dest, OpPut, pkt.issued)
-				reg.Signal(pkt.rsync)
-				f.swAck(dest, pkt)
-			}
-		})
 	case pktGetReq:
+		cost = A.InterruptOvh + A.ProtocolOvh
 		if pkt.n <= A.PIOCutoff {
-			after(A.InterruptOvh+A.ProtocolOvh+A.CacheMiss+f.pio(pkt.n)+2*A.Uncached, func() {
-				reg.Signal(pkt.rsync)
-				f.ship(dest, &packet{kind: pktGetData, from: pkt.to, to: pkt.from, n: pkt.n,
-					issued: pkt.issued, data: f.readBytes(pkt.src, pkt.n), dst: pkt.dst, fsync: pkt.fsync})
-			})
-		} else {
-			req := *pkt
-			after(A.InterruptOvh+A.ProtocolOvh, func() {
-				reg.Signal(req.rsync)
-				// A transient kernel thread streams the pinned pages out;
-				// like the paper's SW1 model, this is generous to SW —
-				// the stream itself does not steal further compute cycles.
-				f.Cl.Eng.Spawn(fmt.Sprintf("swdma-get-%d", req.from), func(p *sim.Proc) {
-					f.sendPages(p, dest, packet{kind: pktGetPage, from: req.to, to: req.from,
-						n: req.n, issued: req.issued, dst: req.dst, fsync: req.fsync}, req.src)
-				})
-			})
+			cost += A.CacheMiss + f.pio(pkt.n) + 2*A.Uncached
 		}
-	case pktGetData:
+	case pktGetData, pktDeqData:
 		f.depositBytes(pkt.dst, pkt.data)
-		after(A.InterruptOvh+A.ProtocolOvh+f.pio(pkt.n)+2*A.CacheMiss, func() {
-			f.opDone(dest, OpGet, pkt.issued)
-			reg.Signal(pkt.fsync)
-		})
-	case pktGetPage:
-		f.depositBytes(pkt.dst, pkt.data)
-		cost := A.Instr(0.1)
-		if pkt.last {
-			cost += A.InterruptOvh + A.CacheMiss
-		}
-		after(cost, func() {
-			if pkt.last {
-				f.opDone(dest, OpGet, pkt.issued)
-				reg.Signal(pkt.fsync)
-			}
-		})
+		cost = A.InterruptOvh + A.ProtocolOvh + f.pio(pkt.n) + 2*A.CacheMiss
 	case pktEnqData:
 		// The interrupt handler deposits the record into the owner's
 		// queue buffer; the owner pays the kernel crossing when it
 		// dequeues (Recv / drain).
-		after(A.InterruptOvh+A.ProtocolOvh+f.pio(pkt.n)+3*A.CacheMiss, func() {
-			f.depositQueue(pkt.rq, pkt.data)
-			f.opDone(dest, OpEnq, pkt.issued)
+		cost = A.InterruptOvh + A.ProtocolOvh + f.pio(pkt.n) + 3*A.CacheMiss
+	case pktDeqReq:
+		cost = A.InterruptOvh + A.ProtocolOvh
+	case pktAck:
+		cost = A.InterruptOvh + A.CacheMiss
+	default:
+		return
+	}
+	f.swAfter(cpu, dest, pkt, cost)
+}
+
+// swFinish applies a serviced packet's effects once its interrupt
+// handler has run. pkt is released when it returns, so anything that
+// outlives the call copies what it needs.
+func (f *Fabric) swFinish(dest *machine.Node, pkt *packet) {
+	A := f.A
+	reg := f.Cl.Reg
+	switch pkt.kind {
+	case pktPutData:
+		f.opDone(dest, OpPut, pkt.issued)
+		reg.Signal(pkt.rsync)
+		f.swAck(dest, pkt)
+	case pktPutPage:
+		if pkt.last {
+			f.opDone(dest, OpPut, pkt.issued)
+			reg.Signal(pkt.rsync)
+			f.swAck(dest, pkt)
+		}
+	case pktGetReq:
+		reg.Signal(pkt.rsync)
+		if pkt.n <= A.PIOCutoff {
+			rep := f.newPacket(dest.OutLink)
+			rep.kind, rep.from, rep.to, rep.n, rep.issued = pktGetData, pkt.to, pkt.from, pkt.n, pkt.issued
+			rep.dst, rep.fsync = pkt.dst, pkt.fsync
+			f.readBytesInto(rep, pkt.src, pkt.n)
+			f.ship(dest, rep)
+			return
+		}
+		// A transient kernel thread streams the pinned pages out; like
+		// the paper's SW1 model, this is generous to SW — the stream
+		// itself does not steal further compute cycles.
+		req := *pkt
+		f.Cl.Eng.Spawn(fmt.Sprintf("swdma-get-%d", req.from), func(p *sim.Proc) {
+			f.sendPages(p, dest, packet{kind: pktGetPage, from: req.to, to: req.from,
+				n: req.n, issued: req.issued, dst: req.dst, fsync: req.fsync}, req.src)
 		})
+	case pktGetData:
+		f.opDone(dest, OpGet, pkt.issued)
+		reg.Signal(pkt.fsync)
+	case pktGetPage:
+		if pkt.last {
+			f.opDone(dest, OpGet, pkt.issued)
+			reg.Signal(pkt.fsync)
+		}
+	case pktEnqData:
+		f.depositQueue(pkt.rq, pkt.data)
+		f.opDone(dest, OpEnq, pkt.issued)
 	case pktDeqReq:
 		req := *pkt
-		after(A.InterruptOvh+A.ProtocolOvh, func() {
-			q, _ := reg.Queue(req.rq)
-			q.TakeAsync(func(rec []byte) {
-				n := req.n
-				if len(rec) < n {
-					n = len(rec)
-				}
-				// The reply is sent from kernel context on the owner's CPU.
-				cpu.Interrupt(A.ProtocolOvh + f.pio(n))
-				f.Cl.Eng.Schedule(A.ProtocolOvh+f.pio(n), func() {
-					f.ship(dest, &packet{kind: pktDeqData, from: req.to, to: req.from, n: n,
-						issued: req.issued, data: rec[:n], dst: req.dst, fsync: req.fsync})
-				})
+		cpu := f.Cl.CPUs[req.to]
+		q, _ := reg.Queue(req.rq)
+		q.TakeAsync(func(rec []byte) {
+			n := req.n
+			if len(rec) < n {
+				n = len(rec)
+			}
+			// The reply is sent from kernel context on the owner's CPU.
+			// (f.A, not A: capturing the copy would move it to the heap
+			// on every call.)
+			cost := f.A.ProtocolOvh + f.pio(n)
+			cpu.Interrupt(cost)
+			f.Cl.Eng.Schedule(cost, func() {
+				rep := f.newPacket(dest.OutLink)
+				rep.kind, rep.from, rep.to, rep.n, rep.issued = pktDeqData, req.to, req.from, n, req.issued
+				rep.data, rep.dst, rep.fsync = rec[:n], req.dst, req.fsync
+				f.ship(dest, rep)
 			})
 		})
 	case pktDeqData:
-		f.depositBytes(pkt.dst, pkt.data)
-		after(A.InterruptOvh+A.ProtocolOvh+f.pio(pkt.n)+2*A.CacheMiss, func() {
-			f.opDone(dest, OpDeq, pkt.issued)
-			reg.Signal(pkt.fsync)
-		})
+		f.opDone(dest, OpDeq, pkt.issued)
+		reg.Signal(pkt.fsync)
 	case pktAck:
-		after(A.InterruptOvh+A.CacheMiss, func() {
-			reg.Signal(pkt.fsync)
-		})
+		reg.Signal(pkt.fsync)
 	}
 }
 
@@ -174,5 +233,7 @@ func (f *Fabric) swAck(node *machine.Node, pkt *packet) {
 	if pkt.fsync.Nil() {
 		return
 	}
-	f.ship(node, &packet{kind: pktAck, from: pkt.to, to: pkt.from, fsync: pkt.fsync})
+	ack := f.newPacket(node.OutLink)
+	ack.kind, ack.from, ack.to, ack.fsync = pktAck, pkt.to, pkt.from, pkt.fsync
+	f.ship(node, ack)
 }

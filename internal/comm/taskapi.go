@@ -17,10 +17,8 @@ import (
 
 // EnqBytesTask is EnqBytes for a run-to-completion caller: k runs once
 // the submission has been charged and handed to the send path (not when
-// the record arrives — ENQ is asynchronous either way). Unlike EnqBytes
-// it takes ownership of data: the record travels as is and the
-// destination queue receives the same slice, so the caller must not
-// modify it after the call.
+// the record arrives — ENQ is asynchronous either way). Like EnqBytes it
+// takes ownership of data.
 func (ep *Endpoint) EnqBytesTask(t *sim.Task, data []byte, rq memory.QueueRef, lsync memory.FlagRef, k func()) error {
 	if _, err := ep.f.Cl.Reg.CheckQueue(ep.rank, rq, "ENQ"); err != nil {
 		return err

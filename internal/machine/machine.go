@@ -482,6 +482,15 @@ type PacketSink interface {
 	DeliverPacket(arg any, fate PacketFate)
 }
 
+// DupSink is a PacketSink whose delivery argument is per-delivery state
+// that the sink mutates or recycles as it handles it (a topology's
+// in-flight hop). When the fault plane duplicates a packet, the link asks
+// the sink for a copy of arg, so each delivery owns its own.
+type DupSink interface {
+	PacketSink
+	DupPacket(arg any) any
+}
+
 // delivery is one in-flight sink delivery. The run closure is built once
 // per node and the node recycles through the link's freelist, so the hot
 // send path costs zero allocations per packet.
@@ -571,6 +580,9 @@ func (l *Link) dispatch(n int, depart sim.Time, sink PacketSink, arg any) {
 	if fate.Dup {
 		d2 := l.newDelivery()
 		d2.sink, d2.arg = sink, arg
+		if ds, ok := sink.(DupSink); ok {
+			d2.arg = ds.DupPacket(arg)
+		}
 		l.eng.Schedule(arrive+fate.DupDelay, d2.run)
 	}
 }

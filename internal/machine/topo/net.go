@@ -317,6 +317,16 @@ func (n *Net) DeliverPacket(arg any, fate machine.PacketFate) {
 	n.links[s][pi].SendToSink(h.bytes, n, h)
 }
 
+// DupPacket implements machine.DupSink: a duplicated delivery travels on
+// a hop of its own. Sharing one would let the first copy advance or
+// recycle the hop under the second. Only node output links carry a fault
+// plane, and faulted runs are sequential, so the copy is a plain
+// allocation that joins the pool when delivered.
+func (n *Net) DupPacket(arg any) any {
+	h := *arg.(*hop)
+	return &h
+}
+
 // Hops walks the routing tables from src to dst without simulating and
 // returns the number of links a packet traverses, or -1 on a routing
 // loop. Same-node traffic still climbs to the edge switch and back: the

@@ -221,3 +221,30 @@ func TestStealRepeatRunDigest(t *testing.T) {
 		}
 	}
 }
+
+// TestDifferentialFigure8SharedReferences runs Figure 8's whole
+// application list at test scale on two workers and on one: the cells
+// share their programs' serial references (apps.Reference) across
+// concurrently running engines, and the rendered bytes must not depend
+// on the worker count. Under -race the detector watches the shared
+// references.
+func TestDifferentialFigure8SharedReferences(t *testing.T) {
+	p, err := PresetByName("figure8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := p.Spec
+	spec.Scale = "test"
+	render := func(jobs int) []byte {
+		s := spec
+		s.Jobs = jobs
+		var buf bytes.Buffer
+		if _, err := Run(s, &buf); err != nil {
+			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		return buf.Bytes()
+	}
+	if two, one := render(2), render(1); !bytes.Equal(two, one) {
+		t.Fatalf("jobs=2 renders %d bytes, jobs=1 %d: the shared references changed a result", len(two), len(one))
+	}
+}

@@ -19,7 +19,11 @@ type event struct {
 
 // eventHeap is a monotone radix queue over events ordered by (at, seq).
 // It relies on the engine's clock never running backwards: last is the
-// time of the last pop, and every queued event has at >= last. Bucket 0
+// time of the last pop, and every queued event has at >= last. last may
+// lag the engine's clock — RunUntil and a run-ahead Proc.Hold advance the
+// clock without popping — which is harmless: buckets are relative to
+// last, pushes land at or after the clock and so at or after last, and
+// due only ever matches an instant a pop reached. Bucket 0
 // holds the events at exactly last, in seq order; bucket k (1..63) holds
 // those whose at first differs from last at bit k-1, so a bit mask of
 // occupied buckets finds the nearest ones in one instruction. When bucket
@@ -37,7 +41,10 @@ type event struct {
 //
 // peek never moves last: a sharded run (sim/par) inserts cross-shard
 // deliveries anywhere at or after the receiver's clock, which may be
-// below a peeked minimum. Vacated slots are zeroed so fired closures
+// below a peeked minimum. It caches the minimum above bucket 0 (lo):
+// pushes lower it and only settle invalidates it, so a Proc that peeks
+// on every Hold while many events wait in one far bucket scans that
+// bucket once, and the settle that finally drains it reuses the scan. Vacated slots are zeroed so fired closures
 // become GC-able while the bucket arrays are reused for the whole run.
 type eventHeap struct {
 	last Time
@@ -45,6 +52,8 @@ type eventHeap struct {
 	head int    // bucket 0's next entry to pop
 	mask uint64 // bit k set when bucket k is non-empty
 	b    [64][]event
+	lo   Time // minimum time above bucket 0, when loOK
+	loOK bool
 }
 
 // bucket returns the bucket an event at `at` belongs to relative to
@@ -63,21 +72,28 @@ func (h *eventHeap) push(ev event) {
 	h.b[k] = append(h.b[k], ev)
 	h.mask |= 1 << k
 	h.n++
+	if k > 0 && h.loOK && ev.at < h.lo {
+		h.lo = ev.at
+	}
 }
 
 // due reports whether events at exactly t are next: bucket 0 is
 // non-empty and the last pop happened at t.
 func (h *eventHeap) due(t Time) bool { return h.head < len(h.b[0]) && h.last == t }
 
-// lowest returns the lowest occupied bucket above 0 and its minimum time.
-// Bucket 0 must be empty and the queue non-empty.
+// lowest returns the lowest occupied bucket above 0 and its minimum time,
+// scanning the bucket only when lo is not cached. Bucket 0 must be empty
+// and the queue non-empty.
 func (h *eventHeap) lowest() (int, Time) {
 	k := bits.TrailingZeros64(h.mask)
-	m := h.b[k][0].at
-	for _, ev := range h.b[k][1:] {
-		m = min(m, ev.at)
+	if !h.loOK {
+		m := h.b[k][0].at
+		for _, ev := range h.b[k][1:] {
+			m = min(m, ev.at)
+		}
+		h.lo, h.loOK = m, true
 	}
-	return k, m
+	return k, h.lo
 }
 
 // peek returns the minimum pending time without moving last. The queue
@@ -122,6 +138,7 @@ func (h *eventHeap) settle() {
 	clear(b)
 	h.b[k] = b[:0]
 	h.mask &^= 1 << k
+	h.loOK = false
 }
 
 // eventLane is the same-timestamp FIFO fast lane. Every Schedule(0, ...)
@@ -167,6 +184,11 @@ type Engine struct {
 	live    int   // spawned processes/tasks that have not yet terminated
 	failure error // first panic captured from a process body
 	stopped bool
+	// running is set while run executes events; limit is that run's time
+	// bound (negative: none). Proc.Hold reads both to decide whether it
+	// may run ahead (see runAhead).
+	running bool
+	limit   Time
 	// down is set by Shutdown: a reaped engine cannot be resumed, so
 	// later runs fire nothing and later spawns never start (closing the
 	// goroutine-leak window of a spawn event firing after its engine was
@@ -350,6 +372,8 @@ func (e *Engine) run(limit Time) error {
 	if e.down {
 		return e.failure
 	}
+	e.running, e.limit = true, limit
+	defer func() { e.running = false }()
 	for !e.stopped {
 		var ev event
 		if e.lane.len() > 0 {
@@ -408,4 +432,39 @@ func (e *Engine) transfer(p *Proc) {
 // blocking structures outside this package.
 func (e *Engine) Wake(p *Proc) {
 	e.Schedule(0, p.run)
+}
+
+// canRunAhead reports whether a hold until now+d would be the very next
+// event to fire: the run is live and not stopped, the lane is empty,
+// now+d is within the run's limit, and every heap entry is strictly later
+// than now+d (a heap entry at exactly now+d was scheduled earlier, so its
+// smaller seq would fire first).
+func (e *Engine) canRunAhead(d Time) bool {
+	t := e.now + d
+	return e.running && !e.stopped && d >= 0 &&
+		e.lane.len() == 0 &&
+		(e.limit < 0 || t <= e.limit) &&
+		(e.heap.len() == 0 || e.heap.peek() > t)
+}
+
+// runAhead is a hold that canRunAhead cleared: instead of scheduling p's
+// wake, parking and switching back, the engine takes the wake's sequence
+// number, records exactly what the scheduled path would have recorded
+// (the schedule, the park, the fire, the unpark) and advances the clock,
+// and p simply carries on. Nothing can observe the difference: no other
+// event would have fired in between, and Scheduled, the trace stream and
+// the clock end up identical. The heap is not touched, so its last pop
+// time may now lag the clock; nothing depends on their being equal (see
+// eventHeap).
+func (e *Engine) runAhead(p *Proc, d Time) {
+	e.seq++
+	if e.tracer != nil {
+		e.record(trace.Event{At: int64(e.now), Seq: e.seq, Kind: trace.KSchedule, Arg: int64(d)})
+		e.record(trace.Event{At: int64(e.now), Seq: e.seq, Kind: trace.KPark, Comp: p.name})
+		e.now += d
+		e.record(trace.Event{At: int64(e.now), Seq: e.seq, Kind: trace.KFire})
+		e.record(trace.Event{At: int64(e.now), Seq: e.seq, Kind: trace.KUnpark, Comp: p.name})
+		return
+	}
+	e.now += d
 }

@@ -90,6 +90,28 @@ func BenchmarkWakePark(b *testing.B) {
 	}
 }
 
+// BenchmarkHoldFarPending measures a Proc that holds again and again
+// while many events wait in one far bucket of the queue: every Hold
+// peeks at the queue to decide whether it may run ahead, so the peek
+// must not rescan that bucket each time.
+func BenchmarkHoldFarPending(b *testing.B) {
+	const pending = 4096
+	e := NewEngine()
+	for i := 0; i < pending; i++ {
+		e.Schedule(1<<40+Time(i), nopEvent)
+	}
+	e.Spawn("holder", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Hold(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkTracedScheduleFire is BenchmarkScheduleFireLane with the
 // golden-trace digest installed: the cost of one traced occurrence on
 // the hot path (schedule + fire, two trace events per operation).

@@ -119,7 +119,22 @@ func (p *Proc) Park() {
 // Hold advances the process's local time by d: the process blocks and
 // resumes d simulated time units later. Hold(0) yields, letting other
 // events at the same timestamp run first.
+//
+// When the wake would be the next event to fire anyway (see
+// Engine.canRunAhead), Hold runs ahead: it advances the clock in place
+// and skips the two coroutine switches, with the same sequence numbers,
+// clock and trace records as the scheduled path.
 func (p *Proc) Hold(d Time) {
+	if p.eng.canRunAhead(d) {
+		p.eng.runAhead(p, d)
+		return
+	}
+	p.hold(d)
+}
+
+// hold is Hold's scheduled path: schedule the wake and park until it
+// fires.
+func (p *Proc) hold(d Time) {
 	p.eng.Schedule(d, p.run)
 	p.Park()
 }

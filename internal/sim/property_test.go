@@ -109,8 +109,9 @@ func TestPropertyNegativeDelayPanics(t *testing.T) {
 // every push at or after the last pop's time, including pushes at exactly
 // that time — with delays and push/pop interleavings drawn from the fuzz
 // bytes, and checks every pop against a brute-force (at, seq) model: the
-// order that makes every simulation replayable. It also checks that
-// vacated slots are zeroed (no retained closures).
+// order that makes every simulation replayable. Peeks interleaved with
+// the pushes check the cached minimum against the model too. It also
+// checks that vacated slots are zeroed (no retained closures).
 func FuzzEventHeap(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 5, 3, 9, 0, 0, 5, 0, 0, 0})
 	f.Add([]byte{255, 255, 1, 1, 0, 0, 0, 0, 0, 0})
@@ -125,14 +126,18 @@ func FuzzEventHeap(f *testing.F) {
 		var seq uint64
 		var last Time
 		nop := func() {}
-		pop := func() {
-			ev := h.pop()
+		modelMin := func() int {
 			mi := 0
 			for i := range model {
 				if a, b := model[i], model[mi]; a.at < b.at || a.at == b.at && a.seq < b.seq {
 					mi = i
 				}
 			}
+			return mi
+		}
+		pop := func() {
+			ev := h.pop()
+			mi := modelMin()
 			want := model[mi]
 			model = append(model[:mi], model[mi+1:]...)
 			if ev.at != want.at || ev.seq != want.seq {
@@ -161,6 +166,11 @@ func FuzzEventHeap(f *testing.F) {
 			if op%4 == 0 && len(model) > 0 {
 				pop()
 				continue
+			}
+			if op%4 == 1 && len(model) > 0 {
+				if got, want := h.peek(), model[modelMin()].at; got != want {
+					t.Fatalf("peek %v, want %v", got, want)
+				}
 			}
 			// The high bits of op scale the delay across bit widths, so
 			// pushes reach every bucket; arg 0 pushes at the last pop.

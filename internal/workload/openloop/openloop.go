@@ -113,6 +113,10 @@ type Point struct {
 	// Flight is the flight recorder's harvest, present when
 	// Config.Flight was set.
 	Flight *flight.PointData `json:"-"`
+	// Events is the number of events the point scheduled, summed over
+	// its engines (sim.Engine.Scheduled): deterministic, so the bench
+	// harness gates it exactly.
+	Events uint64 `json:"-"`
 }
 
 // Result is a full sweep: every point plus the saturation summary.
@@ -547,6 +551,9 @@ func runPoint(cfg *Config, zp *zipfParams, idx int, loadUs float64) (Point, erro
 		Issued:     issuedTotal,
 		ElapsedUs:  eng.Now().Micros(),
 		Par:        pst,
+	}
+	for _, e := range engs {
+		pt.Events += e.Scheduled()
 	}
 	if window := agg.lastReply - agg.minIssued; window > 0 && agg.minIssued >= 0 {
 		pt.AchievedRPS = float64(agg.measured) * 1e9 / float64(window)

@@ -77,6 +77,9 @@ type Result struct {
 	// Latency holds observed one-way operation latencies under the
 	// application's load (contrast with Table 4's quiescent round trips).
 	Latency map[comm.OpKind]comm.LatencyStat
+	// Events is the number of events the run scheduled
+	// (sim.Engine.Scheduled).
+	Events uint64
 }
 
 // Procs returns the total compute processors.
@@ -127,6 +130,7 @@ func RunOpts(app apps.App, a arch.Params, cfg machine.Config, opt Options) (Resu
 		}
 	}
 	res.Latency = env.Fab.LatencyStats()
+	res.Events = env.Eng.Scheduled()
 	return res, nil
 }
 
