@@ -132,10 +132,12 @@ echo "== race shard (reference digests + parallel determinism + concurrent fabri
 # warn-and-fall-back contract. Under -race the detector watches every
 # cross-shard mailbox and barrier edge, and, in
 # TestDifferentialFigure8SharedReferences (Figure 8 at jobs: 2 against
-# jobs: 1), the serial references concurrent cells share.
+# jobs: 1), the serial references concurrent cells share. The memory
+# and CRL packages run whole: each Figure 8 cell creates CRL copies on
+# first use and releases its pages while the other worker's cell runs.
 go test -race -run 'TestDifferential|TestPresetDigests|TestStealRepeatRunDigest|TestParallel|TestConcurrentFabricsDistinctQueueCaps' \
     ./internal/scenario/ ./internal/comm/ ./internal/workload/openloop/
-go test -race ./internal/sim/par/
+go test -race ./internal/sim/par/ ./internal/memory/ ./internal/crl/
 
 echo "== results byte-identity (cheap presets)"
 for preset_file in \

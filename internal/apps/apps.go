@@ -123,7 +123,10 @@ func (e *Env) Elapsed() sim.Time {
 }
 
 // Run launches app on every rank, runs the simulation to completion, and
-// verifies the result. It returns the measured-phase duration.
+// verifies the result. It returns the measured-phase duration. Once the
+// result is verified, the run's kernel-backed segments (the Split-C heaps)
+// drop their resident pages: every segment keeps its full size, but its
+// contents are discarded.
 func Run(env *Env, app App) (sim.Time, error) {
 	app.Setup(env)
 	n := env.Procs()
@@ -143,5 +146,6 @@ func Run(env *Env, app App) (sim.Time, error) {
 	if err := app.Verify(); err != nil {
 		return 0, fmt.Errorf("%s: verification: %w", app.Name(), err)
 	}
+	env.Cl.Reg.Release()
 	return env.Elapsed(), nil
 }

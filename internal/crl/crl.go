@@ -10,7 +10,7 @@ package crl
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mproxy/internal/am"
 	"mproxy/internal/costmodel"
@@ -62,7 +62,7 @@ type regionMeta struct {
 	homeBuf *memory.Segment
 
 	owner   int // rank with the exclusive copy; -1 when the home copy is valid
-	copyset map[int]bool
+	copyset rankSet
 
 	busy          bool
 	cur           txn
@@ -89,7 +89,7 @@ type Node struct {
 	ly   *Layer
 	rank int
 	port *am.Port
-	maps map[RID]*Region
+	maps []*Region // indexed by RID; nil where the rank has not mapped
 
 	misses int64 // region operations that required communication
 	hits   int64 // region operations satisfied locally
@@ -99,7 +99,9 @@ type Node struct {
 type Region struct {
 	node *Node
 	meta *regionMeta
-	buf  *memory.Segment
+	// buf is the local copy. The home's mapping aliases the home buffer;
+	// a non-home copy stays nil until first use (see copySeg).
+	buf *memory.Segment
 
 	st           State
 	readers      int
@@ -113,7 +115,7 @@ type Region struct {
 func New(l *am.Layer) *Layer {
 	ly := &Layer{l: l}
 	for r := 0; r < l.Ranks(); r++ {
-		ly.nodes = append(ly.nodes, &Node{ly: ly, rank: r, port: l.Port(r), maps: make(map[RID]*Region)})
+		ly.nodes = append(ly.nodes, &Node{ly: ly, rank: r, port: l.Port(r)})
 	}
 	ly.hRead = l.Register(func(p *am.Port, src int, args []int64, _ []byte) {
 		ly.homeRequest(p, txn{txnRead, int(args[1])}, RID(args[0]))
@@ -182,7 +184,7 @@ func (ly *Layer) Create(home, size int) RID {
 	buf.GrantAll(ly.l.Ranks())
 	m := &regionMeta{
 		rid: RID(len(ly.metas)), home: home, size: size,
-		homeBuf: buf, owner: -1, copyset: make(map[int]bool),
+		homeBuf: buf, owner: -1,
 	}
 	ly.metas = append(ly.metas, m)
 	return m.rid
@@ -199,23 +201,46 @@ func (ly *Layer) Size(rid RID) int { return ly.metas[rid].size }
 // Home returns a region's home rank.
 func (ly *Layer) Home(rid RID) int { return ly.metas[rid].home }
 
-// Map attaches the calling rank to a region, allocating a local buffer for
-// its copy. The home rank's mapping aliases the home buffer.
+// Map attaches the calling rank to a region. The home rank's mapping
+// aliases the home buffer. Any other rank's copy is created on first use —
+// the first data grant or flush that addresses it, or the first F64, I64
+// or Bytes view — so a rank that maps regions it never touches holds no
+// copy of them. Mapping is charged the same either way.
 func (n *Node) Map(rid RID) *Region {
-	if rg, ok := n.maps[rid]; ok {
+	if rg := n.mapping(rid); rg != nil {
 		return rg
 	}
 	m := n.ly.metas[rid]
 	rg := &Region{node: n, meta: m}
 	if n.rank == m.home {
 		rg.buf = m.homeBuf
-	} else {
-		rg.buf = n.ly.registry().NewSegment(n.rank, m.size)
-		rg.buf.Grant(m.home)
+	}
+	if len(n.maps) <= int(rid) {
+		n.maps = append(n.maps, make([]*Region, len(n.ly.metas)-len(n.maps))...)
 	}
 	n.maps[rid] = rg
 	n.port.Endpoint().Compute(costmodel.IntOps(30))
 	return rg
+}
+
+// mapping returns the rank's mapping of rid, or nil if it has none.
+func (n *Node) mapping(rid RID) *Region {
+	if int(rid) < len(n.maps) {
+		return n.maps[rid]
+	}
+	return nil
+}
+
+// copySeg returns the mapping's local copy, creating a non-home copy the
+// first time it is needed. The new segment's ASID is therefore assigned in
+// event order; nothing reads ASIDs but the registry's lookups.
+func (rg *Region) copySeg() *memory.Segment {
+	if rg.buf == nil {
+		n, m := rg.node, rg.meta
+		rg.buf = n.ly.registry().NewSegment(n.rank, m.size)
+		rg.buf.Grant(m.home)
+	}
+	return rg.buf
 }
 
 // Rank returns the mapping's rank.
@@ -232,17 +257,12 @@ func (n *Node) Misses() int64 { return n.misses }
 // DebugMeta formats a region's directory state for diagnostics.
 func (ly *Layer) DebugMeta(rid RID) string {
 	m := ly.metas[rid]
-	cs := []int{}
-	for s := range m.copyset {
-		cs = append(cs, s)
-	}
-	sort.Ints(cs)
 	states := ""
 	for r, nd := range ly.nodes {
-		if rg, ok := nd.maps[rid]; ok {
+		if rg := nd.mapping(rid); rg != nil {
 			states += fmt.Sprintf(" r%d:%v(rd%d,wr%d,pI%v,pF%v,gr%v)", r, rg.st, rg.readers, rg.writers, rg.pendingInv, rg.pendingFlush, rg.granted)
 		}
 	}
 	return fmt.Sprintf("owner=%d copyset=%v busy=%v phase=%d waitq=%d acks=%d |%s",
-		m.owner, cs, m.busy, m.phase, len(m.waitq), m.invAcksNeeded, states)
+		m.owner, slices.Collect(m.copyset.all()), m.busy, m.phase, len(m.waitq), m.invAcksNeeded, states)
 }

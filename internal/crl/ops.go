@@ -116,13 +116,13 @@ func (rg *Region) RID() RID { return rg.meta.rid }
 // F64 returns a float64 view of the local copy: count elements starting at
 // byte offset off. Only touch it inside a read or write section.
 func (rg *Region) F64(off, count int) memory.F64 {
-	return memory.Float64s(rg.buf, off, count)
+	return memory.Float64s(rg.copySeg(), off, count)
 }
 
 // I64 returns an int64 view of the local copy.
 func (rg *Region) I64(off, count int) memory.I64 {
-	return memory.Int64s(rg.buf, off, count)
+	return memory.Int64s(rg.copySeg(), off, count)
 }
 
 // Bytes exposes the raw local copy.
-func (rg *Region) Bytes() []byte { return rg.buf.Data }
+func (rg *Region) Bytes() []byte { return rg.copySeg().Data }

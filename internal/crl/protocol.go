@@ -2,7 +2,6 @@ package crl
 
 import (
 	"fmt"
-	"sort"
 
 	"mproxy/internal/am"
 	"mproxy/internal/costmodel"
@@ -86,7 +85,7 @@ func (ly *Layer) grantRead(p *am.Port, m *regionMeta) {
 		ly.protoMsgs++
 		p.Request(req, ly.hGrantR, int64(m.rid))
 	} else {
-		m.copyset[req] = true
+		m.copyset.add(req)
 		ly.sendRegionData(p, m, req, ly.hDataR)
 	}
 	ly.endTxn(p, m)
@@ -95,28 +94,25 @@ func (ly *Layer) grantRead(p *am.Port, m *regionMeta) {
 func (ly *Layer) proceedWrite(p *am.Port, m *regionMeta) {
 	req := m.cur.req
 	// Invalidate all shared copies except the requester's, in rank order:
-	// Go map iteration order is randomized, and the send order shapes the
-	// event schedule, so an unsorted walk would make whole-application
-	// timing vary run to run.
-	sharers := make([]int, 0, len(m.copyset))
-	for s := range m.copyset {
-		if s != req {
-			sharers = append(sharers, s)
-		}
+	// the send order shapes the event schedule.
+	m.reqHadShared = m.copyset.has(req)
+	sharers := m.copyset.len()
+	if m.reqHadShared {
+		sharers--
 	}
-	sort.Ints(sharers)
-	m.reqHadShared = m.copyset[req]
-	if len(sharers) > 0 {
+	if sharers > 0 {
 		m.phase = phaseInvWait
-		m.invAcksNeeded = len(sharers)
-		for _, s := range sharers {
-			ly.protoMsgs++
-			p.Request(s, ly.hInv, int64(m.rid))
+		m.invAcksNeeded = sharers
+		for s := range m.copyset.all() {
+			if s != req {
+				ly.protoMsgs++
+				p.Request(s, ly.hInv, int64(m.rid))
+			}
 		}
-		clear(m.copyset)
+		m.copyset.reset()
 		return // continues in hInvAck
 	}
-	clear(m.copyset)
+	m.copyset.reset()
 	ly.finishWrite(p, m)
 }
 
@@ -146,11 +142,11 @@ func (ly *Layer) sendRegionData(p *am.Port, m *regionMeta, req, handler int) {
 		p.Request(req, handler, int64(m.rid))
 		return
 	}
-	dst := ly.nodes[req].maps[m.rid]
+	dst := ly.nodes[req].mapping(m.rid)
 	if dst == nil {
 		panic(fmt.Sprintf("crl: rank %d requested unmapped region %d", req, m.rid))
 	}
-	p.Store(req, m.homeBuf.Addr(0), dst.buf.Addr(0), m.size, handler, int64(m.rid))
+	p.Store(req, m.homeBuf.Addr(0), dst.copySeg().Addr(0), m.size, handler, int64(m.rid))
 }
 
 func (ly *Layer) endTxn(p *am.Port, m *regionMeta) {
@@ -199,7 +195,7 @@ func (rg *Region) flushHome() {
 	rg.st = Invalid
 	m := rg.meta
 	if crlDebug && m.rid == 1 {
-		fmt.Printf("t=%v FLUSH rank %d region %d value=%d\n", n.port.Endpoint().Proc().Now(), n.rank, m.rid, int64FromBuf(rg.buf.Data))
+		fmt.Printf("t=%v FLUSH rank %d region %d value=%d\n", n.port.Endpoint().Proc().Now(), n.rank, m.rid, int64FromBuf(rg.copySeg().Data))
 	}
 	n.ly.protoMsgs++
 	if n.rank == m.home {
@@ -207,5 +203,5 @@ func (rg *Region) flushHome() {
 		n.port.Request(m.home, n.ly.hFlushData, int64(m.rid))
 		return
 	}
-	n.port.Store(m.home, rg.buf.Addr(0), m.homeBuf.Addr(0), m.size, n.ly.hFlushData, int64(m.rid))
+	n.port.Store(m.home, rg.copySeg().Addr(0), m.homeBuf.Addr(0), m.size, n.ly.hFlushData, int64(m.rid))
 }

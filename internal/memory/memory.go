@@ -29,14 +29,18 @@ func (a Addr) Plus(off int) Addr { return Addr{a.Seg, a.Off + off} }
 // Segment is a contiguous region of a process's address space exported for
 // remote access. Only the owner and ranks it has granted may address it.
 //
-// Data always holds the segment's full size, zero until written. Large
-// segments are kernel-backed (see kernelBackedMin) and unmapped when the
+// Data is allocated with the segment and always holds its full size, zero
+// until written; callers index it directly. A layer that wants lazily
+// backed memory defers creating the segment instead (CRL's copies do).
+// Large segments are kernel-backed (see kernelBackedMin): Registry.Release
+// may drop their pages once a run is over, and they are unmapped when the
 // *Segment is collected, so a Data subslice must never be kept past the
 // segment it came from.
 type Segment struct {
-	ID    ASID
-	Owner int // global rank of the owning process
-	Data  []byte
+	ID     ASID
+	Owner  int // global rank of the owning process
+	Data   []byte
+	mapped bool // Data is an anonymous mapping, not Go heap
 	// Ranks below 64 — every configuration in the paper — are tracked in
 	// a bitmask so the per-transfer protection check stays off the heap
 	// and out of the map code; larger ranks spill to the map. world

@@ -23,7 +23,7 @@ func newSegment(id ASID, owner, size int) *Segment {
 	if err != nil {
 		panic(fmt.Errorf("memory: mapping a %d-byte segment: %w", size, err))
 	}
-	s := &Segment{ID: id, Owner: owner, Data: data}
+	s := &Segment{ID: id, Owner: owner, Data: data, mapped: true}
 	runtime.SetFinalizer(s, (*Segment).unmap)
 	return s
 }
@@ -31,5 +31,18 @@ func newSegment(id ASID, owner, size int) *Segment {
 func (s *Segment) unmap() {
 	if err := syscall.Munmap(s.Data); err != nil {
 		panic(fmt.Errorf("memory: unmapping segment %d: %w", s.ID, err))
+	}
+}
+
+// Release hands the resident pages of every kernel-backed segment back to
+// the kernel, for a registry whose run is over: the contents are gone
+// (on Linux the pages read zero again), but each mapping stays in place
+// at its full size until the segment's finalizer unmaps it. Heap-backed
+// segments keep their contents. Calling it again is harmless.
+func (r *Registry) Release() {
+	for _, s := range r.segs[1:] {
+		if s.mapped {
+			dropPages(s)
+		}
 	}
 }

@@ -85,7 +85,7 @@ func TestKernelBackedSegmentOffHeap(t *testing.T) {
 }
 
 // TestCollectedSegmentsUnmapCleanly drops dirtied kernel-backed segments,
-// lets their finalizers unmap them, and checks that segments mapped
+// releases their pages, lets their finalizers unmap them, and checks that segments mapped
 // afterwards (likely at recycled addresses) start zeroed and stay private.
 func TestCollectedSegmentsUnmapCleanly(t *testing.T) {
 	const n, size = 64, 256 << 10
@@ -97,6 +97,9 @@ func TestCollectedSegmentsUnmapCleanly(t *testing.T) {
 				s.Data[off] = byte(i + 1)
 			}
 		}
+		// A finished run drops its pages first (apps.Run): the
+		// finalizers must unmap released mappings just as cleanly.
+		r.Release()
 	}()
 	runtime.GC()
 	runtime.GC()
@@ -120,5 +123,38 @@ func TestCollectedSegmentsUnmapCleanly(t *testing.T) {
 				t.Fatalf("segment %d page %d shows another segment's writes", i, off/4096)
 			}
 		}
+	}
+}
+
+// TestReleaseDropsKernelPages dirties a kernel-backed and a heap-backed
+// segment, releases the registry twice, and checks that only the
+// kernel-backed one lost its contents and neither changed size.
+func TestReleaseDropsKernelPages(t *testing.T) {
+	r := newReg()
+	big := r.NewSegment(0, bigSeg)
+	small := r.NewSegment(1, 4096)
+	for off := 0; off < bigSeg; off += 4096 {
+		big.Data[off] = 0xab
+	}
+	for i := range small.Data {
+		small.Data[i] = byte(i)
+	}
+	r.Release()
+	r.Release()
+	if len(big.Data) != bigSeg || len(small.Data) != 4096 {
+		t.Fatalf("len = %d/%d after Release, want %d/4096", len(big.Data), len(small.Data), bigSeg)
+	}
+	if runtime.GOOS == "linux" && !allZero(big.Data) {
+		t.Error("released kernel-backed segment still holds its bytes")
+	}
+	for i, c := range small.Data {
+		if c != byte(i) {
+			t.Fatalf("heap-backed segment byte %d = %d after Release, want %d", i, c, byte(i))
+		}
+	}
+	// The mapping stays usable.
+	big.Data[bigSeg-1] = 1
+	if big.Data[bigSeg-1] != 1 {
+		t.Error("released segment no longer takes writes")
 	}
 }
