@@ -37,10 +37,9 @@ func (a Addr) Plus(off int) Addr { return Addr{a.Seg, a.Off + off} }
 // *Segment is collected, so a Data subslice must never be kept past the
 // segment it came from.
 type Segment struct {
-	ID     ASID
-	Owner  int // global rank of the owning process
-	Data   []byte
-	mapped bool // Data is an anonymous mapping, not Go heap
+	ID    ASID
+	Owner int // global rank of the owning process
+	Data  []byte
 	// Ranks below 64 — every configuration in the paper — are tracked in
 	// a bitmask so the per-transfer protection check stays off the heap
 	// and out of the map code; larger ranks spill to the map. world

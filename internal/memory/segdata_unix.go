@@ -15,7 +15,7 @@ import (
 // zeroing, resident memory and GC scanning. A finalizer on the *Segment
 // unmaps the bytes, which is why no Data subslice may outlive its segment.
 func newSegment(id ASID, owner, size int) *Segment {
-	if size < kernelBackedMin {
+	if !kernelBacked(size) {
 		return &Segment{ID: id, Owner: owner, Data: make([]byte, size)}
 	}
 	data, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE,
@@ -23,10 +23,14 @@ func newSegment(id ASID, owner, size int) *Segment {
 	if err != nil {
 		panic(fmt.Errorf("memory: mapping a %d-byte segment: %w", size, err))
 	}
-	s := &Segment{ID: id, Owner: owner, Data: data, mapped: true}
+	s := &Segment{ID: id, Owner: owner, Data: data}
 	runtime.SetFinalizer(s, (*Segment).unmap)
 	return s
 }
+
+// kernelBacked reports whether a segment of size bytes is an anonymous
+// mapping rather than Go heap; newSegment and Release both decide by it.
+func kernelBacked(size int) bool { return size >= kernelBackedMin }
 
 func (s *Segment) unmap() {
 	if err := syscall.Munmap(s.Data); err != nil {
@@ -41,7 +45,7 @@ func (s *Segment) unmap() {
 // segments keep their contents. Calling it again is harmless.
 func (r *Registry) Release() {
 	for _, s := range r.segs[1:] {
-		if s.mapped {
+		if kernelBacked(len(s.Data)) {
 			dropPages(s)
 		}
 	}

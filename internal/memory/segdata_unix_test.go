@@ -85,9 +85,21 @@ func TestKernelBackedSegmentOffHeap(t *testing.T) {
 }
 
 // TestCollectedSegmentsUnmapCleanly drops dirtied kernel-backed segments,
-// releases their pages, lets their finalizers unmap them, and checks that segments mapped
+// lets their finalizers unmap them, and checks that segments mapped
 // afterwards (likely at recycled addresses) start zeroed and stay private.
+// It runs once with the dirty pages still resident when the finalizers
+// unmap them (a registry whose run never calls Release: serving workloads,
+// a failed Verify) and once with the pages released first, as apps.Run
+// does after a verified run.
 func TestCollectedSegmentsUnmapCleanly(t *testing.T) {
+	for _, release := range []bool{false, true} {
+		t.Run(fmt.Sprintf("release=%v", release), func(t *testing.T) {
+			collectedSegmentsUnmapCleanly(t, release)
+		})
+	}
+}
+
+func collectedSegmentsUnmapCleanly(t *testing.T, release bool) {
 	const n, size = 64, 256 << 10
 	func() {
 		r := newReg()
@@ -97,9 +109,9 @@ func TestCollectedSegmentsUnmapCleanly(t *testing.T) {
 				s.Data[off] = byte(i + 1)
 			}
 		}
-		// A finished run drops its pages first (apps.Run): the
-		// finalizers must unmap released mappings just as cleanly.
-		r.Release()
+		if release {
+			r.Release()
+		}
 	}()
 	runtime.GC()
 	runtime.GC()
