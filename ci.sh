@@ -135,9 +135,14 @@ echo "== race shard (reference digests + parallel determinism + concurrent fabri
 # jobs: 1), the serial references concurrent cells share. The memory
 # and CRL packages run whole: each Figure 8 cell creates CRL copies on
 # first use and releases its pages while the other worker's cell runs.
-go test -race -run 'TestDifferential|TestPresetDigests|TestStealRepeatRunDigest|TestParallel|TestConcurrentFabricsDistinctQueueCaps' \
+# So do the packages whose hot-path frames recycle through per-engine
+# pools (machine, am, kv), and comm's pool tests: a sharded run's packets
+# are taken from the sending shard's pool and return into the receiving
+# shard's, so every pool must stay private to its engine.
+go test -race -run 'TestDifferential|TestPresetDigests|TestStealRepeatRunDigest|TestParallel|TestConcurrentFabricsDistinctQueueCaps|TestFabricPoolsPerEngine|TestPacketCrossesEngines' \
     ./internal/scenario/ ./internal/comm/ ./internal/workload/openloop/
-go test -race ./internal/sim/par/ ./internal/memory/ ./internal/crl/
+go test -race ./internal/sim/par/ ./internal/memory/ ./internal/crl/ \
+    ./internal/machine/ ./internal/am/ ./internal/kv/
 
 echo "== results byte-identity (cheap presets)"
 for preset_file in \

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mproxy/internal/arch"
 	"mproxy/internal/comm"
@@ -37,23 +38,25 @@ type Layer struct {
 	ports        []*Port
 }
 
-// recordPool recycles record buffers for every port whose node runs on
-// one engine. A record is taken from the sender's engine pool and
+// enginePools holds the record buffers and send frames of every port
+// whose node runs on one engine (sim.Pool), records in one free list per
+// capacity class. A record is taken from the sender's engine pool and
 // returned to the receiver's once consumed, so a pool stays in balance
 // whenever its engine's traffic does — in a sequential run always, even
 // under one-way flows (Sample's key exchange) that would drain one
 // port's private pool into another's. A sharded run has one pool per
 // shard engine, each touched only in its shard's event context.
-type recordPool struct {
-	free [][]byte
+type enginePools struct {
+	recs [recordClasses][][]byte
+	send sim.Freelist[sendFrame] // task-side send frames (task.go)
 }
 
 // New builds the layer over a fabric, allocating each rank's message queue
 // and granting every rank permission to enqueue into it.
 func New(f *comm.Fabric) *Layer {
 	n := len(f.Cl.CPUs)
-	l := &Layer{f: f}
-	pools := map[*sim.Engine]*recordPool{}
+	l := &Layer{f: f, queues: make([]*memory.RQueue, 0, n),
+		refs: make([]memory.QueueRef, 0, n), ports: make([]*Port, 0, n)}
 	for rank := 0; rank < n; rank++ {
 		q := f.Registry().NewQueue(rank)
 		q.GrantWorld()
@@ -61,10 +64,7 @@ func New(f *comm.Fabric) *Layer {
 		l.refs = append(l.refs, memory.QueueRef{Owner: rank, ID: q.ID})
 		ep := f.Endpoint(rank)
 		eng := ep.Node().Eng
-		if pools[eng] == nil {
-			pools[eng] = &recordPool{}
-		}
-		l.ports = append(l.ports, &Port{l: l, rank: rank, ep: ep, recs: pools[eng]})
+		l.ports = append(l.ports, &Port{l: l, rank: rank, ep: ep, pools: sim.Pool[enginePools](eng)})
 	}
 	return l
 }
@@ -94,16 +94,15 @@ type Port struct {
 
 	delivered int64 // messages dispatched on this port
 
-	// recs is the record pool of the engine the port's node runs on. A
-	// port sends and consumes only in its own node's event context, so a
-	// parallel run's shards never share a pool.
-	recs *recordPool
+	// pools are the record and send-frame pools of the engine the
+	// port's node runs on. A port sends and consumes only in its own
+	// node's event context, so a parallel run's shards never share a
+	// pool.
+	pools *enginePools
 	// argFree holds decode scratch for the blocking dispatch path. A
 	// dispatch takes a slice and returns it when its handler returns, so
 	// a handler that polls again (a nested dispatch) decodes into another.
 	argFree [][]int64
-	// sendFree pools the task-side send frames (see task.go).
-	sendFree sim.Freelist[sendFrame]
 }
 
 // Rank returns the port's rank.
@@ -166,7 +165,7 @@ func (p *Port) Send(dst, handler int, args []int64, payload []byte) {
 		panic(fmt.Sprintf("am: rank %d sends unknown handler %d", p.rank, handler))
 	}
 	// Marshal the request record (touches a fresh buffer line).
-	a := p.l.f.A
+	a := &p.l.f.A
 	p.ep.Compute(a.Instr(1.5) + a.CacheMiss)
 	rec := encodeInto(p.newRecord(RecordBytes(len(args), len(payload))), handler, p.rank, args, payload)
 	if dst == p.rank {
@@ -219,7 +218,7 @@ func (p *Port) Poll() bool {
 // signalCost is the per-wakeup kernel signal delivered to an unbatched
 // receiver under SW; batched drains (PollAll) pay it once in DrainStart.
 func (p *Port) signalCost() sim.Time {
-	a := p.l.f.A
+	a := &p.l.f.A
 	if a.Kind == arch.Syscall {
 		return a.InterruptOvh
 	}
@@ -281,7 +280,7 @@ func (p *Port) dispatch(handler, src int, args []int64, payload []byte) {
 	// of the handler-invocation cost the paper's AM latency includes
 	// (latencies are higher than PUT/GET "because it involves handler
 	// invocation on processors at both ends").
-	a := p.l.f.A
+	a := &p.l.f.A
 	n := msgHeader + 8*len(args) + len(payload)
 	p.ep.Compute(a.Instr(2.0) + 2*a.CacheMiss + arch.XferTime(n, a.PIOBW))
 	p.delivered++
@@ -298,43 +297,66 @@ func F2I(x float64) int64 { return int64(math.Float64bits(x)) }
 // I2F recovers a float64 from an argument word.
 func I2F(x int64) float64 { return math.Float64frombits(uint64(x)) }
 
-// recordCap is the capacity of a pooled record buffer. Records that fit
-// (every application and KV message but a SCAN reply or a bulk payload)
-// recycle; larger ones are allocated and left to the collector.
-const recordCap = 128
+// Record buffers come in power-of-two capacity classes from recordCap to
+// maxRecordCap: a record is built in the smallest class that holds it and
+// recycles through that class's free list. Every application and KV
+// request fits the first class; a SCAN reply (16 64-byte values plus
+// header, about 1.1 KB) takes the 2 KiB class. Records above
+// maxRecordCap (bulk payloads) are allocated to size and left to the
+// collector.
+const (
+	recordCap     = 128
+	recordClasses = 6
+	maxRecordCap  = recordCap << (recordClasses - 1) // 4 KiB
+)
 
-// maxFreeRecords bounds each engine's record pool (128 KiB of buffers).
-// In a sequential run a pool never holds more records than were in
-// flight at once, but that can be thousands (Sample's receivers drain
-// their queues in bursts), and a sharded run's flows between shards need
-// not balance at all (a server shard receives pooled SCAN requests and
-// answers with unpooled replies), so the bound keeps a pool from holding
-// a burst's worth of buffers for the rest of the run.
+// maxFreeRecords bounds each class of each engine's record pool. In a
+// sequential run a class never holds more records than were in flight at
+// once, but that can be thousands (Sample's receivers drain their queues
+// in bursts), and a sharded run's flows between shards need not balance
+// at all (a server shard receives SCAN requests in the first class and
+// returns replies in the 2 KiB one), so the bound keeps a class from
+// holding a burst's worth of buffers for the rest of the run.
 const maxFreeRecords = 1024
 
+// recordClass returns the index of the smallest class holding n bytes,
+// or -1 when n exceeds maxRecordCap.
+func recordClass(n int) int {
+	if n <= recordCap {
+		return 0
+	}
+	if n > maxRecordCap {
+		return -1
+	}
+	return bits.Len(uint(n-1)) - bits.Len(recordCap-1)
+}
+
 // newRecord returns an n-byte record buffer, from the engine's pool when
-// n fits a pooled buffer.
+// n fits a class.
 func (p *Port) newRecord(n int) []byte {
-	if n > recordCap {
+	c := recordClass(n)
+	if c < 0 {
 		return make([]byte, n)
 	}
-	pool := p.recs
-	if k := len(pool.free); k > 0 {
-		rec := pool.free[k-1][:n]
-		pool.free[k-1] = nil
-		pool.free = pool.free[:k-1]
+	free := p.pools.recs[c]
+	if k := len(free); k > 0 {
+		rec := free[k-1][:n]
+		free[k-1] = nil
+		p.pools.recs[c] = free[:k-1]
 		return rec
 	}
-	return make([]byte, n, recordCap)
+	return make([]byte, n, recordCap<<c)
 }
 
 // freeRecord returns a consumed record to the engine's pool. A record is
 // recycled only when the fabric delivers exactly once: a duplicated
 // packet would otherwise deliver a buffer already reused.
 func (p *Port) freeRecord(rec []byte) {
-	pool := p.recs
-	if cap(rec) != recordCap || len(pool.free) >= maxFreeRecords || !p.l.f.ExactlyOnce() {
+	c := recordClass(cap(rec))
+	if c < 0 || cap(rec) != recordCap<<c || !p.l.f.ExactlyOnce() {
 		return
 	}
-	pool.free = append(pool.free, rec)
+	if free := p.pools.recs[c]; len(free) < maxFreeRecords {
+		p.pools.recs[c] = append(free, rec)
+	}
 }

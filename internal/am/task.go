@@ -40,7 +40,7 @@ func (p *Port) SendTask(t *sim.Task, dst, handler int, args []int64, payload []b
 	if handler < 0 || handler >= len(p.l.handlers) {
 		panic(fmt.Sprintf("am: rank %d sends unknown handler %d", p.rank, handler))
 	}
-	a := p.l.f.A
+	a := &p.l.f.A
 	fr := p.newSendFrame()
 	fr.t, fr.dst, fr.k = t, dst, k
 	fr.rec = encodeInto(p.newRecord(RecordBytes(len(args), len(payload))), handler, p.rank, args, payload)
@@ -61,21 +61,22 @@ type sendFrame struct {
 }
 
 func (p *Port) newSendFrame() *sendFrame {
-	fr := p.sendFree.Get()
+	fr := p.pools.send.Get()
 	if fr == nil {
-		fr = &sendFrame{p: p}
+		fr = &sendFrame{}
 		fr.marshaledK = fr.marshaled
 		fr.selfK = fr.selfDeliver
 	}
+	fr.p = p
 	return fr
 }
 
-// release returns the frame to its port's pool and hands back the
+// release returns the frame to its engine's pool and hands back the
 // continuation it carried.
 func (fr *sendFrame) release() func() {
-	k := fr.k
-	fr.t, fr.rec, fr.k = nil, nil, nil
-	fr.p.sendFree.Put(fr)
+	k, free := fr.k, &fr.p.pools.send
+	fr.p, fr.t, fr.rec, fr.k = nil, nil, nil, nil
+	free.Put(fr)
 	return k
 }
 
@@ -163,7 +164,7 @@ func (fr *serveLoop) dispatch(rec []byte) {
 	p := fr.p
 	fr.rec = rec
 	fr.h, fr.src, fr.args, fr.payload = decodeInto(rec, fr.args)
-	a := p.l.f.A
+	a := &p.l.f.A
 	n := msgHeader + 8*len(fr.args) + len(fr.payload)
 	cost := p.l.f.RecvCost() + a.Instr(2.0) + 2*a.CacheMiss + arch.XferTime(n, a.PIOBW)
 	p.ep.CPU().ComputeTask(fr.t, cost, fr.handleK)

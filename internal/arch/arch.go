@@ -116,7 +116,7 @@ type Params struct {
 }
 
 // PollDelay returns P for this design point.
-func (p Params) PollDelay() sim.Time {
+func (p *Params) PollDelay() sim.Time {
 	if p.Kind != Proxy {
 		return 0
 	}
@@ -126,7 +126,7 @@ func (p Params) PollDelay() sim.Time {
 // Instr returns the cost of a fixed instruction sequence that takes us
 // microseconds on a 75 MHz processor, scaled by this design point's agent
 // speed S.
-func (p Params) Instr(us float64) sim.Time {
+func (p *Params) Instr(us float64) sim.Time {
 	return sim.Micros(us / p.Speed)
 }
 
@@ -140,7 +140,7 @@ func XferTime(n int, mbps float64) sim.Time {
 
 // Pages returns the number of pages n bytes span (assuming page-aligned
 // buffers, the best case the paper also assumes).
-func (p Params) Pages(n int) int {
+func (p *Params) Pages(n int) int {
 	if n <= 0 {
 		return 0
 	}

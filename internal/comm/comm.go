@@ -182,20 +182,9 @@ type Fabric struct {
 	relE    *rel.Engine
 	relSink *relSink
 
-	// pktFree and reqFree recycle the agents' packets and request boxes,
-	// so steady-state messaging allocates nothing (see newPacket for the
-	// pooling gate).
-	pktFree sim.Freelist[packet]
-	reqFree sim.Freelist[reqBox]
-	// intrFree recycles SW1's interrupt-handler frames (see swAfter).
-	intrFree sim.Freelist[swIntr]
-
-	// parallel marks a fabric running under the sharded windowing driver
-	// (Parallelize): packet pooling is disabled — a packet is allocated on
-	// its source shard and released on its destination shard, so a shared
-	// freelist would race — and cross-shard flat-model deliveries detour
-	// through the mailboxes.
-	parallel bool
+	// pools holds, per node, the recycling pools of the node's engine
+	// (see enginePools), so steady-state messaging allocates nothing.
+	pools []*enginePools
 
 	// lat accumulates completion latencies per destination node — an
 	// operation completes in its destination's event context, which on a
@@ -215,6 +204,10 @@ func New(cl *machine.Cluster) *Fabric { return NewWith(cl, Options{}) }
 func NewWith(cl *machine.Cluster, opt Options) *Fabric {
 	f := &Fabric{Cl: cl, A: cl.Arch, opt: opt}
 	f.lat = make([][opKinds]latAccum, len(cl.Nodes))
+	f.pools = make([]*enginePools, len(cl.Nodes))
+	for i, nd := range cl.Nodes {
+		f.pools[i] = sim.Pool[enginePools](nd.Eng)
+	}
 	f.sched = cl.Sched
 	if opt.ProxySched != "" {
 		s, err := proxy.SchedByName(opt.ProxySched)
@@ -265,8 +258,9 @@ func NewWith(cl *machine.Cluster, opt Options) *Fabric {
 	if opt.Rel != nil {
 		f.EnableRel(*opt.Rel)
 	}
+	f.eps = make([]*Endpoint, 0, len(cl.CPUs))
 	for _, cpu := range cl.CPUs {
-		ep := &Endpoint{f: f, cpu: cpu, rank: cpu.Rank}
+		ep := &Endpoint{f: f, cpu: cpu, rank: cpu.Rank, subFree: &f.pools[cpu.Node.ID].sub}
 		if f.A.Kind == arch.Proxy {
 			ep.cmdq = proxy.NewCommandQueue[request](cpu.Rank, opt.queueCap())
 			nProxies := len(cpu.Node.Agents)
@@ -327,18 +321,18 @@ func (f *Fabric) Stats() Stats {
 func (f *Fabric) DisableIntraBypass() { f.forceRemote = true }
 
 // Parallelize prepares the fabric for sharded windowed execution driven by
-// ps: packet and CCB pooling switch off (see newPacket, newReqBox), and —
-// on the flat single-link model, where the fabric itself is the packet
-// sink — each node's output link gets a route hook that detours
+// ps: on the flat single-link model, where the fabric itself is the
+// packet sink, each node's output link gets a route hook that detours
 // cross-shard deliveries through ps's mailboxes. Multi-switch clusters
 // route at the interconnect instead (topo.Net.Parallelize owns those
-// links). Must be called before any traffic is submitted; requires a
-// sharded cluster.
+// links). Pooling needs no change: every pool belongs to one shard
+// engine, and a packet crossing shards moves into the receiving engine's
+// pool (see freePacket). Must be called before any traffic is submitted;
+// requires a sharded cluster.
 func (f *Fabric) Parallelize(ps *par.Sim) {
 	if !f.Cl.Sharded() {
 		panic("comm: Parallelize on an unsharded cluster")
 	}
-	f.parallel = true
 	if f.Cl.Net != nil {
 		return
 	}
@@ -419,8 +413,9 @@ type Endpoint struct {
 	// work is the pre-built proxy work item submitted once per operation
 	// (proxy design points only).
 	work machine.Work
-	// subFree pools the task-side submission frames (see taskapi.go).
-	subFree sim.Freelist[submitFrame]
+	// subFree is the node engine's pool of task-side submission frames
+	// (see taskapi.go).
+	subFree *sim.Freelist[submitFrame]
 
 	// Traffic counters live per endpoint — not on the fabric — because an
 	// endpoint submits only from its own node's event context; a parallel
@@ -679,7 +674,7 @@ func (ep *Endpoint) submit(r request) {
 // the work item's any would allocate per operation; a recycled CCB box
 // carries it instead.
 func (f *Fabric) submitHW(node *machine.Node, r request) {
-	box := f.newReqBox()
+	box := f.newReqBox(node)
 	box.r = r
 	node.Agent.Submit(machine.Work{TFn: hwSendWork, Arg: box})
 }

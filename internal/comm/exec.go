@@ -125,7 +125,7 @@ func (fr *agentExec) hold(d sim.Time, pc int) {
 // clear the frame, hand the agent to its next item.
 func (fr *agentExec) finish() {
 	if fr.pkt != nil {
-		fr.f.freePacket(fr.pkt)
+		fr.f.freePacket(fr.node, fr.pkt)
 		fr.pkt = nil
 	}
 	fr.r = request{}
@@ -137,7 +137,7 @@ func (fr *agentExec) finish() {
 // step dispatches the frame's parked continuation.
 func (fr *agentExec) step() {
 	f := fr.f
-	A := f.A
+	A := &f.A
 	reg := f.Cl.Reg
 	switch fr.pc {
 	case pcFinish:
@@ -158,7 +158,7 @@ func (fr *agentExec) step() {
 		if r.kind == OpEnq {
 			kind = pktEnqData
 		}
-		pkt := f.newPacket(fr.node.OutLink)
+		pkt := f.newPacket(fr.node)
 		pkt.kind, pkt.from, pkt.to, pkt.n = kind, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.dst, pkt.rq, pkt.fsync, pkt.rsync = r.issued, r.remote, r.rq, r.fsync, r.rsync
 		if r.kind == OpEnq {
@@ -183,14 +183,14 @@ func (fr *agentExec) step() {
 			issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local, pcFinish)
 	case pcMPGetReqShip:
 		r := &fr.r
-		pkt := f.newPacket(fr.node.OutLink)
+		pkt := f.newPacket(fr.node)
 		pkt.kind, pkt.from, pkt.to, pkt.n = pktGetReq, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.issued, r.remote, r.local, r.fsync, r.rsync
 		f.ship(fr.node, pkt)
 		fr.finish()
 	case pcMPDeqReqShip:
 		r := &fr.r
-		pkt := f.newPacket(fr.node.OutLink)
+		pkt := f.newPacket(fr.node)
 		pkt.kind, pkt.from, pkt.to, pkt.n = pktDeqReq, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.rq, pkt.dst, pkt.fsync = r.issued, r.rq, r.local, r.fsync
 		f.ship(fr.node, pkt)
@@ -226,7 +226,7 @@ func (fr *agentExec) step() {
 		fr.mpGetReqReply()
 	case pcMPGetDataShip:
 		in := fr.pkt
-		pkt := f.newPacket(fr.node.OutLink)
+		pkt := f.newPacket(fr.node)
 		pkt.kind, pkt.from, pkt.to, pkt.n = pktGetData, in.to, in.from, in.n
 		pkt.issued, pkt.dst, pkt.fsync = in.issued, in.dst, in.fsync
 		f.readBytesInto(pkt, in.src, in.n)
@@ -288,7 +288,7 @@ func (fr *agentExec) step() {
 		if r.kind == OpEnq {
 			kind = pktEnqData
 		}
-		pkt := f.newPacket(fr.node.OutLink)
+		pkt := f.newPacket(fr.node)
 		pkt.kind, pkt.from, pkt.to, pkt.n = kind, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.dst, pkt.rq, pkt.fsync, pkt.rsync = r.issued, r.remote, r.rq, r.fsync, r.rsync
 		if r.kind == OpEnq {
@@ -311,14 +311,14 @@ func (fr *agentExec) step() {
 			issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local, pcFinish)
 	case pcHWGetReqShip:
 		r := &fr.r
-		pkt := f.newPacket(fr.node.OutLink)
+		pkt := f.newPacket(fr.node)
 		pkt.kind, pkt.from, pkt.to, pkt.n = pktGetReq, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.issued, r.remote, r.local, r.fsync, r.rsync
 		f.ship(fr.node, pkt)
 		fr.finish()
 	case pcHWDeqReqShip:
 		r := &fr.r
-		pkt := f.newPacket(fr.node.OutLink)
+		pkt := f.newPacket(fr.node)
 		pkt.kind, pkt.from, pkt.to, pkt.n = pktDeqReq, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.rq, pkt.dst, pkt.fsync = r.issued, r.rq, r.local, r.fsync
 		f.ship(fr.node, pkt)
@@ -348,7 +348,7 @@ func (fr *agentExec) step() {
 		fr.hwGetReqReply()
 	case pcHWGetDataShip:
 		in := fr.pkt
-		pkt := f.newPacket(fr.node.OutLink)
+		pkt := f.newPacket(fr.node)
 		pkt.kind, pkt.from, pkt.to, pkt.n = pktGetData, in.to, in.from, in.n
 		pkt.issued, pkt.dst, pkt.fsync = in.issued, in.dst, in.fsync
 		f.readBytesInto(pkt, in.src, in.n)
@@ -400,7 +400,7 @@ func (fr *agentExec) step() {
 // shipAck sends the PUT confirmation for the packet being processed.
 func (fr *agentExec) shipAck() {
 	in := fr.pkt
-	pkt := fr.f.newPacket(fr.node.OutLink)
+	pkt := fr.f.newPacket(fr.node)
 	pkt.kind, pkt.from, pkt.to, pkt.fsync = pktAck, in.to, in.from, in.fsync
 	fr.f.ship(fr.node, pkt)
 }
@@ -416,7 +416,7 @@ func (fr *agentExec) mpFinishPut() {
 }
 
 func (fr *agentExec) mpFinishPutAck() {
-	A := fr.f.A
+	A := &fr.f.A
 	if !fr.pkt.fsync.Nil() {
 		fr.hold(A.Uncached+A.Instr(0.3)+A.Uncached, pcMPPutAckShip)
 		return
@@ -443,7 +443,7 @@ func (fr *agentExec) hwFinishPutAck() {
 // mpGetReqReply builds the GET reply: PIO for small transfers, the page
 // streamer otherwise.
 func (fr *agentExec) mpGetReqReply() {
-	A := fr.f.A
+	A := &fr.f.A
 	pkt := fr.pkt
 	if pkt.n <= A.PIOCutoff {
 		// Build reply: header, read the source (miss + uncached), PIO
@@ -455,7 +455,7 @@ func (fr *agentExec) mpGetReqReply() {
 }
 
 func (fr *agentExec) hwGetReqReply() {
-	A := fr.f.A
+	A := &fr.f.A
 	pkt := fr.pkt
 	if pkt.n <= A.PIOCutoff {
 		fr.hold(A.AdapterOvh+A.CacheMiss+fr.f.pio(pkt.n), pcHWGetDataShip)
@@ -487,7 +487,7 @@ func (fr *agentExec) shipDeqReply() {
 	f := fr.f
 	box := fr.box
 	n := fr.nOut
-	pkt := f.newPacket(fr.node.OutLink)
+	pkt := f.newPacket(fr.node)
 	pkt.kind, pkt.from, pkt.to, pkt.n = pktDeqData, box.req.to, box.req.from, n
 	pkt.issued, pkt.data, pkt.dst, pkt.fsync = box.req.issued, box.rec[:n], box.req.dst, box.req.fsync
 	f.ship(fr.node, pkt)
@@ -498,7 +498,7 @@ func (fr *agentExec) shipDeqReply() {
 // the matching ship state.
 func (fr *agentExec) mpSend() {
 	f := fr.f
-	A := f.A
+	A := &f.A
 	r := &fr.r
 	switch r.kind {
 	case OpPut, OpEnq:
@@ -529,7 +529,7 @@ func (fr *agentExec) startPages(proto packet, srcAddr memory.Addr, donePC int) {
 }
 
 func (fr *agentExec) pageLoop() {
-	A := fr.f.A
+	A := &fr.f.A
 	if fr.off >= fr.proto.n {
 		fr.pc = fr.donePC
 		fr.step()
@@ -554,7 +554,7 @@ func (fr *agentExec) pagePinned() {
 
 func (fr *agentExec) pageDMADone() {
 	f := fr.f
-	pg := f.newPacket(fr.node.OutLink)
+	pg := f.newPacket(fr.node)
 	buf, pooled := pg.buf, pg.pooled
 	*pg = fr.proto
 	pg.buf, pg.pooled = buf, pooled
@@ -583,7 +583,7 @@ func mpServiceWork(a *machine.Agent, _ any) {
 	}
 	fr.node.Eng.Emit(trace.KDequeue, f.cmdqNames[fr.node.ID][fr.scanIdx][qi], 0)
 	fr.r = r
-	A := f.A
+	A := &f.A
 	// Dequeue entry (read miss), decode command and allocate a CCB,
 	// vm_att to the user's space.
 	fr.hold(A.AgentMiss+A.Instr(0.5)+A.VMAtt, pcMPSend)
@@ -595,9 +595,9 @@ func hwSendWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	box := arg.(*reqBox)
 	fr.r = box.r
-	fr.f.freeReqBox(box)
+	fr.f.freeReqBox(fr.node, box)
 	f := fr.f
-	A := f.A
+	A := &f.A
 	r := &fr.r
 	switch r.kind {
 	case OpPut, OpEnq:
@@ -622,7 +622,7 @@ func mpRecvWork(a *machine.Agent, arg any) {
 	pkt := arg.(*packet)
 	fr.pkt = pkt
 	f := fr.f
-	A := f.A
+	A := &f.A
 	switch pkt.kind {
 	case pktPutData:
 		// Read header (miss), decode/dispatch, vm_att, checks, read the
@@ -658,7 +658,7 @@ func hwRecvWork(a *machine.Agent, arg any) {
 	pkt := arg.(*packet)
 	fr.pkt = pkt
 	f := fr.f
-	A := f.A
+	A := &f.A
 	switch pkt.kind {
 	case pktPutData:
 		fr.hold(A.AdapterOvh+f.pio(pkt.n)+A.CacheMiss, pcHWPutDeposit)
@@ -695,7 +695,7 @@ func mpDeqReplyWork(a *machine.Agent, arg any) {
 		n = len(box.rec)
 	}
 	fr.nOut = n
-	A := fr.f.A
+	A := &fr.f.A
 	fr.hold(A.Uncached+A.Instr(0.5)+A.AgentMiss+fr.f.pio(n)+A.Uncached, pcMPDeqReplyShip)
 }
 
@@ -708,6 +708,6 @@ func hwDeqReplyWork(a *machine.Agent, arg any) {
 		n = len(box.rec)
 	}
 	fr.nOut = n
-	A := fr.f.A
+	A := &fr.f.A
 	fr.hold(A.AdapterOvh+fr.f.pio(n), pcHWDeqReplyShip)
 }

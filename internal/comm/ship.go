@@ -41,49 +41,62 @@ type packet struct {
 	last   bool // final page of a multi-page transfer
 
 	// buf is the packet's reusable payload store and pooled marks a packet
-	// owned by the fabric's freelist; both are used only by the agents'
-	// paths (see newPacket).
+	// that recycles through the engine pools; both are used only by the
+	// agents' paths (see newPacket).
 	buf    []byte
 	pooled bool
 }
 
+// enginePools is one engine's recycling pools for the fabric's hot-path
+// objects (sim.Pool): every endpoint and agent of every node on the
+// engine shares them. An object is taken from the pool of the engine
+// running the code that takes it and returned to the pool of the engine
+// running the code that releases it. Only packets can cross engines —
+// taken on the sending node's shard, released on the receiving node's —
+// so only the packet pool is bounded.
+type enginePools struct {
+	pkt  sim.Freelist[packet]
+	req  sim.Freelist[reqBox]
+	intr sim.Freelist[swIntr]
+	sub  sim.Freelist[submitFrame]
+}
+
+// maxFreePackets bounds each engine's packet pool. A sequential run
+// returns every packet to the pool it came from, so the pool holds at
+// most the in-flight high-water mark; a sharded run's flows between
+// shards need not balance, and the bound keeps a receiving shard's pool
+// from collecting every packet the other shards send it.
+const maxFreePackets = 1024
+
 // reqBox carries a request into a custom-hardware agent work item: the
-// adapter's command control block. Boxes recycle through Fabric.reqFree.
+// adapter's command control block. Boxes recycle through the node
+// engine's pool.
 type reqBox struct {
 	r request
 }
 
-func (f *Fabric) newReqBox() *reqBox {
-	if f.parallel {
-		return &reqBox{} // the freelist is fabric-global: shards must not share it
-	}
-	if b := f.reqFree.Get(); b != nil {
+func (f *Fabric) newReqBox(node *machine.Node) *reqBox {
+	if b := f.pools[node.ID].req.Get(); b != nil {
 		return b
 	}
 	return &reqBox{}
 }
 
-func (f *Fabric) freeReqBox(b *reqBox) {
-	if f.parallel {
-		return
-	}
+func (f *Fabric) freeReqBox(node *machine.Node, b *reqBox) {
 	b.r = request{}
-	f.reqFree.Put(b)
+	f.pools[node.ID].req.Put(b)
 }
 
-// newPacket returns an agent's packet for transmission on link l. With no
-// reliable transport and no fault plane on l, packets recycle through a
-// freelist: exactly one receive work item consumes each delivery (no Dup,
-// no retransmission buffer), so the receive path can return the packet
-// once processed. Otherwise — rel (which retains payloads for
-// retransmission), faulty links (which may duplicate) — packets are plain
-// heap allocations left to the GC.
-func (f *Fabric) newPacket(l *machine.Link) *packet {
-	// Parallel execution disables the freelist: a packet would be taken on
-	// the sending shard and returned on the receiving one, racing on the
-	// shared pool. Plain allocations keep each shard self-contained.
-	if !f.parallel && f.relE == nil && !l.Faulty() {
-		if pkt := f.pktFree.Get(); pkt != nil {
+// newPacket returns a packet for node's agent to transmit on its output
+// link. With no reliable transport and no fault plane on the link,
+// packets recycle through the node engine's pool: exactly one receive
+// work item consumes each delivery (no Dup, no retransmission buffer),
+// so the receive path can return the packet once processed. Otherwise —
+// rel (which retains payloads for retransmission), faulty links (which
+// may duplicate) — packets are plain heap allocations left to the GC.
+func (f *Fabric) newPacket(node *machine.Node) *packet {
+	if f.relE == nil && !node.OutLink.Faulty() {
+		if pkt := f.pools[node.ID].pkt.Get(); pkt != nil {
 			buf := pkt.buf
 			*pkt = packet{buf: buf, pooled: true}
 			return pkt
@@ -93,15 +106,18 @@ func (f *Fabric) newPacket(l *machine.Link) *packet {
 	return &packet{}
 }
 
-// freePacket returns a pooled packet to the freelist; non-pooled packets
-// are ignored. The packet's data slice is dropped (it may alias foreign
-// memory) but its buf is kept for reuse.
-func (f *Fabric) freePacket(pkt *packet) {
+// freePacket returns a pooled packet, consumed in node's event context,
+// to node's engine pool; non-pooled packets are ignored. The packet's
+// data slice is dropped (it may alias foreign memory) but its buf is kept
+// for reuse.
+func (f *Fabric) freePacket(node *machine.Node, pkt *packet) {
 	if pkt == nil || !pkt.pooled {
 		return
 	}
 	pkt.data = nil
-	f.pktFree.Put(pkt)
+	if free := &f.pools[node.ID].pkt; free.Len() < maxFreePackets {
+		free.Put(pkt)
+	}
 }
 
 // targetRank resolves which rank's node services a request's remote side.
@@ -277,7 +293,7 @@ func (f *Fabric) sendPages(p *sim.Proc, node *machine.Node, proto packet, srcAdd
 			p.Hold(2 * f.A.PinPerPage)
 		}
 		node.DMA.Occupy(p, chunk)
-		pg := f.newPacket(node.OutLink)
+		pg := f.newPacket(node)
 		buf, pooled := pg.buf, pg.pooled
 		*pg = proto
 		pg.buf, pg.pooled = buf, pooled
@@ -295,7 +311,7 @@ func (f *Fabric) sendPages(p *sim.Proc, node *machine.Node, proto packet, srcAdd
 // communication agent (this is why 4-processor nodes load the proxy less
 // than 16 uniprocessor nodes would — Section 5.4).
 func (f *Fabric) intra(ep *Endpoint, r request) {
-	A := f.A
+	A := &f.A
 	copyCost := 2*A.CacheMiss + arch.XferTime(r.n, A.MemBW)
 	reg := f.Cl.Reg
 	node := ep.cpu.Node

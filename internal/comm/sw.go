@@ -17,10 +17,10 @@ import (
 
 // swSend runs inline on the user's process — the caller is inside the
 // kernel until the data has been handed to the adapter (no overlap).
-// Packets come from the fabric's pool (newPacket) and are released by the
-// interrupt handler that consumes them (swIntr.finish).
+// Packets come from the sending node engine's pool (newPacket) and are
+// released by the interrupt handler that consumes them (swIntr.finish).
 func (f *Fabric) swSend(ep *Endpoint, r request) {
-	A := f.A
+	A := &f.A
 	node := ep.cpu.Node
 	to := f.targetRank(&r)
 	base := A.SyscallOvh + A.ProtocolOvh
@@ -39,7 +39,7 @@ func (f *Fabric) swSend(ep *Endpoint, r request) {
 				issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local)
 		} else {
 			ep.cpu.Compute(ep.proc, base+A.CacheMiss+2*A.Uncached+f.pio(r.n))
-			pkt := f.newPacket(node.OutLink)
+			pkt := f.newPacket(node)
 			pkt.kind, pkt.from, pkt.to, pkt.n, pkt.issued = kind, r.from, to, r.n, r.issued
 			pkt.dst, pkt.rq, pkt.fsync, pkt.rsync = r.remote, r.rq, r.fsync, r.rsync
 			if r.kind == OpEnq {
@@ -56,13 +56,13 @@ func (f *Fabric) swSend(ep *Endpoint, r request) {
 		}
 	case OpGet:
 		ep.cpu.Compute(ep.proc, base+2*A.Uncached)
-		pkt := f.newPacket(node.OutLink)
+		pkt := f.newPacket(node)
 		pkt.kind, pkt.from, pkt.to, pkt.n, pkt.issued = pktGetReq, r.from, to, r.n, r.issued
 		pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.remote, r.local, r.fsync, r.rsync
 		f.ship(node, pkt)
 	case OpDeq:
 		ep.cpu.Compute(ep.proc, base+2*A.Uncached)
-		pkt := f.newPacket(node.OutLink)
+		pkt := f.newPacket(node)
 		pkt.kind, pkt.from, pkt.to, pkt.n, pkt.issued = pktDeqReq, r.from, to, r.n, r.issued
 		pkt.rq, pkt.dst, pkt.fsync = r.rq, r.local, r.fsync
 		f.ship(node, pkt)
@@ -71,8 +71,8 @@ func (f *Fabric) swSend(ep *Endpoint, r request) {
 
 // swIntr is one interrupt handler in progress on a destination CPU: the
 // packet it services, whose effects materialize when the handler's cost
-// has elapsed. Frames recycle through Fabric.intrFree, so the receive
-// path schedules without allocating.
+// has elapsed. Frames recycle through the destination engine's pool, so
+// the receive path schedules without allocating.
 type swIntr struct {
 	f    *Fabric
 	dest *machine.Node
@@ -83,34 +83,29 @@ type swIntr struct {
 // swAfter charges cost to cpu as interrupt time and finishes servicing
 // pkt when it has elapsed.
 func (f *Fabric) swAfter(cpu *machine.CPU, dest *machine.Node, pkt *packet, cost sim.Time) {
-	var fr *swIntr
-	if !f.parallel { // the freelist is fabric-global: shards must not share it
-		fr = f.intrFree.Get()
-	}
+	fr := f.pools[dest.ID].intr.Get()
 	if fr == nil {
-		fr = &swIntr{f: f}
+		fr = &swIntr{}
 		fr.run = fr.finish
 	}
-	fr.dest, fr.pkt = dest, pkt
+	fr.f, fr.dest, fr.pkt = f, dest, pkt
 	cpu.Interrupt(cost)
-	f.Cl.Eng.Schedule(cost, fr.run)
+	dest.Eng.Schedule(cost, fr.run)
 }
 
 func (fr *swIntr) finish() {
 	f, dest, pkt := fr.f, fr.dest, fr.pkt
-	fr.dest, fr.pkt = nil, nil
-	if !f.parallel {
-		f.intrFree.Put(fr)
-	}
+	fr.f, fr.dest, fr.pkt = nil, nil, nil
+	f.pools[dest.ID].intr.Put(fr)
 	f.swFinish(dest, pkt)
-	f.freePacket(pkt)
+	f.freePacket(dest, pkt)
 }
 
 // swRecv services an arriving packet: the destination rank's CPU takes an
 // interrupt, the kernel handler runs for the service cost, and the effects
 // (deposit, flag, reply) materialize when the handler finishes.
 func (f *Fabric) swRecv(dest *machine.Node, pkt *packet) {
-	A := f.A
+	A := &f.A
 	cpu := f.Cl.CPUs[pkt.to]
 	if cpu.Node != dest {
 		panic(fmt.Sprintf("comm: packet for rank %d delivered to node %d", pkt.to, dest.ID))
@@ -157,7 +152,7 @@ func (f *Fabric) swRecv(dest *machine.Node, pkt *packet) {
 // handler has run. pkt is released when it returns, so anything that
 // outlives the call copies what it needs.
 func (f *Fabric) swFinish(dest *machine.Node, pkt *packet) {
-	A := f.A
+	A := &f.A
 	reg := f.Cl.Reg
 	switch pkt.kind {
 	case pktPutData:
@@ -173,7 +168,7 @@ func (f *Fabric) swFinish(dest *machine.Node, pkt *packet) {
 	case pktGetReq:
 		reg.Signal(pkt.rsync)
 		if pkt.n <= A.PIOCutoff {
-			rep := f.newPacket(dest.OutLink)
+			rep := f.newPacket(dest)
 			rep.kind, rep.from, rep.to, rep.n, rep.issued = pktGetData, pkt.to, pkt.from, pkt.n, pkt.issued
 			rep.dst, rep.fsync = pkt.dst, pkt.fsync
 			f.readBytesInto(rep, pkt.src, pkt.n)
@@ -209,12 +204,10 @@ func (f *Fabric) swFinish(dest *machine.Node, pkt *packet) {
 				n = len(rec)
 			}
 			// The reply is sent from kernel context on the owner's CPU.
-			// (f.A, not A: capturing the copy would move it to the heap
-			// on every call.)
-			cost := f.A.ProtocolOvh + f.pio(n)
+			cost := A.ProtocolOvh + f.pio(n)
 			cpu.Interrupt(cost)
 			f.Cl.Eng.Schedule(cost, func() {
-				rep := f.newPacket(dest.OutLink)
+				rep := f.newPacket(dest)
 				rep.kind, rep.from, rep.to, rep.n, rep.issued = pktDeqData, req.to, req.from, n, req.issued
 				rep.data, rep.dst, rep.fsync = rec[:n], req.dst, req.fsync
 				f.ship(dest, rep)
@@ -233,7 +226,7 @@ func (f *Fabric) swAck(node *machine.Node, pkt *packet) {
 	if pkt.fsync.Nil() {
 		return
 	}
-	ack := f.newPacket(node.OutLink)
+	ack := f.newPacket(node)
 	ack.kind, ack.from, ack.to, ack.fsync = pktAck, pkt.to, pkt.from, pkt.fsync
 	f.ship(node, ack)
 }

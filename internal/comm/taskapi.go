@@ -32,9 +32,10 @@ func (ep *Endpoint) EnqBytesTask(t *sim.Task, data []byte, rq memory.QueueRef, l
 
 // submitFrame is one in-flight task-side submission: the request and the
 // caller's continuation, carried across the submission's compute
-// intervals. Frames recycle through their endpoint's pool — an endpoint
-// submits only from its own node's event context — and carry prebuilt
-// continuations, so a steady-state submission allocates nothing.
+// intervals. Frames recycle through the pool of the endpoint's node
+// engine — an endpoint submits only from its own node's event context —
+// and carry prebuilt continuations, so a steady-state submission
+// allocates nothing.
 type submitFrame struct {
 	ep *Endpoint
 	t  *sim.Task
@@ -49,20 +50,21 @@ type submitFrame struct {
 func (ep *Endpoint) newSubmitFrame() *submitFrame {
 	fr := ep.subFree.Get()
 	if fr == nil {
-		fr = &submitFrame{ep: ep}
+		fr = &submitFrame{}
 		fr.enqueueK = fr.enqueue
 		fr.hwSendK = fr.hwSend
 		fr.intraEnqK = fr.intraEnq
 	}
+	fr.ep = ep
 	return fr
 }
 
-// finish returns the frame to its endpoint's pool, then runs the
-// caller's continuation (which may submit again).
+// finish returns the frame to its engine's pool, then runs the caller's
+// continuation (which may submit again).
 func (fr *submitFrame) finish() {
-	k := fr.k
-	fr.t, fr.k, fr.r = nil, nil, request{}
-	fr.ep.subFree.Put(fr)
+	k, free := fr.k, fr.ep.subFree
+	fr.ep, fr.t, fr.k, fr.r = nil, nil, nil, request{}
+	free.Put(fr)
 	k()
 }
 
@@ -113,7 +115,7 @@ func (fr *submitFrame) hwSend() {
 // intraTask is intra for the task-side operations the serving workloads
 // use (ENQ is the only primitive the AM layer submits).
 func (f *Fabric) intraTask(fr *submitFrame) {
-	A := f.A
+	A := &f.A
 	r := &fr.r
 	copyCost := 2*A.CacheMiss + arch.XferTime(r.n, A.MemBW)
 	switch r.kind {

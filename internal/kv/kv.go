@@ -83,7 +83,7 @@ type Service struct {
 
 	served     [][numOps]int64
 	replicated []int64
-	pools      []shardPools
+	pools      []*enginePools // per shard: the server node engine's pools
 
 	// OnReply, when set, observes every reply arriving at a client:
 	// the client's rank, the operation, and the request's echoed flags
@@ -124,7 +124,10 @@ func New(l *am.Layer, cfg Config) *Service {
 	s.nextRep = make([]uint64, len(cfg.Servers))
 	s.served = make([][numOps]int64, len(cfg.Servers))
 	s.replicated = make([]int64, len(cfg.Servers))
-	s.pools = make([]shardPools, len(cfg.Servers))
+	s.pools = make([]*enginePools, len(cfg.Servers))
+	for i, rank := range cfg.Servers {
+		s.pools[i] = sim.Pool[enginePools](l.Port(rank).Endpoint().Node().Eng)
+	}
 	// Pre-size the value scratch to the largest payload any handler
 	// returns: value() then never reallocates, so concurrent shards only
 	// ever read the slice header.
@@ -200,20 +203,22 @@ func (s *Service) flightServe(p *am.Port, si int, flags int64, k func()) func() 
 		return k
 	}
 	s.Flight.ServerStart(fid, p.Pending())
-	sp := &s.pools[si]
+	sp := s.pools[si]
 	m := sp.marks.Get()
 	if m == nil {
-		m = &serviceMark{pool: sp}
+		m = &serviceMark{}
 		m.doneK = m.done
 	}
-	m.rec, m.fid, m.k = s.Flight, fid, k
+	m.pool, m.rec, m.fid, m.k = sp, s.Flight, fid, k
 	return m.doneK
 }
 
-// shardPools holds one server's recycled continuation frames and
-// replication records. Only that server's serve loop touches them, so
-// the shards of a parallel run never share a pool.
-type shardPools struct {
+// enginePools holds one engine's recycled continuation frames and
+// replication records (sim.Pool), shared by every server whose node runs
+// on the engine. A frame takes its pool with its other fields when it is
+// taken, and only serve loops on that engine touch the pool, so the
+// shards of a parallel run never share one.
+type enginePools struct {
 	marks sim.Freelist[serviceMark]
 	reps  sim.Freelist[repChain]
 	waits sim.Freelist[repWait]
@@ -222,7 +227,7 @@ type shardPools struct {
 // serviceMark is flightServe's wrapped continuation: it marks service
 // completion on the recorder, then runs the handler's k.
 type serviceMark struct {
-	pool  *shardPools
+	pool  *enginePools
 	rec   *flight.Recorder
 	fid   uint64
 	k     func()
@@ -231,8 +236,9 @@ type serviceMark struct {
 
 func (m *serviceMark) done() {
 	rec, fid, k := m.rec, m.fid, m.k
-	m.rec, m.k = nil, nil
-	m.pool.marks.Put(m)
+	pool := m.pool
+	m.pool, m.rec, m.k = nil, nil, nil
+	pool.marks.Put(m)
 	rec.ServiceDone(fid)
 	k()
 }
@@ -241,7 +247,7 @@ func (m *serviceMark) done() {
 // resumed by a prebuilt continuation after each follower write is
 // submitted.
 type repChain struct {
-	pool  *shardPools
+	pool  *enginePools
 	s     *Service
 	p     *am.Port
 	t     *sim.Task
@@ -307,7 +313,7 @@ func (s *Service) onPut(p *am.Port, t *sim.Task, src int, args []int64, payload 
 	}
 	id := s.nextRep[si]
 	s.nextRep[si]++
-	sp := &s.pools[si]
+	sp := s.pools[si]
 	w := sp.waits.Get()
 	if w == nil {
 		w = &repWait{}
@@ -316,10 +322,10 @@ func (s *Service) onPut(p *am.Port, t *sim.Task, src int, args []int64, payload 
 	s.pending[si][id] = w
 	c := sp.reps.Get()
 	if c == nil {
-		c = &repChain{pool: sp}
+		c = &repChain{}
 		c.nextK = c.next
 	}
-	c.s, c.p, c.t, c.si, c.id, c.key, c.j, c.k = s, p, t, si, id, key, 1, k
+	c.pool, c.s, c.p, c.t, c.si, c.id, c.key, c.j, c.k = sp, s, p, t, si, id, key, 1, k
 	c.next()
 }
 
@@ -329,9 +335,9 @@ func (s *Service) onPut(p *am.Port, t *sim.Task, src int, args []int64, payload 
 func (c *repChain) next() {
 	s := c.s
 	if c.j >= s.cfg.Replication {
-		k := c.k
-		c.s, c.p, c.t, c.k = nil, nil, nil, nil
-		c.pool.reps.Put(c)
+		k, pool := c.k, c.pool
+		c.pool, c.s, c.p, c.t, c.k = nil, nil, nil, nil, nil
+		pool.reps.Put(c)
 		k()
 		return
 	}

@@ -257,7 +257,8 @@ func build(eng *sim.Engine, engs []*sim.Engine, shard []int32, cfg Config, a arc
 			node.Agents = []*Agent{node.Agent}
 		}
 		for s := 0; s < cfg.ProcsPerNode; s++ {
-			cpu := &CPU{Node: node, Rank: n*cfg.ProcsPerNode + s, Slot: s}
+			cpu := &CPU{Node: node, Rank: n*cfg.ProcsPerNode + s, Slot: s,
+				frames: &sim.Pool[enginePools](ne).frames}
 			node.CPUs = append(node.CPUs, cpu)
 			c.CPUs = append(c.CPUs, cpu)
 		}
@@ -332,7 +333,8 @@ type CPU struct {
 	stolenTotal sim.Time
 	busyTotal   sim.Time
 
-	frames sim.Freelist[computeFrame] // ComputeTask interval frames
+	// frames is the node engine's pool of ComputeTask interval frames.
+	frames *sim.Freelist[computeFrame]
 }
 
 // Compute charges d time units of computation to the CPU on behalf of p,
@@ -357,10 +359,11 @@ func (c *CPU) Compute(p *sim.Proc, d sim.Time) {
 // interval (extended by any interrupt time stolen while it runs) has
 // elapsed. A zero interval runs k inline without touching the engine.
 //
-// Each interval runs on a frame from the CPU's pool, whose prebuilt step
-// closure is what the task's wake events carry, so charging compute time
-// allocates nothing in steady state. Frames are per interval, not per
-// CPU: a client task and a server task may compute on one CPU at once.
+// Each interval runs on a frame from the node engine's pool, whose
+// prebuilt step closure is what the task's wake events carry, so charging
+// compute time allocates nothing in steady state. Frames are per
+// interval, not per CPU: a client task and a server task may compute on
+// one CPU at once.
 func (c *CPU) ComputeTask(t *sim.Task, d sim.Time, k func()) {
 	if d < 0 {
 		panic("machine: negative compute time")
@@ -373,10 +376,10 @@ func (c *CPU) ComputeTask(t *sim.Task, d sim.Time, k func()) {
 	c.steal = 0
 	fr := c.frames.Get()
 	if fr == nil {
-		fr = &computeFrame{c: c}
+		fr = &computeFrame{}
 		fr.stepK = fr.step
 	}
-	fr.t, fr.total, fr.k = t, d, k
+	fr.c, fr.t, fr.total, fr.k = c, t, d, k
 	t.Hold(d, fr.stepK)
 }
 
@@ -403,7 +406,7 @@ func (fr *computeFrame) step() {
 	c.computing = false
 	c.busyTotal += fr.total
 	k := fr.k
-	fr.t, fr.k = nil, nil
+	fr.c, fr.t, fr.k = nil, nil, nil
 	c.frames.Put(fr)
 	k()
 }
@@ -443,9 +446,12 @@ type Link struct {
 	node  int
 	lost  int64 // packets dropped, corrupted-in-flight or lost to down windows
 
-	// freeDel recycles delivery nodes for the sink-based send path, so a
-	// steady-state packet stream schedules without allocating per packet.
-	freeDel sim.Freelist[delivery]
+	// freeDel is the engine's pool of delivery nodes for the sink-based
+	// send path, shared by every link on the engine: a steady-state
+	// packet stream schedules without allocating per packet, and the
+	// pool holds only the engine's in-flight high-water mark, not one per
+	// link.
+	freeDel *sim.Freelist[delivery]
 
 	// route, when non-nil, intercepts sink deliveries whose destination is
 	// owned by another simulation shard: it receives the absolute arrival
@@ -458,7 +464,15 @@ type Link struct {
 
 // NewLink returns a link of mbps MB/s bandwidth and the given wire latency.
 func NewLink(eng *sim.Engine, name string, mbps float64, latency sim.Time) *Link {
-	return &Link{eng: eng, name: name, mbps: mbps, latency: latency}
+	return &Link{eng: eng, name: name, mbps: mbps, latency: latency,
+		freeDel: &sim.Pool[enginePools](eng).del}
+}
+
+// enginePools is one engine's pools of link deliveries and compute
+// frames (sim.Pool), shared by every link and CPU on the engine.
+type enginePools struct {
+	del    sim.Freelist[delivery]
+	frames sim.Freelist[computeFrame]
 }
 
 // SetFaultPlane installs (or, with nil, removes) the link's fault plane.
@@ -492,8 +506,9 @@ type DupSink interface {
 }
 
 // delivery is one in-flight sink delivery. The run closure is built once
-// per node and the node recycles through the link's freelist, so the hot
-// send path costs zero allocations per packet.
+// per node and the node recycles through its engine's pool, taking its
+// link when it is taken, so the hot send path costs zero allocations per
+// packet.
 type delivery struct {
 	link *Link
 	sink PacketSink
@@ -505,18 +520,19 @@ type delivery struct {
 func (l *Link) newDelivery() *delivery {
 	d := l.freeDel.Get()
 	if d == nil {
-		d = &delivery{link: l}
+		d = &delivery{}
 		d.run = d.fire
 	}
+	d.link = l
 	return d
 }
 
 // fire recycles the node before delivering, so the sink's processing —
 // which may send further packets on this link — sees it available.
 func (d *delivery) fire() {
-	sink, arg, fate := d.sink, d.arg, d.fate
-	d.sink, d.arg, d.fate = nil, nil, PacketFate{}
-	d.link.freeDel.Put(d)
+	sink, arg, fate, free := d.sink, d.arg, d.fate, d.link.freeDel
+	d.link, d.sink, d.arg, d.fate = nil, nil, nil, PacketFate{}
+	free.Put(d)
 	sink.DeliverPacket(arg, fate)
 }
 

@@ -39,12 +39,13 @@ type Net struct {
 	route [][]uint16        // per switch: destination node -> port
 
 	// shard maps every element (nodes, then switches) to its owning
-	// simulation shard; all-zero on a sequential cluster. Hop freelists
-	// and delivery counters are per shard, indexed by the shard executing
-	// the touch, so parallel windows never contend: a hop is taken from
-	// the shipping shard's pool and returned to the delivering shard's.
+	// simulation shard; all-zero on a sequential cluster. Hop pools (each
+	// shard engine's sim.Pool) and delivery counters are per shard,
+	// indexed by the shard executing the touch, so parallel windows never
+	// contend: a hop is taken from the shipping shard's pool and returned
+	// to the delivering shard's.
 	shard     []int32
-	free      []sim.Freelist[hop]
+	free      []*sim.Freelist[hop]
 	delivered []int64
 	totalHops []int64
 }
@@ -70,7 +71,14 @@ func NewNet(cl *machine.Cluster, g Graph) *Net {
 	} else {
 		n.shard = make([]int32, g.Nodes+g.Switches)
 	}
-	n.free = make([]sim.Freelist[hop], nsh)
+	n.free = make([]*sim.Freelist[hop], nsh)
+	for sh := range n.free {
+		eng := cl.Eng
+		if cl.Sharded() {
+			eng = cl.Engs[sh]
+		}
+		n.free[sh] = sim.Pool[sim.Freelist[hop]](eng)
+	}
 	n.delivered = make([]int64, nsh)
 	n.totalHops = make([]int64, nsh)
 	n.adj, n.tiers = neighbors(g)

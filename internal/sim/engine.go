@@ -204,6 +204,10 @@ type Engine struct {
 	tracer trace.Tracer
 	batch  trace.BatchTracer
 	tbuf   []trace.Event
+
+	// pools lists the engine's recycling pools, one per pool type (see
+	// Pool).
+	pools poolNode
 }
 
 // NewEngine returns an engine at time zero with no pending events.

@@ -18,3 +18,29 @@ func TestFreelistLIFO(t *testing.T) {
 		t.Fatal("Get left a popped object in the backing array")
 	}
 }
+
+// TestPoolPerEngine: Pool hands each engine its own instance of a pool
+// type, the same one on every lookup, and distinct pool types never
+// alias.
+func TestPoolPerEngine(t *testing.T) {
+	a, b := NewEngine(), NewEngine()
+	pa := Pool[Freelist[int]](a)
+	if pa == nil || Pool[Freelist[int]](a) != pa {
+		t.Fatal("Pool does not return one stable pool per engine")
+	}
+	if Pool[Freelist[int]](b) == pa {
+		t.Fatal("two engines share one pool")
+	}
+	x := new(int)
+	pa.Put(x)
+	if Pool[Freelist[int]](b).Get() != nil {
+		t.Fatal("an object returned on one engine is visible on another")
+	}
+	if Pool[Freelist[int]](a).Get() != x {
+		t.Fatal("the engine's pool lost the returned object")
+	}
+	pa.Put(x)
+	if Pool[Freelist[int64]](a).Len() != 0 || pa.Len() != 1 {
+		t.Fatal("distinct pool types alias")
+	}
+}

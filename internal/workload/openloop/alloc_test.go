@@ -14,12 +14,13 @@ import (
 )
 
 // TestAllocPinServingRoundTrips pins the serving request path at zero
-// allocations: once warm, a window of steady-state GET (or replicated
-// PUT) round trips — open-loop issue, AM marshaling, command-queue
+// allocations: once warm, a window of steady-state GET, replicated PUT
+// or SCAN round trips — open-loop issue, AM marshaling, command-queue
 // submission, proxy scan, fat-tree flight, KV handling, and the reply's
 // way back to the client's receive loop — must not allocate. The warmup
-// covers the one-time growth (frame and record pools, packet and
-// delivery freelists, the KV store's keys, event queues).
+// covers the one-time growth (frame and record pools, the SCAN replies'
+// 2 KiB record class among them, packet and delivery pools, the KV
+// store's keys, event queues).
 func TestAllocPinServingRoundTrips(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -27,6 +28,7 @@ func TestAllocPinServingRoundTrips(t *testing.T) {
 	}{
 		{"GET", 1, 0},
 		{"PUT", 0, 1},
+		{"SCAN", 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, l, svc := servingStack(t, 4)
@@ -57,7 +59,7 @@ func TestAllocPinServingRoundTrips(t *testing.T) {
 			if replies == before {
 				t.Fatal("pinned windows completed no round trips")
 			}
-			if served := svc.Served(kv.OpGet) + svc.Served(kv.OpPut); served < replies {
+			if served := svc.Served(kv.OpGet) + svc.Served(kv.OpPut) + svc.Served(kv.OpScan); served < replies {
 				t.Fatalf("servers handled %d requests but clients saw %d replies", served, replies)
 			}
 			eng.Shutdown()
