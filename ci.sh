@@ -44,17 +44,18 @@ trap 'rm -rf "$tmpdir"' EXIT
 echo "== mproxy build + smoke matrix"
 go build -o "$tmpdir/mproxy" ./cmd/mproxy
 "$tmpdir/mproxy" list >/dev/null
-"$tmpdir/mproxy" model >/dev/null 2>"$tmpdir/manifest"
+"$tmpdir/mproxy" run section4-model >/dev/null 2>"$tmpdir/manifest"
 grep -q '"output_sha256"' "$tmpdir/manifest"
-"$tmpdir/mproxy" micro -params >/dev/null 2>/dev/null
-"$tmpdir/mproxy" apps -list >/dev/null 2>/dev/null
-"$tmpdir/mproxy" fault -archs MP1 -rates 0,1e-3 -csv >/dev/null 2>/dev/null
-"$tmpdir/mproxy" prof -archs MP1 -op PUT -breakdown=false >/dev/null 2>/dev/null
+for target in table3 loss-sweep prof-breakdown cmd/mproxy/testdata/specs/apps-list.json; do
+    "$tmpdir/mproxy" run "$target" >/dev/null 2>/dev/null
+done
 
-echo "== mproxy prof chrome golden"
-"$tmpdir/mproxy" prof -archs MP1 -op PUT -breakdown=false -chrome "$tmpdir/chrome.json" >/dev/null 2>/dev/null
+echo "== prof-kind chrome golden"
+printf '{"kind":"prof","archs":["MP1"],"ops":["PUT"],"out":{"breakdown":false,"chrome":"%s/chrome.json"}}\n' \
+    "$tmpdir" >"$tmpdir/prof-chrome.json"
+"$tmpdir/mproxy" run "$tmpdir/prof-chrome.json" >/dev/null 2>/dev/null
 if ! cmp -s "$tmpdir/chrome.json" internal/prof/testdata/pingpong-mp1-chrome.json; then
-    echo "mproxy prof Chrome trace deviates from internal/prof/testdata/pingpong-mp1-chrome.json"
+    echo "prof-kind Chrome trace deviates from internal/prof/testdata/pingpong-mp1-chrome.json"
     echo "re-bless with: go test ./internal/prof -run TestChromeDeterminism -update"
     exit 1
 fi

@@ -4,47 +4,61 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite the smoke-test goldens")
 
-// Every subcommand runs in-process against a small configuration and
-// must reproduce its blessed golden byte for byte. Regenerate with
+// Every former experiment subcommand is a spec file under
+// testdata/specs; each runs in-process through mproxy run and must
+// reproduce its blessed golden byte for byte, as must the argv-only
+// cases below. Regenerate with
 //
 //	go test ./cmd/mproxy -run TestSmoke -update
 func TestSmoke(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-	}{
-		{"micro-params", []string{"micro", "-params"}},
-		{"micro-table4-mp1", []string{"micro", "-archs", "MP1"}},
-		{"micro-sweep-csv", []string{"micro", "-sweep", "-csv", "-archs", "MP1"}},
-		{"apps-list", []string{"apps", "-list"}},
-		{"apps-figure8-small", []string{"apps", "-scale", "test", "-apps", "Sample", "-procs", "1,2", "-archs", "HW1,MP1"}},
-		{"apps-table6-test", []string{"apps", "-table6", "-scale", "test", "-apps", "Sample"}},
-		{"model-default", []string{"model"}},
-		{"model-fast-cpu", []string{"model", "-S", "2"}},
-		{"smp-small", []string{"smp", "-scale", "test", "-apps", "Sample", "-archs", "MP1", "-nodes", "2", "-ppn", "2"}},
-		{"queue-test", []string{"queue", "-scale", "test", "-apps", "Sample,LU"}},
-		{"fault-sweep", []string{"fault", "-archs", "MP1", "-rates", "0,1e-3", "-csv"}},
-		{"fault-injected-micro", []string{"micro", "-archs", "MP1", "-fault", "drop=1e-3"}},
-		{"prof-put-mp1", []string{"prof", "-archs", "MP1", "-op", "PUT"}},
-		{"trace-digest", []string{"micro", "-archs", "MP1", "-trace"}},
-		{"run-preset", []string{"run", "table3"}},
-		{"list", []string{"list"}},
+	cases := map[string][]string{
+		"run-preset": {"run", "table3"},
+		"list":       {"list"},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	// Goldens pinned by other tests' stderr rather than by a smoke case.
+	stderrGoldens := map[string]bool{"run-unknown-preset": true, "run-forensics-bad-dir": true}
+
+	specs, err := filepath.Glob(filepath.Join("testdata", "specs", "*.json"))
+	if err != nil || len(specs) == 0 {
+		t.Fatalf("no spec files under testdata/specs: %v", err)
+	}
+	for _, path := range specs {
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		if _, dup := cases[name]; dup {
+			t.Fatalf("spec file %s shadows an argv case", path)
+		}
+		cases[name] = []string{"run", path}
+	}
+	goldens, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range goldens {
+		name := strings.TrimSuffix(filepath.Base(g), ".golden")
+		if _, ok := cases[name]; !ok && !stderrGoldens[name] {
+			t.Errorf("golden %s has no spec file testdata/specs/%s.json", g, name)
+		}
+	}
+
+	for _, name := range slices.Sorted(maps.Keys(cases)) {
+		args := cases[name]
+		t.Run(name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			if code := run(tc.args, &stdout, &stderr); code != 0 {
+			if code := run(args, &stdout, &stderr); code != 0 {
 				t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 			}
-			golden := filepath.Join("testdata", tc.name+".golden")
+			golden := filepath.Join("testdata", name+".golden")
 			if *update {
 				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
@@ -53,7 +67,7 @@ func TestSmoke(t *testing.T) {
 			}
 			want, err := os.ReadFile(golden)
 			if err != nil {
-				t.Fatalf("missing golden (run with -update): %v", err)
+				t.Fatalf("spec file has no golden (run with -update): %v", err)
 			}
 			if !bytes.Equal(stdout.Bytes(), want) {
 				t.Errorf("output drifted from %s:\ngot:\n%s\nwant:\n%s", golden, stdout.Bytes(), want)
@@ -158,10 +172,10 @@ func TestForensicsByteIdentity(t *testing.T) {
 	}
 }
 
-// Experiment subcommands emit exactly one manifest JSON line on stderr.
+// A run emits exactly one manifest JSON line on stderr.
 func TestManifestOnStderr(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"micro", "-params"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"run", filepath.Join("testdata", "specs", "micro-params.json")}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d", code)
 	}
 	var m struct {
@@ -187,7 +201,7 @@ func TestManifestOnStderr(t *testing.T) {
 func TestManifestDeterministic(t *testing.T) {
 	grab := func() string {
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{"fault", "-archs", "MP1", "-rates", "1e-3"}, &stdout, &stderr); code != 0 {
+		if code := run([]string{"run", filepath.Join("testdata", "specs", "fault-sweep.json")}, &stdout, &stderr); code != 0 {
 			t.Fatalf("exit %d", code)
 		}
 		return stderr.String()
@@ -230,37 +244,63 @@ func TestResultsByteIdentity(t *testing.T) {
 	}
 }
 
-// A spec file round-trips through mproxy run.
+// A spec file runs the same experiment as the preset it spells out.
 func TestRunSpecFile(t *testing.T) {
 	spec := `{"kind": "model"}`
 	path := filepath.Join(t.TempDir(), "spec.json")
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var fromFile, fromFlags bytes.Buffer
+	var fromFile, fromPreset bytes.Buffer
 	if code := run([]string{"run", path}, &fromFile, &bytes.Buffer{}); code != 0 {
 		t.Fatal("run spec.json failed")
 	}
-	if code := run([]string{"model"}, &fromFlags, &bytes.Buffer{}); code != 0 {
-		t.Fatal("model failed")
+	if code := run([]string{"run", "section4-model"}, &fromPreset, &bytes.Buffer{}); code != 0 {
+		t.Fatal("run section4-model failed")
 	}
-	if !bytes.Equal(fromFile.Bytes(), fromFlags.Bytes()) {
-		t.Error("spec-file run differs from flag run of the same experiment")
+	if !bytes.Equal(fromFile.Bytes(), fromPreset.Bytes()) {
+		t.Error("spec-file run differs from the preset run of the same experiment")
+	}
+}
+
+// An observability sink that cannot be written fails the run before it
+// simulates: exit 1, nothing on stdout, the path named on stderr.
+func TestObsBadDirFailsRun(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "trace.json")
+	path := filepath.Join(t.TempDir(), "spec.json")
+	spec := fmt.Sprintf(`{"kind": "micro-params", "obs": {"chrome": %q}}`, missing)
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"run", path}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout not empty — the run simulated before failing:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "obs.chrome") {
+		t.Errorf("error does not name the failing sink:\n%s", stderr.String())
 	}
 }
 
 func TestBadInvocations(t *testing.T) {
+	dir := t.TempDir()
+	badArch := filepath.Join(dir, "bad-arch.json")
+	if err := os.WriteFile(badArch, []byte(`{"kind": "micro-table4", "archs": ["MP9"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		args []string
 		code int
 	}{
 		{nil, 2},
 		{[]string{"frobnicate"}, 2},
+		{[]string{"micro"}, 2}, // the retired flag-alias subcommands are unknown
 		{[]string{"run"}, 2},
+		{[]string{"run", "table3", "table4"}, 2},
 		{[]string{"run", "no-such-preset"}, 1},
-		{[]string{"micro", "-archs", "MP9"}, 1},
-		{[]string{"apps", "-procs", "two"}, 2},
-		{[]string{"fault", "-rates", "many"}, 2},
+		{[]string{"run", badArch}, 1},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
@@ -275,7 +315,7 @@ func TestHelpListsEverySubcommand(t *testing.T) {
 	if code := run([]string{"help"}, &stdout, &bytes.Buffer{}); code != 0 {
 		t.Fatal("help failed")
 	}
-	for _, name := range []string{"micro", "apps", "model", "smp", "queue", "fault", "prof", "run", "list"} {
+	for _, name := range []string{"run", "list", "bench", "help"} {
 		if !strings.Contains(stdout.String(), "\n  "+name) {
 			t.Errorf("help output missing subcommand %s", name)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"mproxy/internal/comm"
 	"mproxy/internal/fault"
@@ -37,7 +38,7 @@ func (o options) workload() workload.Options {
 
 // resolve distills a normalized spec and its observability tracer (nil
 // when none is enabled) into experiment options and the human-readable
-// fault description line the legacy binaries printed.
+// fault description line printed ahead of the experiment's output.
 func resolve(s Spec, tracer trace.Tracer) (options, string, error) {
 	opt := options{
 		fabric: comm.Options{
@@ -76,13 +77,8 @@ func Run(spec Spec, w io.Writer) (Manifest, error) {
 	if err != nil {
 		return Manifest{}, err
 	}
-	if dir := spec.Obs.Forensics; dir != "" {
-		// Fail before simulating: a long sweep that cannot write its
-		// forensics at the end would waste the whole run.
-		st, err := os.Stat(dir)
-		if err != nil || !st.IsDir() {
-			return Manifest{}, fmt.Errorf("scenario: forensics output directory %q does not exist (create it, or point -forensics elsewhere)", dir)
-		}
+	if err := checkOutputDirs(spec); err != nil {
+		return Manifest{}, err
 	}
 	tracer, report := installObs(spec.Obs)
 	defer report(io.Discard) // drained below on success; detaches on error paths
@@ -97,7 +93,9 @@ func Run(spec Spec, w io.Writer) (Manifest, error) {
 	if err := runKind(spec, opt, dw); err != nil {
 		return Manifest{}, err
 	}
-	report(dw)
+	if err := report(dw); err != nil {
+		return Manifest{}, err
+	}
 	return Manifest{
 		Name:         spec.Name,
 		Kind:         spec.Kind,
@@ -106,6 +104,32 @@ func Run(spec Spec, w io.Writer) (Manifest, error) {
 		OutputSHA256: dw.sum(),
 		OutputBytes:  dw.n,
 	}, nil
+}
+
+// checkOutputDirs fails before simulating when a side-channel output
+// would land in a directory that does not exist: a long sweep that
+// cannot write its outputs at the end would waste the whole run.
+func checkOutputDirs(s Spec) error {
+	if dir := s.Obs.Forensics; dir != "" {
+		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+			return fmt.Errorf("scenario: forensics output directory %q does not exist (create it, or point -forensics elsewhere)", dir)
+		}
+	}
+	for _, f := range []struct{ field, path string }{
+		{"obs.prof", s.Obs.Prof},
+		{"obs.chrome", s.Obs.Chrome},
+		{"out.prof", s.Out.Prof},
+		{"out.chrome", s.Out.Chrome},
+		{"out.bench_json", s.Out.BenchJSON},
+	} {
+		if f.path == "" {
+			continue
+		}
+		if st, err := os.Stat(filepath.Dir(f.path)); err != nil || !st.IsDir() {
+			return fmt.Errorf("scenario: %s output directory %q does not exist (for %q)", f.field, filepath.Dir(f.path), f.path)
+		}
+	}
+	return nil
 }
 
 // runKind dispatches a normalized, validated spec to its renderer.
@@ -144,15 +168,16 @@ func runKind(s Spec, opt options, w io.Writer) error {
 
 // installObs builds the spec's observability collectors and returns the
 // tracer feeding them (nil when none is enabled) together with a report
-// function that renders their summaries to the given writer and detaches
-// the timeline sampler. The report runs at most once; later calls are
+// function that renders their summaries to the given writer, writes
+// their output files, and detaches the timeline sampler; it returns the
+// first sink that failed. The report runs at most once; later calls are
 // no-ops, so the deferred cleanup in Run is safe after a successful
 // explicit report. The experiments build engines internally, so resolve
 // hands the tracer to each of them; one tracer spans every engine of the
 // run, so the workload pool degrades to one worker when it is set.
-func installObs(o ObsSpec) (tracer trace.Tracer, report func(io.Writer)) {
+func installObs(o ObsSpec) (tracer trace.Tracer, report func(io.Writer) error) {
 	if !o.Enabled() {
-		return nil, func(io.Writer) {}
+		return nil, func(io.Writer) error { return nil }
 	}
 	var digest *trace.Digest
 	var coll *metrics.Collector
@@ -174,9 +199,9 @@ func installObs(o ObsSpec) (tracer trace.Tracer, report func(io.Writer)) {
 		tracers = append(tracers, asm, smp)
 	}
 	done := false
-	return trace.Multi(tracers...), func(w io.Writer) {
+	return trace.Multi(tracers...), func(w io.Writer) error {
 		if done {
-			return
+			return nil
 		}
 		done = true
 		if asm != nil {
@@ -187,8 +212,7 @@ func installObs(o ObsSpec) (tracer trace.Tracer, report func(io.Writer)) {
 			case "json":
 				out, err := coll.JSON()
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "metrics:", err)
-					return
+					return fmt.Errorf("metrics: %w", err)
 				}
 				fmt.Fprintln(w, out)
 			default:
@@ -201,18 +225,21 @@ func installObs(o ObsSpec) (tracer trace.Tracer, report func(io.Writer)) {
 				fmt.Fprint(w, span.Aggregate(asm.Spans()).Table())
 			}
 			if o.Prof != "" {
-				p := timeline.BuildProfile(asm, smp, "")
-				if b, err := p.JSON(); err != nil {
-					fmt.Fprintln(os.Stderr, "prof:", err)
-				} else if err := os.WriteFile(o.Prof, b, 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, "prof:", err)
+				b, err := timeline.BuildProfile(asm, smp, "").JSON()
+				if err == nil {
+					err = os.WriteFile(o.Prof, b, 0o644)
+				}
+				if err != nil {
+					return fmt.Errorf("prof: %w", err)
 				}
 			}
 			if o.Chrome != "" {
-				if b, err := timeline.ChromeTrace(asm.Spans(), smp.Windows()); err != nil {
-					fmt.Fprintln(os.Stderr, "chrome:", err)
-				} else if err := os.WriteFile(o.Chrome, b, 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, "chrome:", err)
+				b, err := timeline.ChromeTrace(asm.Spans(), smp.Windows())
+				if err == nil {
+					err = os.WriteFile(o.Chrome, b, 0o644)
+				}
+				if err != nil {
+					return fmt.Errorf("chrome: %w", err)
 				}
 			}
 		}
@@ -220,5 +247,6 @@ func installObs(o ObsSpec) (tracer trace.Tracer, report func(io.Writer)) {
 			fmt.Fprintf(w, "trace digest: sha256:%s over %d events (last at %v)\n",
 				digest.Sum(), digest.Count(), sim.Time(digest.LastAt()))
 		}
+		return nil
 	}
 }

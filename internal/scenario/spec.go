@@ -4,16 +4,18 @@
 // sizes and repetition counts, the fault-injection and
 // reliable-transport configuration, the observability sinks, and the
 // output format. Every experiment the repository can reproduce (each
-// results/*.txt table and figure of the paper) is a named preset; every
-// entry point — the mproxy CLI subcommands, a spec.json file, the CI
-// smoke matrix — funnels through Run, which validates the spec, wires
-// the drivers, and emits a deterministic run manifest (spec hash, seed,
-// output digest) alongside the rendered output.
+// results/*.txt table and figure of the paper) is a named preset, and
+// any other configuration is a spec.json file; every entry point —
+// mproxy run, the CI smoke matrix, the benchmark harness — funnels
+// through Run, which validates the spec, wires the drivers, and emits a
+// deterministic run manifest (spec hash, seed, output digest) alongside
+// the rendered output.
 package scenario
 
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"mproxy/internal/apps/registry"
@@ -243,8 +245,8 @@ func sweepSizes() []int {
 	return []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536}
 }
 
-// defaultArchs returns the kind's design-point selection, mirroring the
-// defaults of the legacy per-experiment binaries.
+// defaultArchs returns the kind's design-point selection when the spec
+// names none.
 func defaultArchs(kind string) []string {
 	switch kind {
 	case KindAppsFigure8:
@@ -507,6 +509,23 @@ func (s Spec) Validate() error {
 	case "", "table", "csv":
 	default:
 		return fmt.Errorf(`scenario: format must be "table" or "csv", got %q`, s.Out.Format)
+	}
+	// Output fields only some kinds read: anything else would be silently
+	// ignored, so a spec that sets one for another kind is a mistake.
+	for _, f := range []struct {
+		field string
+		set   bool
+		kinds []string
+	}{
+		{`out.format "csv"`, s.Out.Format == "csv", []string{KindMicroSweep, KindAppsFigure8, KindLoss}},
+		{"out.bench_json", s.Out.BenchJSON != "", []string{KindMicroTable4, KindMicroSweep, KindAppsFigure8, KindLoss, KindProf}},
+		{"out.prof", s.Out.Prof != "", []string{KindProf}},
+		{"out.chrome", s.Out.Chrome != "", []string{KindProf}},
+		{"out.breakdown", s.Out.Breakdown != nil, []string{KindProf}},
+	} {
+		if f.set && !slices.Contains(f.kinds, s.Kind) {
+			return fmt.Errorf("scenario: kind %q ignores %s (read only by: %s)", s.Kind, f.field, strings.Join(f.kinds, ", "))
+		}
 	}
 	return nil
 }

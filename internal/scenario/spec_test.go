@@ -41,6 +41,12 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"proxy-sweep zero count", Spec{Kind: KindProxySweep, Serving: &ServingSpec{ProxyCounts: []int{2, 0}}}, "proxy counts"},
 		{"proxy-sweep bad policy", Spec{Kind: KindProxySweep, Serving: &ServingSpec{Scheds: []string{"static", "rr"}}}, "unknown sched policy"},
 		{"proxy-sweep non-proxy arch", Spec{Kind: KindProxySweep, Archs: []string{"HW1"}}, "message-proxy design points"},
+		{"csv without a csv form", Spec{Kind: KindMicroTable4, Out: OutSpec{Format: "csv"}}, "out.format"},
+		{"bench json on model", Spec{Kind: KindModel, Out: OutSpec{BenchJSON: "b.json"}}, "out.bench_json"},
+		{"bench json on serving", Spec{Kind: KindServing, Out: OutSpec{BenchJSON: "b.json"}}, "out.bench_json"},
+		{"out.prof outside prof", Spec{Kind: KindMicroTable4, Out: OutSpec{Prof: "p.json"}}, "out.prof"},
+		{"out.chrome outside prof", Spec{Kind: KindMicroTable4, Out: OutSpec{Format: "table", Chrome: "y.json"}}, "out.chrome"},
+		{"out.breakdown outside prof", Spec{Kind: KindMicroSweep, Out: OutSpec{Breakdown: boolPtr(false)}}, "out.breakdown"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -206,6 +212,39 @@ func TestRunIsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("output bytes differ between identical runs")
+	}
+}
+
+// A sink that passes the up-front directory check but still cannot be
+// written (here the path is itself a directory) fails the run instead of
+// printing to stderr and reporting success.
+func TestRunFailsOnUnwritableObsSink(t *testing.T) {
+	for _, obs := range []ObsSpec{{Chrome: t.TempDir()}, {Prof: t.TempDir()}} {
+		_, err := Run(Spec{Kind: KindMicroTable4, Archs: []string{"MP1"}, Obs: obs}, &bytes.Buffer{})
+		if err == nil {
+			t.Errorf("Run with obs %+v succeeded; want the write error", obs)
+		}
+	}
+}
+
+// Every output path's directory is checked before the run simulates.
+func TestRunChecksOutputDirsFirst(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "f.json")
+	for _, s := range []Spec{
+		{Kind: KindMicroTable4, Obs: ObsSpec{Prof: missing}},
+		{Kind: KindMicroTable4, Obs: ObsSpec{Chrome: missing}},
+		{Kind: KindMicroTable4, Out: OutSpec{BenchJSON: missing}},
+		{Kind: KindProf, Out: OutSpec{Prof: missing}},
+		{Kind: KindProf, Out: OutSpec{Chrome: missing}},
+	} {
+		var out bytes.Buffer
+		_, err := Run(s, &out)
+		if err == nil || !strings.Contains(err.Error(), "does not exist") {
+			t.Errorf("Run(%+v) error %v, want a missing-directory error", s, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("Run(%+v) wrote output before failing:\n%s", s, out.String())
+		}
 	}
 }
 
