@@ -2,7 +2,7 @@
 # Tier-1 verification: everything a change must keep green before merging.
 #   ./ci.sh         gofmt + build + vet + tests (shuffled) + smoke + results + race
 #   ./ci.sh quick   build + tests only (what the roadmap calls tier-1)
-#   ./ci.sh full    everything, plus the event-queue fuzz and the expensive results tables
+#   ./ci.sh full    everything, plus the event-queue and ring fuzzes and the expensive results tables
 set -eu
 cd "$(dirname "$0")"
 
@@ -167,6 +167,12 @@ if [ "$mode" = "full" ]; then
     # FuzzEventHeap checks every pop of the radix event queue against a
     # brute-force (at, seq) model; its seed corpus runs in go test above.
     go test -run '^$' -fuzz FuzzEventHeap -fuzztime 10s ./internal/sim
+
+    echo "== ring fuzz"
+    # FuzzRing checks every push/pop of sim.Ring (the storage of sim.FIFO
+    # and memory.RQueue) against a slice model: order, zeroed slots and
+    # the twice-the-high-water bound.
+    go test -run '^$' -fuzz FuzzRing -fuzztime 10s ./internal/sim
 
     echo "== results byte-identity (expensive presets)"
     for preset_file in \

@@ -4,10 +4,10 @@
 // points, so the paper's protection semantics carry over unchanged — and
 // replies come back the same way. Keys shard across servers by hash;
 // PUTs fan out to a configurable number of replicas, and the primary
-// acknowledges the client only after every replica has. Values are
-// synthesized (the simulator models time and bytes, not contents), but
-// each server keeps a real per-key version map so store state — and with
-// it replica traffic — is exact.
+// acknowledges the client only after every replica has. The service
+// models time and bytes, not contents: values are synthesized, no server
+// stores keys or versions, and each keeps only the counters that reports
+// read and the replication bookkeeping its acknowledgements need.
 package kv
 
 import (
@@ -66,24 +66,26 @@ type repWait struct {
 	issued int64
 }
 
-// Service is the cluster-wide KV state: handler ids, per-server version
-// stores, and in-flight replication bookkeeping.
+// shard is one server's state. A server touches exclusively its own
+// shard, so the shards of a parallel run never contend and the aggregate
+// accessors below sum deterministically.
+type shard struct {
+	si         int                 // shard index: position in Config.Servers
+	pending    map[uint64]*repWait // in-flight replicated PUTs, by id; nil without replication
+	nextRep    uint64              // next replication id (keys of pending)
+	served     [numOps]int64
+	replicated int64
+	pools      *enginePools // the server node engine's pools
+}
+
+// Service is the cluster-wide KV state: handler ids, per-server shards,
+// and the synthesized-value scratch.
 type Service struct {
-	l   *am.Layer
-	cfg Config
-	idx map[int]int // server rank -> shard index
-
-	// Per-shard-index state only: a server touches exclusively its own
-	// slot, so shards of a parallel run never contend and the aggregate
-	// accessors below sum deterministically.
-	stores  []map[uint64]uint64 // per shard: key -> version
-	pending []map[uint64]*repWait
-	nextRep []uint64 // per shard: replication ids (keys of pending[si])
-	val     []byte   // synthesized-value scratch, sized once at New
-
-	served     [][numOps]int64
-	replicated []int64
-	pools      []*enginePools // per shard: the server node engine's pools
+	l      *am.Layer
+	cfg    Config
+	shards []shard  // in shard order
+	byRank []*shard // server rank -> its shard; nil for non-server ranks
+	val    []byte   // synthesized-value scratch, sized once at New
 
 	// OnReply, when set, observes every reply arriving at a client:
 	// the client's rank, the operation, and the request's echoed flags
@@ -115,18 +117,20 @@ func New(l *am.Layer, cfg Config) *Service {
 	if cfg.Replication > len(cfg.Servers) {
 		cfg.Replication = len(cfg.Servers)
 	}
-	s := &Service{l: l, cfg: cfg, idx: make(map[int]int, len(cfg.Servers))}
-	for i, rank := range cfg.Servers {
-		s.idx[rank] = i
-		s.stores = append(s.stores, make(map[uint64]uint64))
-		s.pending = append(s.pending, make(map[uint64]*repWait))
+	s := &Service{l: l, cfg: cfg, shards: make([]shard, len(cfg.Servers))}
+	maxRank := 0
+	for _, rank := range cfg.Servers {
+		maxRank = max(maxRank, rank)
 	}
-	s.nextRep = make([]uint64, len(cfg.Servers))
-	s.served = make([][numOps]int64, len(cfg.Servers))
-	s.replicated = make([]int64, len(cfg.Servers))
-	s.pools = make([]*enginePools, len(cfg.Servers))
+	s.byRank = make([]*shard, maxRank+1)
 	for i, rank := range cfg.Servers {
-		s.pools[i] = sim.Pool[enginePools](l.Port(rank).Endpoint().Node().Eng)
+		sh := &s.shards[i]
+		sh.si = i
+		sh.pools = sim.Pool[enginePools](l.Port(rank).Endpoint().Node().Eng)
+		if cfg.Replication > 1 {
+			sh.pending = make(map[uint64]*repWait)
+		}
+		s.byRank[rank] = sh
 	}
 	// Pre-size the value scratch to the largest payload any handler
 	// returns: value() then never reallocates, so concurrent shards only
@@ -197,13 +201,13 @@ func (s *Service) WireBytes(op Op) (req, rep int) {
 // flightServe marks a tracked request's handler start on the flight
 // recorder (sampling the AM queue depth behind it) and wraps k to mark
 // service completion once the reply or last replica write is submitted.
-func (s *Service) flightServe(p *am.Port, si int, flags int64, k func()) func() {
+func (s *Service) flightServe(p *am.Port, sh *shard, flags int64, k func()) func() {
 	fid := flight.FlagsID(flags)
 	if s.Flight == nil || fid == 0 {
 		return k
 	}
 	s.Flight.ServerStart(fid, p.Pending())
-	sp := s.pools[si]
+	sp := sh.pools
 	m := sp.marks.Get()
 	if m == nil {
 		m = &serviceMark{}
@@ -251,9 +255,9 @@ type repChain struct {
 	s     *Service
 	p     *am.Port
 	t     *sim.Task
-	si    int
+	si    int // the primary's shard index
 	id    uint64
-	key   uint64
+	key   uint64 // rides each follower write, which sizes its record
 	j     int
 	k     func()
 	nextK func() // prebuilt c.next
@@ -262,8 +266,8 @@ type repChain struct {
 // Served returns how many requests of op the servers have processed.
 func (s *Service) Served(op Op) int64 {
 	var n int64
-	for si := range s.served {
-		n += s.served[si][op]
+	for i := range s.shards {
+		n += s.shards[i].served[op]
 	}
 	return n
 }
@@ -271,8 +275,8 @@ func (s *Service) Served(op Op) int64 {
 // Replicated returns how many follower copies PUTs have written.
 func (s *Service) Replicated() int64 {
 	var n int64
-	for _, v := range s.replicated {
-		n += v
+	for i := range s.shards {
+		n += s.shards[i].replicated
 	}
 	return n
 }
@@ -294,38 +298,35 @@ func (s *Service) ScanTask(p *am.Port, t *sim.Task, key uint64, flags, issuedNs 
 }
 
 func (s *Service) onGet(p *am.Port, t *sim.Task, src int, args []int64, payload []byte, k func()) {
-	si := s.idx[p.Rank()]
-	_ = s.stores[si][uint64(args[2])] // version lookup
-	s.served[si][OpGet]++
-	k = s.flightServe(p, si, args[0], k)
+	sh := s.byRank[p.Rank()]
+	sh.served[OpGet]++
+	k = s.flightServe(p, sh, args[0], k)
 	p.SendTask(t, src, s.hGetRe, args[:2], s.value(s.cfg.ValueBytes), k)
 }
 
 func (s *Service) onPut(p *am.Port, t *sim.Task, src int, args []int64, payload []byte, k func()) {
-	si := s.idx[p.Rank()]
-	key := uint64(args[2])
-	s.stores[si][key]++
-	s.served[si][OpPut]++
-	k = s.flightServe(p, si, args[0], k)
+	sh := s.byRank[p.Rank()]
+	sh.served[OpPut]++
+	k = s.flightServe(p, sh, args[0], k)
 	if s.cfg.Replication == 1 {
 		p.SendTask(t, src, s.hPutRe, args[:2], nil, k)
 		return
 	}
-	id := s.nextRep[si]
-	s.nextRep[si]++
-	sp := s.pools[si]
+	id := sh.nextRep
+	sh.nextRep++
+	sp := sh.pools
 	w := sp.waits.Get()
 	if w == nil {
 		w = &repWait{}
 	}
 	*w = repWait{need: s.cfg.Replication - 1, client: src, flags: args[0], issued: args[1]}
-	s.pending[si][id] = w
+	sh.pending[id] = w
 	c := sp.reps.Get()
 	if c == nil {
 		c = &repChain{}
 		c.nextK = c.next
 	}
-	c.pool, c.s, c.p, c.t, c.si, c.id, c.key, c.j, c.k = sp, s, p, t, si, id, key, 1, k
+	c.pool, c.s, c.p, c.t, c.si, c.id, c.key, c.j, c.k = sp, s, p, t, sh.si, id, uint64(args[2]), 1, k
 	c.next()
 }
 
@@ -347,16 +348,14 @@ func (c *repChain) next() {
 }
 
 func (s *Service) onRep(p *am.Port, t *sim.Task, src int, args []int64, payload []byte, k func()) {
-	si := s.idx[p.Rank()]
-	s.stores[si][uint64(args[1])]++
-	s.replicated[si]++
+	s.byRank[p.Rank()].replicated++
 	p.SendTask(t, src, s.hRepAck, args[:1], nil, k)
 }
 
 func (s *Service) onRepAck(p *am.Port, t *sim.Task, src int, args []int64, payload []byte, k func()) {
-	si := s.idx[p.Rank()]
+	sh := s.byRank[p.Rank()]
 	id := uint64(args[0])
-	w := s.pending[si][id]
+	w := sh.pending[id]
 	if w == nil {
 		panic(fmt.Sprintf("kv: server %d acked unknown replication %d", src, id))
 	}
@@ -364,22 +363,21 @@ func (s *Service) onRepAck(p *am.Port, t *sim.Task, src int, args []int64, paylo
 		k()
 		return
 	}
-	delete(s.pending[si], id)
+	delete(sh.pending, id)
 	if s.Flight != nil {
 		if fid := flight.FlagsID(w.flags); fid != 0 {
 			s.Flight.RepAcked(fid)
 		}
 	}
 	client, flags, issued := w.client, w.flags, w.issued
-	s.pools[si].waits.Put(w)
+	sh.pools.waits.Put(w)
 	p.SendTask(t, client, s.hPutRe, []int64{flags, issued}, nil, k)
 }
 
 func (s *Service) onScan(p *am.Port, t *sim.Task, src int, args []int64, payload []byte, k func()) {
-	si := s.idx[p.Rank()]
-	_ = s.stores[si][uint64(args[2])]
-	s.served[si][OpScan]++
-	k = s.flightServe(p, si, args[0], k)
+	sh := s.byRank[p.Rank()]
+	sh.served[OpScan]++
+	k = s.flightServe(p, sh, args[0], k)
 	n := s.cfg.ScanCount * s.cfg.ValueBytes
 	if n > maxScanPayload {
 		n = maxScanPayload

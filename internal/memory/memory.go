@@ -142,9 +142,9 @@ type RQueue struct {
 	acl    map[int]bool
 	world  bool
 
-	entries  fifo[[]byte]
-	getters  fifo[*sim.Proc]
-	takers   fifo[func([]byte)]
+	entries  sim.Ring[[]byte]
+	getters  sim.Ring[*sim.Proc]
+	takers   sim.Ring[func([]byte)]
 	eng      *sim.Engine
 	enqueued int64
 	maxDepth int
@@ -188,16 +188,16 @@ func (q *RQueue) Allowed(rank int) bool {
 // takers (remote DEQs that found the queue empty) are served first.
 func (q *RQueue) Deliver(rec []byte) {
 	q.enqueued++
-	if q.takers.len() > 0 {
-		q.takers.pop()(rec)
+	if q.takers.Len() > 0 {
+		q.takers.Pop()(rec)
 		return
 	}
-	q.entries.push(rec)
-	if n := q.entries.len(); n > q.maxDepth {
+	q.entries.Push(rec)
+	if n := q.entries.Len(); n > q.maxDepth {
 		q.maxDepth = n
 	}
-	if q.getters.len() > 0 {
-		q.eng.Wake(q.getters.pop())
+	if q.getters.Len() > 0 {
+		q.eng.Wake(q.getters.Pop())
 	}
 }
 
@@ -211,64 +211,34 @@ func (q *RQueue) TakeAsync(fn func([]byte)) {
 		fn(rec)
 		return
 	}
-	q.takers.push(fn)
+	q.takers.Push(fn)
 }
 
 // Take removes the head record, blocking p while the queue is empty.
 func (q *RQueue) Take(p *sim.Proc) []byte {
-	for q.entries.len() == 0 {
-		q.getters.push(p)
+	for q.entries.Len() == 0 {
+		q.getters.Push(p)
 		p.Park()
 	}
-	return q.entries.pop()
+	return q.entries.Pop()
 }
 
 // TryTake removes the head record without blocking.
 func (q *RQueue) TryTake() ([]byte, bool) {
-	if q.entries.len() == 0 {
+	if q.entries.Len() == 0 {
 		return nil, false
 	}
-	return q.entries.pop(), true
+	return q.entries.Pop(), true
 }
 
 // Len returns the number of queued records.
-func (q *RQueue) Len() int { return q.entries.len() }
+func (q *RQueue) Len() int { return q.entries.Len() }
 
 // Enqueued returns the total number of records ever delivered.
 func (q *RQueue) Enqueued() int64 { return q.enqueued }
 
 // MaxDepth returns the high-water queue depth.
 func (q *RQueue) MaxDepth() int { return q.maxDepth }
-
-// fifo is a queue over a reused backing slice: pops advance a head index
-// and pushes compact the live tail to the front before growing, so a
-// queue that cycles at a steady depth stops allocating.
-type fifo[T any] struct {
-	buf  []T
-	head int
-}
-
-func (q *fifo[T]) len() int { return len(q.buf) - q.head }
-
-func (q *fifo[T]) push(x T) {
-	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= q.len() {
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
-		q.buf, q.head = q.buf[:n], 0
-	}
-	q.buf = append(q.buf, x)
-}
-
-func (q *fifo[T]) pop() T {
-	x := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero // a consumed element must be collectable
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-	return x
-}
 
 // Registry is the cluster-wide map from logical identifiers to segments,
 // flags and queues ("the mapping between asid and an address space is

@@ -34,9 +34,9 @@ type entry[T any] struct {
 }
 
 // initialRing is the number of entries a command queue's ring starts
-// with (or its capacity, if smaller). Queues are mostly idle, so the ring
-// grows on demand instead of paying for every slot up front.
-const initialRing = 4
+// with. Queues are mostly idle, so the ring grows on demand instead of
+// paying for every slot up front.
+const initialRing = 1
 
 // CommandQueue is a bounded SPSC ring of T. Only the owning rank may
 // produce into it; only the proxy consumes.
@@ -44,8 +44,8 @@ const initialRing = 4
 // The queue's logical capacity — the bound the model's backpressure sees —
 // is fixed at construction. Its physical ring starts at initialRing
 // entries and doubles, up to that capacity, when the producer finds it
-// full below the bound; a mostly idle queue therefore holds only a few
-// entries of host memory however large its capacity.
+// full below the bound; a queue therefore holds host memory for less
+// than twice the deepest it has been, however large its capacity.
 type CommandQueue[T any] struct {
 	owner    int
 	capacity int // logical capacity: Enqueue fails with ErrFull at n == capacity
@@ -62,7 +62,7 @@ func NewCommandQueue[T any](owner, capacity int) *CommandQueue[T] {
 	if capacity <= 0 {
 		panic("proxy: command queue capacity must be positive")
 	}
-	return &CommandQueue[T]{owner: owner, capacity: capacity, ring: make([]entry[T], min(capacity, initialRing))}
+	return &CommandQueue[T]{owner: owner, capacity: capacity, ring: make([]entry[T], initialRing)}
 }
 
 // Owner returns the producing rank.

@@ -2,26 +2,20 @@ package sim
 
 import "mproxy/internal/trace"
 
-// FIFO is a typed unbounded queue of T with blocking Get: the generic
-// counterpart of Queue for hot paths where boxing every item into `any`
-// costs an allocation per operation (agent work queues see one item per
-// simulated message). Its trace stream is identical to Queue's — one
+// FIFO is a typed unbounded queue of T with blocking Get. It takes items
+// by value, so hot paths do not box each one into an `any` (agent work
+// queues see one item per simulated message). Its trace stream is one
 // KEnqueue per Put and one KDequeue per successful Get/TryGet, Arg being
-// the queue length after the operation — so converting a queue from Queue
-// to FIFO does not perturb golden digests.
+// the queue length after the operation.
 //
-// Storage is a head-indexed ring over one growing slice: Get clears the
-// vacated slot (items must be GC-able once consumed) and advances head,
-// and the slice resets to its start whenever the queue drains, so a
-// steady-state producer/consumer pair reuses the same backing array
-// forever instead of re-allocating as `items = items[1:]` walks the
-// capacity away.
+// Items and parked getters live in Rings, so the queue holds at most
+// twice its high-water length of host memory, and a steady-state
+// producer/consumer pair reuses the same backing arrays forever.
 type FIFO[T any] struct {
 	eng     *Engine
 	name    string
-	items   []T
-	head    int
-	getters []waiter
+	items   Ring[T]
+	getters Ring[waiter]
 }
 
 // NewFIFO returns an empty typed queue whose enqueue/dequeue operations
@@ -34,21 +28,14 @@ func NewFIFO[T any](e *Engine, name string) *FIFO[T] {
 func (q *FIFO[T]) Name() string { return q.name }
 
 // Len returns the number of queued items.
-func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
+func (q *FIFO[T]) Len() int { return q.items.Len() }
 
 // Put appends x and wakes the first blocked getter, if any.
 func (q *FIFO[T]) Put(x T) {
-	q.items = append(q.items, x)
+	q.items.Push(x)
 	q.eng.Emit(trace.KEnqueue, q.name, int64(q.Len()))
-	if len(q.getters) > 0 {
-		// Shift instead of reslicing: q.getters[1:] would walk the backing
-		// array's capacity away and force a fresh allocation on every
-		// park/wake cycle of a steady-state consumer.
-		w := q.getters[0]
-		copy(q.getters, q.getters[1:])
-		q.getters[len(q.getters)-1] = waiter{}
-		q.getters = q.getters[:len(q.getters)-1]
-		q.eng.wakeWaiter(w)
+	if q.getters.Len() > 0 {
+		q.eng.wakeWaiter(q.getters.Pop())
 	}
 }
 
@@ -56,7 +43,7 @@ func (q *FIFO[T]) Put(x T) {
 // empty.
 func (q *FIFO[T]) Get(p *Proc) T {
 	for q.Len() == 0 {
-		q.getters = append(q.getters, waiter{p: p})
+		q.getters.Push(waiter{p: p})
 		p.Park()
 	}
 	return q.take()
@@ -66,7 +53,7 @@ func (q *FIFO[T]) Get(p *Proc) T {
 // re-check the queue with TryGet — the Task counterpart of Get's re-check
 // loop, with identical park/wake trace emissions.
 func (q *FIFO[T]) ParkGetter(t *Task, k func()) {
-	q.getters = append(q.getters, waiter{t: t})
+	q.getters.Push(waiter{t: t})
 	t.Park(k)
 }
 
@@ -81,14 +68,7 @@ func (q *FIFO[T]) TryGet() (T, bool) {
 }
 
 func (q *FIFO[T]) take() T {
-	x := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
+	x := q.items.Pop()
 	q.eng.Emit(trace.KDequeue, q.name, int64(q.Len()))
 	return x
 }

@@ -212,9 +212,9 @@ func TestFlagMultipleWaitersFIFO(t *testing.T) {
 
 func TestQueueBlockingGet(t *testing.T) {
 	e := NewEngine()
-	var got any
+	var got string
 	var at Time
-	q := e.NewQueue()
+	q := NewFIFO[string](e, "queue")
 	e.Spawn("consumer", func(p *Proc) {
 		got = q.Get(p)
 		at = p.Now()
@@ -233,14 +233,14 @@ func TestQueueBlockingGet(t *testing.T) {
 
 func TestQueueFIFOOrder(t *testing.T) {
 	e := NewEngine()
-	q := e.NewQueue()
+	q := NewFIFO[int](e, "queue")
 	for i := 0; i < 5; i++ {
 		q.Put(i)
 	}
 	var got []int
 	e.Spawn("c", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			got = append(got, q.Get(p).(int))
+			got = append(got, q.Get(p))
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -255,7 +255,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 
 func TestQueueTryGet(t *testing.T) {
 	e := NewEngine()
-	q := e.NewQueue()
+	q := NewFIFO[int](e, "queue")
 	if _, ok := q.TryGet(); ok {
 		t.Fatal("TryGet on empty queue succeeded")
 	}
@@ -264,7 +264,7 @@ func TestQueueTryGet(t *testing.T) {
 		t.Fatalf("Len = %d", q.Len())
 	}
 	v, ok := q.TryGet()
-	if !ok || v.(int) != 7 {
+	if !ok || v != 7 {
 		t.Fatalf("TryGet = %v, %v", v, ok)
 	}
 }
@@ -363,7 +363,7 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() string {
 		e := NewEngine()
 		r := e.NewResource("r")
-		q := e.NewQueue()
+		q := NewFIFO[int](e, "queue")
 		var b strings.Builder
 		for i := 0; i < 4; i++ {
 			i := i
@@ -449,7 +449,7 @@ func TestPropertyResourceConservation(t *testing.T) {
 
 func TestSpawnDaemonExcludedFromDeadlock(t *testing.T) {
 	e := NewEngine()
-	q := e.NewQueue()
+	q := NewFIFO[int](e, "queue")
 	served := 0
 	// A server loop that would otherwise count as deadlocked once its
 	// clients finish.
@@ -491,7 +491,7 @@ func TestShutdownReapsBlockedGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		e := NewEngine()
-		q := e.NewQueue()
+		q := NewFIFO[int](e, "queue")
 		e.SpawnDaemon("server", func(p *Proc) {
 			for {
 				q.Get(p)

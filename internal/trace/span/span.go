@@ -344,7 +344,7 @@ func (a *Assembler) Stats() Stats {
 
 // agentOf maps an agent work-queue trace name to its agent, following the
 // machine.NewAgent contract that agent queues are named "<agent>.q" (the
-// only named sim.Queues in the tree). Command-queue components
+// only named sim.FIFOs in the tree). Command-queue components
 // ("rank<N>.cmdq") do not match: their suffix is ".cmdq", not ".q".
 func agentOf(comp string) (string, bool) {
 	return strings.CutSuffix(comp, ".q")

@@ -19,29 +19,35 @@ import (
 // submission, proxy scan, fat-tree flight, KV handling, and the reply's
 // way back to the client's receive loop — must not allocate. The warmup
 // covers the one-time growth (frame and record pools, the SCAN replies'
-// 2 KiB record class among them, packet and delivery pools, the KV
-// store's keys, event queues).
+// 2 KiB record class among them, packet and delivery pools, event
+// queues). The fresh-keys case draws PUT keys uniformly from 2^40 and
+// pins windows a hundred times longer, so each of them writes hundreds
+// of keys no earlier request touched: the servers must hold no per-key
+// state that grows with the keys written.
 func TestAllocPinServingRoundTrips(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		pGet, pPut float64
+		keys       *zipfParams
+		window     sim.Time
 	}{
-		{"GET", 1, 0},
-		{"PUT", 0, 1},
-		{"SCAN", 0, 0},
+		{"GET", 1, 0, zipfFor(16, 0.5), 200 * sim.Microsecond},
+		{"PUT", 0, 1, zipfFor(16, 0.5), 200 * sim.Microsecond},
+		{"SCAN", 0, 0, zipfFor(16, 0.5), 200 * sim.Microsecond},
+		{"PUT-fresh-keys", 0, 1, zipfFor(1<<40, 0), 20 * sim.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, l, svc := servingStack(t, 4)
 			var replies int64
 			svc.OnReply = func(int, kv.Op, int64, int64) { replies++ }
-			for _, c := range servingClients(eng, l, svc, 4, tc.pGet, tc.pPut) {
+			for _, c := range servingClients(eng, l, svc, 4, tc.pGet, tc.pPut, tc.keys) {
 				eng.SpawnTask("client", c.issue)
 				port := c.port
 				eng.SpawnTaskDaemon("recv", func(tk *sim.Task) {
 					port.ServeWhileTask(tk, func() bool { return false })
 				})
 			}
-			window := 200 * sim.Microsecond
+			window := tc.window
 			if err := eng.RunUntil(100 * window); err != nil {
 				t.Fatal(err)
 			}
@@ -95,10 +101,9 @@ func servingStack(t *testing.T, nodes int) (*sim.Engine, *am.Layer, *kv.Service)
 }
 
 // servingClients returns one open-loop generator per node, on slot 1,
-// with an effectively endless quota and the given op mix over a small
-// key space (so warmup touches every key).
-func servingClients(eng *sim.Engine, l *am.Layer, svc *kv.Service, nodes int, pGet, pPut float64) []*client {
-	zp := zipfFor(16, 0.5)
+// with an effectively endless quota and the given op mix, drawing keys
+// from zp.
+func servingClients(eng *sim.Engine, l *am.Layer, svc *kv.Service, nodes int, pGet, pPut float64, zp *zipfParams) []*client {
 	var cs []*client
 	for n := 0; n < nodes; n++ {
 		rank := 2*n + 1
