@@ -46,7 +46,8 @@ go build -o "$tmpdir/mproxy" ./cmd/mproxy
 "$tmpdir/mproxy" list >/dev/null
 "$tmpdir/mproxy" run section4-model >/dev/null 2>"$tmpdir/manifest"
 grep -q '"output_sha256"' "$tmpdir/manifest"
-for target in table3 loss-sweep prof-breakdown cmd/mproxy/testdata/specs/apps-list.json; do
+for target in table3 loss-sweep prof-breakdown cmd/mproxy/testdata/specs/apps-list.json \
+    cmd/mproxy/testdata/specs/serving-breakdown.json; do
     "$tmpdir/mproxy" run "$target" >/dev/null 2>/dev/null
 done
 

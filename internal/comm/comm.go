@@ -17,6 +17,7 @@ import (
 	"mproxy/internal/sim"
 	"mproxy/internal/sim/par"
 	"mproxy/internal/trace"
+	"mproxy/internal/trace/span"
 )
 
 // HeaderSize is the network packet header size in bytes; headers count
@@ -54,8 +55,9 @@ func (o Options) queueCap() int {
 	return DefaultCommandQueueCap
 }
 
-// OpKind enumerates the RMA/RQ primitives.
-type OpKind int
+// OpKind enumerates the RMA/RQ primitives. It is a byte so that a
+// request's span ID fits in the word its kind shares.
+type OpKind uint8
 
 const (
 	OpPut OpKind = iota
@@ -186,6 +188,13 @@ type Fabric struct {
 	// (see enginePools), so steady-state messaging allocates nothing.
 	pools []*enginePools
 
+	// spans, when non-nil, receives every operation's phase boundaries
+	// (see span.Run); pass holds the probes of the latest scan pass for
+	// the pickup that follows it. Spans are recorded on sequential
+	// clusters only, so neither is touched concurrently.
+	spans *span.Run
+	pass  struct{ probes, headChecks int64 }
+
 	// lat accumulates completion latencies per destination node — an
 	// operation completes in its destination's event context, which on a
 	// parallel cluster is that node's shard — and LatencyStats merges the
@@ -203,6 +212,10 @@ func New(cl *machine.Cluster) *Fabric { return NewWith(cl, Options{}) }
 // NewWith is New under explicit per-fabric Options.
 func NewWith(cl *machine.Cluster, opt Options) *Fabric {
 	f := &Fabric{Cl: cl, A: cl.Arch, opt: opt}
+	if !cl.Sharded() {
+		eng := cl.Eng
+		f.spans = span.Attach(eng.Tracer(), func() int64 { return int64(eng.Now()) })
+	}
 	f.lat = make([][opKinds]latAccum, len(cl.Nodes))
 	f.pools = make([]*enginePools, len(cl.Nodes))
 	for i, nd := range cl.Nodes {
@@ -244,6 +257,9 @@ func NewWith(cl *machine.Cluster, opt Options) *Fabric {
 				eng := nd.Eng // scan passes run in the node's event context
 				s.SetObserver(func(probes, headChecks int64, found bool) {
 					eng.Emit(trace.KScan, name, trace.ScanArg(probes, headChecks, found))
+					if f.spans != nil {
+						f.pass.probes, f.pass.headChecks = probes, headChecks
+					}
 				})
 				f.scanners[i][k] = s
 				// A proxy crash (fault plane) wipes the scanner's volatile
@@ -378,11 +394,14 @@ func (f *Fabric) LatencyStats() map[OpKind]LatencyStat {
 // opDone records one completed operation's latency. node is the node in
 // whose event context the completion runs (the destination of the data
 // movement); its engine is the correct clock in sequential and sharded
-// runs.
-func (f *Fabric) opDone(node *machine.Node, kind OpKind, issued sim.Time) {
+// runs. where names who deposited the data, for the operation's span.
+func (f *Fabric) opDone(node *machine.Node, kind OpKind, issued sim.Time, id uint32, where string) {
 	d := node.Eng.Now() - issued
 	f.lat[node.ID][kind].add(d)
 	node.Eng.Emit(trace.KOpDone, kind.String(), int64(d))
+	if f.spans != nil {
+		f.spans.Done(id, where)
+	}
 }
 
 // ExactlyOnce reports whether every record the fabric delivers reaches its
@@ -405,9 +424,7 @@ type Endpoint struct {
 	cmdq    *proxy.CommandQueue[request]
 	cmdqIdx int
 	// cmdqComp is the command queue's trace component name, emitted on
-	// every command enqueue so span assembly can pair a proxy's pickup
-	// with the exact command it dequeued (the agent work tokens are
-	// fungible: a scan may service another endpoint's command).
+	// every command enqueue.
 	cmdqComp string
 	proxyIdx int // which of the node's proxies serves this endpoint
 	// work is the pre-built proxy work item submitted once per operation
@@ -451,9 +468,12 @@ func (ep *Endpoint) Ops() int64 { return ep.ops }
 // Bytes returns the payload bytes this endpoint has moved.
 func (ep *Endpoint) Bytes() int64 { return ep.bytes }
 
-// request is a submitted RMA/RQ command.
+// request is a submitted RMA/RQ command. span is the operation's span
+// ID (0 when no span recorder is installed); it rides every packet the
+// command produces.
 type request struct {
 	kind    OpKind
+	span    uint32
 	from    int
 	issued  sim.Time
 	local   memory.Addr
@@ -472,8 +492,8 @@ func (ep *Endpoint) Put(local, remote memory.Addr, n int, fsync, rsync memory.Fl
 	if err := ep.checkRMA(local, remote, n, "PUT"); err != nil {
 		return err
 	}
-	ep.record(OpPut, n)
-	ep.submit(request{kind: OpPut, from: ep.rank, local: local, remote: remote, n: n, fsync: fsync, rsync: rsync})
+	id := ep.record(OpPut, n, nil)
+	ep.submit(request{kind: OpPut, span: id, from: ep.rank, local: local, remote: remote, n: n, fsync: fsync, rsync: rsync})
 	return nil
 }
 
@@ -487,8 +507,8 @@ func (ep *Endpoint) PutBytes(data []byte, remote memory.Addr, fsync, rsync memor
 	}
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	ep.record(OpPut, len(data))
-	ep.submit(request{kind: OpPut, from: ep.rank, payload: buf, remote: remote, n: len(data), fsync: fsync, rsync: rsync})
+	id := ep.record(OpPut, len(data), nil)
+	ep.submit(request{kind: OpPut, span: id, from: ep.rank, payload: buf, remote: remote, n: len(data), fsync: fsync, rsync: rsync})
 	return nil
 }
 
@@ -499,8 +519,8 @@ func (ep *Endpoint) Get(local, remote memory.Addr, n int, fsync, rsync memory.Fl
 	if err := ep.checkRMA(local, remote, n, "GET"); err != nil {
 		return err
 	}
-	ep.record(OpGet, n)
-	ep.submit(request{kind: OpGet, from: ep.rank, local: local, remote: remote, n: n, fsync: fsync, rsync: rsync})
+	id := ep.record(OpGet, n, nil)
+	ep.submit(request{kind: OpGet, span: id, from: ep.rank, local: local, remote: remote, n: n, fsync: fsync, rsync: rsync})
 	return nil
 }
 
@@ -515,8 +535,8 @@ func (ep *Endpoint) Enq(local memory.Addr, rq memory.QueueRef, n int, lsync memo
 	if _, err := reg.CheckQueue(ep.rank, rq, "ENQ"); err != nil {
 		return err
 	}
-	ep.record(OpEnq, n)
-	ep.submit(request{kind: OpEnq, from: ep.rank, local: local, rq: rq, n: n, fsync: lsync})
+	id := ep.record(OpEnq, n, nil)
+	ep.submit(request{kind: OpEnq, span: id, from: ep.rank, local: local, rq: rq, n: n, fsync: lsync})
 	return nil
 }
 
@@ -529,8 +549,8 @@ func (ep *Endpoint) EnqBytes(data []byte, rq memory.QueueRef, lsync memory.FlagR
 	if _, err := ep.f.Cl.Reg.CheckQueue(ep.rank, rq, "ENQ"); err != nil {
 		return err
 	}
-	ep.record(OpEnq, len(data))
-	ep.submit(request{kind: OpEnq, from: ep.rank, payload: data, rq: rq, n: len(data), fsync: lsync})
+	id := ep.record(OpEnq, len(data), nil)
+	ep.submit(request{kind: OpEnq, span: id, from: ep.rank, payload: data, rq: rq, n: len(data), fsync: lsync})
 	return nil
 }
 
@@ -546,8 +566,8 @@ func (ep *Endpoint) Deq(local memory.Addr, rq memory.QueueRef, n int, lsync memo
 	if _, err := reg.CheckQueue(ep.rank, rq, "DEQ"); err != nil {
 		return err
 	}
-	ep.record(OpDeq, n)
-	ep.submit(request{kind: OpDeq, from: ep.rank, local: local, rq: rq, n: n, fsync: lsync})
+	id := ep.record(OpDeq, n, nil)
+	ep.submit(request{kind: OpDeq, span: id, from: ep.rank, local: local, rq: rq, n: n, fsync: lsync})
 	return nil
 }
 
@@ -627,12 +647,25 @@ func faultSide(err error, op string) error {
 	return err
 }
 
-func (ep *Endpoint) record(kind OpKind, n int) {
+// record counts a submitted operation and opens its span, returning the
+// span ID (0 without a recorder). t is the submitting task, nil for the
+// bound process.
+func (ep *Endpoint) record(kind OpKind, n int, t *sim.Task) uint32 {
 	ep.ops++
 	ep.bytes += int64(n)
 	ep.opsK[kind]++
 	ep.bytesK[kind] += int64(n)
 	ep.cpu.Node.Eng.Emit(trace.KOpSubmit, kind.String(), int64(n))
+	if ep.f.spans == nil {
+		return 0
+	}
+	var origin string
+	if t != nil {
+		origin = t.Name()
+	} else {
+		origin = ep.proc.Name()
+	}
+	return ep.f.spans.Open(kind.String(), int64(n), origin)
 }
 
 // submit hands the request to the architecture-specific send path after
@@ -660,6 +693,9 @@ func (ep *Endpoint) submit(r request) {
 		}
 		node := ep.cpu.Node
 		node.Eng.Emit(trace.KEnqueue, ep.cmdqComp, int64(ep.cmdq.Len()))
+		if f.spans != nil {
+			f.spans.Enqueued(r.span)
+		}
 		f.scanners[node.ID][ep.proxyIdx].MarkNonEmpty(ep.cmdqIdx)
 		node.Agents[ep.proxyIdx].Submit(ep.work)
 	case arch.CustomHW:
@@ -676,5 +712,8 @@ func (ep *Endpoint) submit(r request) {
 func (f *Fabric) submitHW(node *machine.Node, r request) {
 	box := f.newReqBox(node)
 	box.r = r
+	if f.spans != nil {
+		f.spans.Enqueued(r.span)
+	}
 	node.Agent.Submit(machine.Work{TFn: hwSendWork, Arg: box})
 }

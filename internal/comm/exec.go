@@ -116,6 +116,19 @@ type deqReply struct {
 	rec []byte
 }
 
+// picked marks the agent picking operation id up; a command carries the
+// probes of the scan pass that dequeued it.
+func (fr *agentExec) picked(id uint32, probes, headChecks int64) {
+	if fr.f.spans != nil {
+		fr.f.spans.Picked(id, fr.a.Name, probes, headChecks)
+	}
+}
+
+// opDone completes the operation of the packet being processed.
+func (fr *agentExec) opDone(kind OpKind) {
+	fr.f.opDone(fr.node, kind, fr.pkt.issued, fr.pkt.span, fr.a.Name)
+}
+
 func (fr *agentExec) hold(d sim.Time, pc int) {
 	fr.pc = pc
 	fr.a.Task().Hold(d, fr.stepK)
@@ -159,7 +172,7 @@ func (fr *agentExec) step() {
 			kind = pktEnqData
 		}
 		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.from, pkt.to, pkt.n = kind, r.from, f.targetRank(r), r.n
+		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = kind, r.span, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.dst, pkt.rq, pkt.fsync, pkt.rsync = r.issued, r.remote, r.rq, r.fsync, r.rsync
 		if r.kind == OpEnq {
 			// The record is handed to the destination queue, which retains
@@ -179,19 +192,19 @@ func (fr *agentExec) step() {
 		fr.finish()
 	case pcMPPutPages:
 		r := &fr.r
-		fr.startPages(packet{kind: pktPutPage, from: r.from, to: f.targetRank(r), n: r.n,
+		fr.startPages(packet{kind: pktPutPage, span: r.span, from: r.from, to: f.targetRank(r), n: r.n,
 			issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local, pcFinish)
 	case pcMPGetReqShip:
 		r := &fr.r
 		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.from, pkt.to, pkt.n = pktGetReq, r.from, f.targetRank(r), r.n
+		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktGetReq, r.span, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.issued, r.remote, r.local, r.fsync, r.rsync
 		f.ship(fr.node, pkt)
 		fr.finish()
 	case pcMPDeqReqShip:
 		r := &fr.r
 		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.from, pkt.to, pkt.n = pktDeqReq, r.from, f.targetRank(r), r.n
+		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktDeqReq, r.span, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.rq, pkt.dst, pkt.fsync = r.issued, r.rq, r.local, r.fsync
 		f.ship(fr.node, pkt)
 		fr.finish()
@@ -199,7 +212,7 @@ func (fr *agentExec) step() {
 	// ---- message proxy: receive side (mpRecvWork) ----
 	case pcMPPutDeposit:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		f.opDone(fr.node, OpPut, fr.pkt.issued)
+		fr.opDone(OpPut)
 		fr.mpFinishPut()
 	case pcMPPutRsync:
 		reg.Signal(fr.pkt.rsync)
@@ -210,7 +223,7 @@ func (fr *agentExec) step() {
 	case pcMPPutPage:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
 		if fr.pkt.last {
-			f.opDone(fr.node, OpPut, fr.pkt.issued)
+			fr.opDone(OpPut)
 			fr.mpFinishPut()
 			return
 		}
@@ -227,18 +240,18 @@ func (fr *agentExec) step() {
 	case pcMPGetDataShip:
 		in := fr.pkt
 		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.from, pkt.to, pkt.n = pktGetData, in.to, in.from, in.n
+		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktGetData, in.span, in.to, in.from, in.n
 		pkt.issued, pkt.dst, pkt.fsync = in.issued, in.dst, in.fsync
 		f.readBytesInto(pkt, in.src, in.n)
 		f.ship(fr.node, pkt)
 		fr.finish()
 	case pcMPGetPagesStart:
 		in := fr.pkt
-		fr.startPages(packet{kind: pktGetPage, from: in.to, to: in.from, n: in.n,
+		fr.startPages(packet{kind: pktGetPage, span: in.span, from: in.to, to: in.from, n: in.n,
 			issued: in.issued, dst: in.dst, fsync: in.fsync}, in.src, pcFinish)
 	case pcMPGetDeposit:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		f.opDone(fr.node, OpGet, fr.pkt.issued)
+		fr.opDone(OpGet)
 		fr.hold(A.AgentMiss, pcMPGetFsync)
 	case pcMPGetFsync:
 		reg.Signal(fr.pkt.fsync)
@@ -246,14 +259,14 @@ func (fr *agentExec) step() {
 	case pcMPGetPageStep:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
 		if fr.pkt.last {
-			f.opDone(fr.node, OpGet, fr.pkt.issued)
+			fr.opDone(OpGet)
 			fr.hold(A.AgentMiss, pcMPGetFsync)
 			return
 		}
 		fr.finish()
 	case pcMPEnqDeposit:
 		f.depositQueue(fr.pkt.rq, fr.pkt.data)
-		f.opDone(fr.node, OpEnq, fr.pkt.issued)
+		fr.opDone(OpEnq)
 		fr.finish()
 	case pcMPDeqReqTake:
 		fr.deqTake(false)
@@ -261,7 +274,7 @@ func (fr *agentExec) step() {
 		fr.shipDeqReply()
 	case pcMPDeqDeposit:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		f.opDone(fr.node, OpDeq, fr.pkt.issued)
+		fr.opDone(OpDeq)
 		fr.hold(A.AgentMiss, pcMPDeqFsync)
 	case pcMPDeqFsync:
 		reg.Signal(fr.pkt.fsync)
@@ -278,6 +291,7 @@ func (fr *agentExec) step() {
 			return
 		}
 		fr.node.Eng.Emit(trace.KDequeue, f.cmdqNames[fr.node.ID][fr.stealIdx][qi], 0)
+		fr.picked(r.span, f.pass.probes, f.pass.headChecks)
 		fr.r = r
 		fr.hold(A.AgentMiss+A.Instr(0.5)+A.VMAtt, pcMPSend)
 
@@ -289,7 +303,7 @@ func (fr *agentExec) step() {
 			kind = pktEnqData
 		}
 		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.from, pkt.to, pkt.n = kind, r.from, f.targetRank(r), r.n
+		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = kind, r.span, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.dst, pkt.rq, pkt.fsync, pkt.rsync = r.issued, r.remote, r.rq, r.fsync, r.rsync
 		if r.kind == OpEnq {
 			pkt.data = f.readSource(r)
@@ -307,19 +321,19 @@ func (fr *agentExec) step() {
 		fr.finish()
 	case pcHWPutPages:
 		r := &fr.r
-		fr.startPages(packet{kind: pktPutPage, from: r.from, to: f.targetRank(r), n: r.n,
+		fr.startPages(packet{kind: pktPutPage, span: r.span, from: r.from, to: f.targetRank(r), n: r.n,
 			issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local, pcFinish)
 	case pcHWGetReqShip:
 		r := &fr.r
 		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.from, pkt.to, pkt.n = pktGetReq, r.from, f.targetRank(r), r.n
+		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktGetReq, r.span, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.issued, r.remote, r.local, r.fsync, r.rsync
 		f.ship(fr.node, pkt)
 		fr.finish()
 	case pcHWDeqReqShip:
 		r := &fr.r
 		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.from, pkt.to, pkt.n = pktDeqReq, r.from, f.targetRank(r), r.n
+		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktDeqReq, r.span, r.from, f.targetRank(r), r.n
 		pkt.issued, pkt.rq, pkt.dst, pkt.fsync = r.issued, r.rq, r.local, r.fsync
 		f.ship(fr.node, pkt)
 		fr.finish()
@@ -327,7 +341,7 @@ func (fr *agentExec) step() {
 	// ---- custom hardware: receive side (hwRecvWork) ----
 	case pcHWPutDeposit:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		f.opDone(fr.node, OpPut, fr.pkt.issued)
+		fr.opDone(OpPut)
 		fr.hwFinishPut()
 	case pcHWPutRsync:
 		reg.Signal(fr.pkt.rsync)
@@ -338,7 +352,7 @@ func (fr *agentExec) step() {
 	case pcHWPutPage:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
 		if fr.pkt.last {
-			f.opDone(fr.node, OpPut, fr.pkt.issued)
+			fr.opDone(OpPut)
 			fr.hwFinishPut()
 			return
 		}
@@ -349,18 +363,18 @@ func (fr *agentExec) step() {
 	case pcHWGetDataShip:
 		in := fr.pkt
 		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.from, pkt.to, pkt.n = pktGetData, in.to, in.from, in.n
+		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktGetData, in.span, in.to, in.from, in.n
 		pkt.issued, pkt.dst, pkt.fsync = in.issued, in.dst, in.fsync
 		f.readBytesInto(pkt, in.src, in.n)
 		f.ship(fr.node, pkt)
 		fr.finish()
 	case pcHWGetPagesStart:
 		in := fr.pkt
-		fr.startPages(packet{kind: pktGetPage, from: in.to, to: in.from, n: in.n,
+		fr.startPages(packet{kind: pktGetPage, span: in.span, from: in.to, to: in.from, n: in.n,
 			issued: in.issued, dst: in.dst, fsync: in.fsync}, in.src, pcFinish)
 	case pcHWGetDeposit:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		f.opDone(fr.node, OpGet, fr.pkt.issued)
+		fr.opDone(OpGet)
 		fr.hold(A.CacheMiss, pcHWGetFsync)
 	case pcHWGetFsync:
 		reg.Signal(fr.pkt.fsync)
@@ -368,14 +382,14 @@ func (fr *agentExec) step() {
 	case pcHWGetPageStep:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
 		if fr.pkt.last {
-			f.opDone(fr.node, OpGet, fr.pkt.issued)
+			fr.opDone(OpGet)
 			fr.hold(A.CacheMiss, pcHWGetFsync)
 			return
 		}
 		fr.finish()
 	case pcHWEnqDeposit:
 		f.depositQueue(fr.pkt.rq, fr.pkt.data)
-		f.opDone(fr.node, OpEnq, fr.pkt.issued)
+		fr.opDone(OpEnq)
 		fr.finish()
 	case pcHWDeqReqTake:
 		fr.deqTake(true)
@@ -383,7 +397,7 @@ func (fr *agentExec) step() {
 		fr.shipDeqReply()
 	case pcHWDeqDeposit:
 		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		f.opDone(fr.node, OpDeq, fr.pkt.issued)
+		fr.opDone(OpDeq)
 		fr.hold(A.CacheMiss, pcHWDeqFsync)
 	case pcHWDeqFsync:
 		reg.Signal(fr.pkt.fsync)
@@ -478,7 +492,11 @@ func (fr *agentExec) deqTake(hw bool) {
 	}
 	q.TakeAsync(func(rec []byte) {
 		box.rec = rec
-		f.agentForRank(box.req.to).Submit(work)
+		ag := f.agentForRank(box.req.to)
+		if f.spans != nil {
+			f.spans.Taken(box.req.span, ag.Name)
+		}
+		ag.Submit(work)
 	})
 	fr.finish()
 }
@@ -488,7 +506,7 @@ func (fr *agentExec) shipDeqReply() {
 	box := fr.box
 	n := fr.nOut
 	pkt := f.newPacket(fr.node)
-	pkt.kind, pkt.from, pkt.to, pkt.n = pktDeqData, box.req.to, box.req.from, n
+	pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktDeqData, box.req.span, box.req.to, box.req.from, n
 	pkt.issued, pkt.data, pkt.dst, pkt.fsync = box.req.issued, box.rec[:n], box.req.dst, box.req.fsync
 	f.ship(fr.node, pkt)
 	fr.finish()
@@ -562,7 +580,7 @@ func (fr *agentExec) pageDMADone() {
 	f.readBytesInto(pg, fr.srcAddr.Plus(fr.off), fr.chunk) // read after the DMA completes
 	pg.dst = fr.proto.dst.Plus(fr.off)
 	pg.last = fr.off+fr.chunk == fr.proto.n
-	f.shipOverlapped(fr.node, pg)
+	f.shipOverlapped(fr.node, pg, fr.off == 0)
 	fr.off += fr.chunk
 	fr.pageLoop()
 }
@@ -582,6 +600,7 @@ func mpServiceWork(a *machine.Agent, _ any) {
 		return
 	}
 	fr.node.Eng.Emit(trace.KDequeue, f.cmdqNames[fr.node.ID][fr.scanIdx][qi], 0)
+	fr.picked(r.span, f.pass.probes, f.pass.headChecks)
 	fr.r = r
 	A := &f.A
 	// Dequeue entry (read miss), decode command and allocate a CCB,
@@ -594,6 +613,7 @@ func mpServiceWork(a *machine.Agent, _ any) {
 func hwSendWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	box := arg.(*reqBox)
+	fr.picked(box.r.span, 0, 0)
 	fr.r = box.r
 	fr.f.freeReqBox(fr.node, box)
 	f := fr.f
@@ -620,6 +640,7 @@ func hwSendWork(a *machine.Agent, arg any) {
 func mpRecvWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	pkt := arg.(*packet)
+	fr.picked(pkt.span, 0, 0)
 	fr.pkt = pkt
 	f := fr.f
 	A := &f.A
@@ -656,6 +677,7 @@ func mpRecvWork(a *machine.Agent, arg any) {
 func hwRecvWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	pkt := arg.(*packet)
+	fr.picked(pkt.span, 0, 0)
 	fr.pkt = pkt
 	f := fr.f
 	A := &f.A
@@ -689,6 +711,7 @@ func hwRecvWork(a *machine.Agent, arg any) {
 func mpDeqReplyWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	box := arg.(*deqReply)
+	fr.picked(box.req.span, 0, 0)
 	fr.box = box
 	n := box.req.n
 	if len(box.rec) < n {
@@ -702,6 +725,7 @@ func mpDeqReplyWork(a *machine.Agent, arg any) {
 func hwDeqReplyWork(a *machine.Agent, arg any) {
 	fr := a.Exec().(*agentExec)
 	box := arg.(*deqReply)
+	fr.picked(box.req.span, 0, 0)
 	fr.box = box
 	n := box.req.n
 	if len(box.rec) < n {

@@ -10,8 +10,9 @@ import (
 	"mproxy/internal/trace"
 )
 
-// pktKind enumerates wire packet types.
-type pktKind int
+// pktKind enumerates wire packet types. It is a byte so that a packet's
+// span ID fits in the word its kind shares.
+type pktKind uint8
 
 const (
 	pktPutData pktKind = iota // PUT payload (PIO)
@@ -28,6 +29,7 @@ const (
 // packet is a network message between nodes.
 type packet struct {
 	kind   pktKind
+	span   uint32   // the originating operation's span ID (0 for acks)
 	from   int      // issuing rank
 	to     int      // rank whose node receives the packet
 	issued sim.Time // when the originating operation was submitted
@@ -151,17 +153,23 @@ func (f *Fabric) agentForRank(rank int) *machine.Agent {
 // through the reliable transport when one is enabled. Without it, faults
 // are terminal: a corrupted packet is discarded at the receiver (the
 // integrity check) and nothing retransmits it.
-func (f *Fabric) ship(node *machine.Node, pkt *packet) { f.send(node, pkt, false) }
+func (f *Fabric) ship(node *machine.Node, pkt *packet) { f.send(node, pkt, false, true) }
 
 // shipOverlapped ships a DMA-fed page whose serialization was already paid
-// at the (slower) DMA engine.
-func (f *Fabric) shipOverlapped(node *machine.Node, pkt *packet) { f.send(node, pkt, true) }
+// at the (slower) DMA engine. Only a transfer's first page marks its
+// span's launch: later pages leave while the receiver serves the first.
+func (f *Fabric) shipOverlapped(node *machine.Node, pkt *packet, first bool) {
+	f.send(node, pkt, true, first)
+}
 
 // send puts pkt on the wire with the fabric as its sink: over the
 // reliable transport, through the multi-switch interconnect (which owns
 // the path from the source link through the switches), or on the flat
-// model's single source link.
-func (f *Fabric) send(node *machine.Node, pkt *packet, overlapped bool) {
+// model's single source link. launch marks the packet's span launched.
+func (f *Fabric) send(node *machine.Node, pkt *packet, overlapped, launch bool) {
+	if f.spans != nil && launch {
+		f.spans.Launched(pkt.span)
+	}
 	if f.relE != nil {
 		f.relShip(pkt, overlapped)
 		return
@@ -193,6 +201,9 @@ func (f *Fabric) DeliverPacket(arg any, fate machine.PacketFate) {
 // deliver dispatches an arriving packet to the receiving node's agent
 // (proxy or adapter) or, under SW, interrupts the destination CPU.
 func (f *Fabric) deliver(dest *machine.Node, pkt *packet) {
+	if f.spans != nil {
+		f.spans.Arrived(pkt.span)
+	}
 	switch f.A.Kind {
 	case arch.Proxy:
 		f.agentForRank(pkt.to).Submit(machine.Work{TFn: mpRecvWork, Arg: pkt})
@@ -301,7 +312,7 @@ func (f *Fabric) sendPages(p *sim.Proc, node *machine.Node, proto packet, srcAdd
 		f.readBytesInto(pg, srcAddr.Plus(off), chunk) // read after the DMA completes
 		pg.dst = proto.dst.Plus(off)
 		pg.last = off+chunk == proto.n
-		f.shipOverlapped(node, pg)
+		f.shipOverlapped(node, pg, off == 0)
 		off += chunk
 	}
 }
@@ -321,30 +332,30 @@ func (f *Fabric) intra(ep *Endpoint, r request) {
 		f.depositBytes(r.remote, f.readSource(&r))
 		reg.Signal(r.rsync)
 		reg.Signal(r.fsync)
-		f.opDone(node, OpPut, r.issued)
+		f.opDone(node, OpPut, r.issued, r.span, "")
 	case OpGet:
 		ep.cpu.Compute(ep.proc, copyCost)
 		f.depositBytes(r.local, f.readBytes(r.remote, r.n))
 		reg.Signal(r.rsync)
 		reg.Signal(r.fsync)
-		f.opDone(node, OpGet, r.issued)
+		f.opDone(node, OpGet, r.issued, r.span, "")
 	case OpEnq:
 		ep.cpu.Compute(ep.proc, copyCost+A.CacheMiss) // tail pointer update
 		f.depositQueue(r.rq, f.readSource(&r))
 		reg.Signal(r.fsync)
-		f.opDone(node, OpEnq, r.issued)
+		f.opDone(node, OpEnq, r.issued, r.span, "")
 	case OpDeq:
 		q, _ := reg.Queue(r.rq)
 		dst, lsync := r.local, r.fsync
 		n := r.n
-		issued := r.issued
+		issued, id := r.issued, r.span
 		q.TakeAsync(func(rec []byte) {
 			if len(rec) > n {
 				rec = rec[:n]
 			}
 			f.depositBytes(dst, rec)
 			reg.Signal(lsync)
-			f.opDone(node, OpDeq, issued)
+			f.opDone(node, OpDeq, issued, id, "")
 		})
 		ep.cpu.Compute(ep.proc, copyCost+A.CacheMiss)
 	}

@@ -35,12 +35,12 @@ func (f *Fabric) swSend(ep *Endpoint, r request) {
 			// blocked: a communication operation may block in the kernel,
 			// preventing overlap of communication with computation.
 			ep.cpu.Compute(ep.proc, base)
-			f.sendPages(ep.proc, node, packet{kind: pktPutPage, from: r.from, to: to, n: r.n,
+			f.sendPages(ep.proc, node, packet{kind: pktPutPage, span: r.span, from: r.from, to: to, n: r.n,
 				issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local)
 		} else {
 			ep.cpu.Compute(ep.proc, base+A.CacheMiss+2*A.Uncached+f.pio(r.n))
 			pkt := f.newPacket(node)
-			pkt.kind, pkt.from, pkt.to, pkt.n, pkt.issued = kind, r.from, to, r.n, r.issued
+			pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n, pkt.issued = kind, r.span, r.from, to, r.n, r.issued
 			pkt.dst, pkt.rq, pkt.fsync, pkt.rsync = r.remote, r.rq, r.fsync, r.rsync
 			if r.kind == OpEnq {
 				// The destination queue retains the record: it must not
@@ -57,13 +57,13 @@ func (f *Fabric) swSend(ep *Endpoint, r request) {
 	case OpGet:
 		ep.cpu.Compute(ep.proc, base+2*A.Uncached)
 		pkt := f.newPacket(node)
-		pkt.kind, pkt.from, pkt.to, pkt.n, pkt.issued = pktGetReq, r.from, to, r.n, r.issued
+		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n, pkt.issued = pktGetReq, r.span, r.from, to, r.n, r.issued
 		pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.remote, r.local, r.fsync, r.rsync
 		f.ship(node, pkt)
 	case OpDeq:
 		ep.cpu.Compute(ep.proc, base+2*A.Uncached)
 		pkt := f.newPacket(node)
-		pkt.kind, pkt.from, pkt.to, pkt.n, pkt.issued = pktDeqReq, r.from, to, r.n, r.issued
+		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n, pkt.issued = pktDeqReq, r.span, r.from, to, r.n, r.issued
 		pkt.rq, pkt.dst, pkt.fsync = r.rq, r.local, r.fsync
 		f.ship(node, pkt)
 	}
@@ -156,12 +156,12 @@ func (f *Fabric) swFinish(dest *machine.Node, pkt *packet) {
 	reg := f.Cl.Reg
 	switch pkt.kind {
 	case pktPutData:
-		f.opDone(dest, OpPut, pkt.issued)
+		f.opDone(dest, OpPut, pkt.issued, pkt.span, "engine")
 		reg.Signal(pkt.rsync)
 		f.swAck(dest, pkt)
 	case pktPutPage:
 		if pkt.last {
-			f.opDone(dest, OpPut, pkt.issued)
+			f.opDone(dest, OpPut, pkt.issued, pkt.span, "engine")
 			reg.Signal(pkt.rsync)
 			f.swAck(dest, pkt)
 		}
@@ -169,7 +169,7 @@ func (f *Fabric) swFinish(dest *machine.Node, pkt *packet) {
 		reg.Signal(pkt.rsync)
 		if pkt.n <= A.PIOCutoff {
 			rep := f.newPacket(dest)
-			rep.kind, rep.from, rep.to, rep.n, rep.issued = pktGetData, pkt.to, pkt.from, pkt.n, pkt.issued
+			rep.kind, rep.span, rep.from, rep.to, rep.n, rep.issued = pktGetData, pkt.span, pkt.to, pkt.from, pkt.n, pkt.issued
 			rep.dst, rep.fsync = pkt.dst, pkt.fsync
 			f.readBytesInto(rep, pkt.src, pkt.n)
 			f.ship(dest, rep)
@@ -180,20 +180,20 @@ func (f *Fabric) swFinish(dest *machine.Node, pkt *packet) {
 		// itself does not steal further compute cycles.
 		req := *pkt
 		f.Cl.Eng.Spawn(fmt.Sprintf("swdma-get-%d", req.from), func(p *sim.Proc) {
-			f.sendPages(p, dest, packet{kind: pktGetPage, from: req.to, to: req.from,
+			f.sendPages(p, dest, packet{kind: pktGetPage, span: req.span, from: req.to, to: req.from,
 				n: req.n, issued: req.issued, dst: req.dst, fsync: req.fsync}, req.src)
 		})
 	case pktGetData:
-		f.opDone(dest, OpGet, pkt.issued)
+		f.opDone(dest, OpGet, pkt.issued, pkt.span, "engine")
 		reg.Signal(pkt.fsync)
 	case pktGetPage:
 		if pkt.last {
-			f.opDone(dest, OpGet, pkt.issued)
+			f.opDone(dest, OpGet, pkt.issued, pkt.span, "engine")
 			reg.Signal(pkt.fsync)
 		}
 	case pktEnqData:
 		f.depositQueue(pkt.rq, pkt.data)
-		f.opDone(dest, OpEnq, pkt.issued)
+		f.opDone(dest, OpEnq, pkt.issued, pkt.span, "engine")
 	case pktDeqReq:
 		req := *pkt
 		cpu := f.Cl.CPUs[req.to]
@@ -208,13 +208,13 @@ func (f *Fabric) swFinish(dest *machine.Node, pkt *packet) {
 			cpu.Interrupt(cost)
 			f.Cl.Eng.Schedule(cost, func() {
 				rep := f.newPacket(dest)
-				rep.kind, rep.from, rep.to, rep.n, rep.issued = pktDeqData, req.to, req.from, n, req.issued
+				rep.kind, rep.span, rep.from, rep.to, rep.n, rep.issued = pktDeqData, req.span, req.to, req.from, n, req.issued
 				rep.data, rep.dst, rep.fsync = rec[:n], req.dst, req.fsync
 				f.ship(dest, rep)
 			})
 		})
 	case pktDeqData:
-		f.opDone(dest, OpDeq, pkt.issued)
+		f.opDone(dest, OpDeq, pkt.issued, pkt.span, "engine")
 		reg.Signal(pkt.fsync)
 	case pktAck:
 		reg.Signal(pkt.fsync)

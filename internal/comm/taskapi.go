@@ -23,9 +23,9 @@ func (ep *Endpoint) EnqBytesTask(t *sim.Task, data []byte, rq memory.QueueRef, l
 	if _, err := ep.f.Cl.Reg.CheckQueue(ep.rank, rq, "ENQ"); err != nil {
 		return err
 	}
-	ep.record(OpEnq, len(data))
+	id := ep.record(OpEnq, len(data), t)
 	fr := ep.newSubmitFrame()
-	fr.r = request{kind: OpEnq, from: ep.rank, payload: data, rq: rq, n: len(data), fsync: lsync}
+	fr.r = request{kind: OpEnq, span: id, from: ep.rank, payload: data, rq: rq, n: len(data), fsync: lsync}
 	ep.submitTask(t, fr, k)
 	return nil
 }
@@ -101,6 +101,9 @@ func (fr *submitFrame) enqueue() {
 	}
 	node := ep.cpu.Node
 	node.Eng.Emit(trace.KEnqueue, ep.cmdqComp, int64(ep.cmdq.Len()))
+	if ep.f.spans != nil {
+		ep.f.spans.Enqueued(fr.r.span)
+	}
 	ep.f.scanners[node.ID][ep.proxyIdx].MarkNonEmpty(ep.cmdqIdx)
 	node.Agents[ep.proxyIdx].Submit(ep.work)
 	fr.finish()
@@ -132,7 +135,7 @@ func (fr *submitFrame) intraEnq() {
 	r := &fr.r
 	f.depositQueue(r.rq, f.readSource(r))
 	f.Cl.Reg.Signal(r.fsync)
-	f.opDone(fr.ep.cpu.Node, OpEnq, r.issued)
+	f.opDone(fr.ep.cpu.Node, OpEnq, r.issued, r.span, "")
 	fr.finish()
 }
 

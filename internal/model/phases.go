@@ -2,7 +2,7 @@ package model
 
 // Phase-level latency predictions. Where the closed forms (GETLatency,
 // PUTLatency) give one number, the functions below give the Table 2
-// grouping the span assembler measures: submission, command-queue wait,
+// grouping the span recorder measures: submission, command-queue wait,
 // agent service, wire, input-FIFO wait, delivery. Two conventions differ
 // from the closed forms, matching what the simulator's KOpDone timestamp
 // observes:
@@ -136,11 +136,11 @@ func (m PhasePrimitives) SWPUTPhases(n int) []PhaseCost {
 }
 
 // SWGETPhases predicts the phase breakdown of an n-byte GET under
-// system-call communication. The span assembler can split out only the
-// request flight's wire time — the reply is launched from kernel
-// interrupt context with no queue boundary to observe — so everything
-// after the request's arrival (request handler, reply flight, reply
-// handler) lands in deliver, and the prediction groups it the same way.
+// system-call communication. The span splits out only the request
+// flight's wire time: the reply is launched from kernel interrupt
+// context, past the span's last marked boundary (the request's arrival),
+// so the request handler, reply flight and reply handler all land in
+// deliver, and the prediction groups them the same way.
 func (m PhasePrimitives) SWGETPhases(n int) []PhaseCost {
 	return []PhaseCost{
 		{"submit", m.Syscall + m.Protocol + 2*m.U},

@@ -1,6 +1,6 @@
 // Package prof drives profiled micro-benchmark scenarios for the
 // observability stack: it runs a serialized PUT or GET ping-pong under
-// any design point with the span assembler and timeline sampler attached,
+// any design point with the span recorder and timeline sampler attached,
 // then compares the measured per-phase latency breakdown against the
 // analytic model's phase predictions (the Table 2 decomposition, one
 // delta column per phase). The serialized scenario is the calibration
@@ -47,11 +47,11 @@ func (c Config) name() string {
 	return fmt.Sprintf("pingpong-%s-%s-%dB", c.Op, c.Arch, c.Bytes)
 }
 
-// Result is one profiled run: the assembled spans and sampled timelines.
+// Result is one profiled run: the recorded spans and sampled timelines.
 type Result struct {
 	Cfg  Config
 	Arch arch.Params
-	Asm  *span.Assembler
+	Rec  *span.Recorder
 	Smp  *timeline.Sampler
 }
 
@@ -77,10 +77,10 @@ func PingPong(cfg Config) (*Result, error) {
 	if cfg.Op != "PUT" && cfg.Op != "GET" {
 		return nil, fmt.Errorf("prof: unsupported op %q", cfg.Op)
 	}
-	asm := span.NewAssembler()
+	rec := span.NewRecorder()
 	smp := timeline.NewSampler(cfg.PeriodNs)
 	eng := sim.NewEngine()
-	eng.SetTracer(trace.Multi(cfg.Tracer, asm, smp))
+	eng.SetTracer(trace.Multi(cfg.Tracer, rec, smp))
 	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 1}, a)
 	if cfg.Fault != nil {
 		cl.SetFaultPlane(cfg.Fault)
@@ -137,12 +137,12 @@ func PingPong(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("prof: %s: %w", cfg.name(), err)
 	}
 	smp.Flush()
-	return &Result{Cfg: cfg, Arch: a, Asm: asm, Smp: smp}, nil
+	return &Result{Cfg: cfg, Arch: a, Rec: rec, Smp: smp}, nil
 }
 
 // Profile builds the combined observability report for the run.
 func (r *Result) Profile() timeline.Profile {
-	return timeline.BuildProfile(r.Asm, r.Smp, r.Cfg.name())
+	return timeline.BuildProfile(r.Rec, r.Smp, r.Cfg.name())
 }
 
 // Primitives converts a design point's simulator parameters into the
@@ -223,7 +223,7 @@ type Row struct {
 // BreakdownRows compares the run's measured per-phase means against the
 // model's predictions: one row per phase plus a total row.
 func (r *Result) BreakdownRows() []Row {
-	bd := span.Aggregate(r.Asm.Spans())
+	bd := span.Aggregate(r.Rec.Spans())
 	g := bd.ByOp[r.Cfg.Op]
 	if g == nil {
 		return nil

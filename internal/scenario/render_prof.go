@@ -11,7 +11,7 @@ import (
 )
 
 // renderProf runs the profiled latency scenarios: a serialized PUT or
-// GET ping-pong per design point with the span assembler and timeline
+// GET ping-pong per design point with the span recorder and timeline
 // sampler attached, printing the measured per-phase latency breakdown
 // next to the analytic model's phase predictions with a delta column.
 func renderProf(s Spec, opt options, w io.Writer) error {
@@ -35,7 +35,7 @@ func renderProf(s Spec, opt options, w io.Writer) error {
 		rows := r.BreakdownRows()
 		allRows = append(allRows, rows...)
 		if breakdown {
-			printProfTable(w, cfg, rows, r.Asm.Stats().Completed)
+			printProfTable(w, cfg, rows, r.Rec.Stats().Completed)
 		}
 		if s.Out.Prof != "" {
 			profiles = append(profiles, r.Profile())
@@ -45,7 +45,7 @@ func renderProf(s Spec, opt options, w io.Writer) error {
 			if len(cfgs) > 1 {
 				path = insertSuffix(path, fmt.Sprintf("-%s-%s", cfg.Arch, cfg.Op))
 			}
-			b, err := timeline.ChromeTrace(r.Asm.Spans(), r.Smp.Windows())
+			b, err := timeline.ChromeTrace(r.Rec.Spans(), r.Smp.Windows())
 			if err == nil {
 				err = os.WriteFile(path, b, 0o644)
 			}

@@ -181,7 +181,7 @@ func installObs(o ObsSpec) (tracer trace.Tracer, report func(io.Writer) error) {
 	}
 	var digest *trace.Digest
 	var coll *metrics.Collector
-	var asm *span.Assembler
+	var rec *span.Recorder
 	var smp *timeline.Sampler
 	var tracers []trace.Tracer
 	if o.Trace {
@@ -193,10 +193,10 @@ func installObs(o ObsSpec) (tracer trace.Tracer, report func(io.Writer) error) {
 		tracers = append(tracers, coll)
 	}
 	if o.Prof != "" || o.Chrome != "" || o.Breakdown {
-		asm = span.NewAssembler()
+		rec = span.NewRecorder()
 		smp = timeline.NewSampler(0)
 		timeline.Attach(smp)
-		tracers = append(tracers, asm, smp)
+		tracers = append(tracers, rec, smp)
 	}
 	done := false
 	return trace.Multi(tracers...), func(w io.Writer) error {
@@ -204,7 +204,7 @@ func installObs(o ObsSpec) (tracer trace.Tracer, report func(io.Writer) error) {
 			return nil
 		}
 		done = true
-		if asm != nil {
+		if rec != nil {
 			timeline.Detach()
 		}
 		if coll != nil {
@@ -219,13 +219,13 @@ func installObs(o ObsSpec) (tracer trace.Tracer, report func(io.Writer) error) {
 				fmt.Fprint(w, coll.Summary())
 			}
 		}
-		if asm != nil {
+		if rec != nil {
 			smp.Flush()
 			if o.Breakdown {
-				fmt.Fprint(w, span.Aggregate(asm.Spans()).Table())
+				fmt.Fprint(w, span.Aggregate(rec.Spans()).Table())
 			}
 			if o.Prof != "" {
-				b, err := timeline.BuildProfile(asm, smp, "").JSON()
+				b, err := timeline.BuildProfile(rec, smp, "").JSON()
 				if err == nil {
 					err = os.WriteFile(o.Prof, b, 0o644)
 				}
@@ -234,7 +234,7 @@ func installObs(o ObsSpec) (tracer trace.Tracer, report func(io.Writer) error) {
 				}
 			}
 			if o.Chrome != "" {
-				b, err := timeline.ChromeTrace(asm.Spans(), smp.Windows())
+				b, err := timeline.ChromeTrace(rec.Spans(), smp.Windows())
 				if err == nil {
 					err = os.WriteFile(o.Chrome, b, 0o644)
 				}

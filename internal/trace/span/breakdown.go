@@ -21,7 +21,6 @@ type Group struct {
 	// zero sample; PhaseCounts tracks how many did.
 	Phases      [NumPhases]metrics.Hist
 	PhaseCounts [NumPhases]int
-	Approx      int
 	Bytes       int64 // payload size, if uniform across the group; else -1
 }
 
@@ -62,9 +61,6 @@ func (g *Group) add(s *Span) {
 	}
 	g.Count++
 	g.Total.Add(s.Done - s.Submit)
-	if s.Approx {
-		g.Approx++
-	}
 	for p := 0; p < NumPhases; p++ {
 		if s.HasPhase(Phase(p)) {
 			g.Phases[p].Add(s.PhaseTotal(Phase(p)))
@@ -94,14 +90,13 @@ type GroupSnapshot struct {
 	Key    string               `json:"key"`
 	Count  int                  `json:"count"`
 	Bytes  int64                `json:"bytes"`
-	Approx int                  `json:"approx,omitempty"`
 	Total  metrics.HistSnapshot `json:"total"`
 	Phases []PhaseSnapshot      `json:"phases"`
 }
 
 func (g *Group) snapshot() GroupSnapshot {
 	gs := GroupSnapshot{
-		Key: g.Key, Count: g.Count, Bytes: g.Bytes, Approx: g.Approx,
+		Key: g.Key, Count: g.Count, Bytes: g.Bytes,
 		Total: g.Total.Snapshot(),
 	}
 	for p := 0; p < NumPhases; p++ {
@@ -182,11 +177,7 @@ func (b *Breakdown) Table() string {
 				fmt.Fprintf(&bld, " %13.3f", g.PhaseMeanUs(Phase(p)))
 			}
 		}
-		fmt.Fprintf(&bld, " %13.3f", g.MeanUs())
-		if g.Approx > 0 {
-			fmt.Fprintf(&bld, "  [%d approx]", g.Approx)
-		}
-		bld.WriteByte('\n')
+		fmt.Fprintf(&bld, " %13.3f\n", g.MeanUs())
 	}
 	return bld.String()
 }

@@ -1,39 +1,36 @@
-// Package span stitches the simulator's flat trace stream into
-// per-message lifecycle spans: one Span per RMA/RQ operation, decomposed
-// into the named phases of the paper's Table 2 critical path (sender
-// overhead, command-queue wait, agent service, wire, input-FIFO wait,
-// delivery). The Assembler is a trace.Tracer, so it consumes the existing
-// fan-out — zero new emit sites — and reconstructs attribution purely
-// from event order and the engine's context-switch events:
+// Package span records per-message lifecycle spans: one Span per RMA/RQ
+// operation, decomposed into the phases of the paper's Table 2 critical
+// path (sender overhead, command-queue wait, agent service, wire,
+// input-FIFO wait, delivery).
 //
-//	KOpSubmit            the issuing process opens a span
-//	KEnqueue  (user ctx) the command reached a queue feeding the agent:
-//	                     the per-user command queue ("rank<N>.cmdq") under
-//	                     the proxy design points, the agent's work queue
-//	                     ("<agent>.q") otherwise
-//	KPoll                the agent picked a work item up
-//	KDequeue  (.cmdq)    the proxy's scan drained a specific command queue;
-//	                     the span that queue carries binds to the running
-//	                     work item (queue wait ends)
-//	KSchedule/KFire      a packet launched during service crosses the wire
-//	KEnqueue  (eng ctx)  the delivery reached the receiving agent's queue
-//	KOpDone              the data deposited; the span closes
+// Every operation carries an explicit span ID: comm.Endpoint opens the
+// span at submission and the ID rides the request through the command
+// queue and agent frame into every packet built from it. The
+// communication fabric marks each phase boundary where it executes it:
 //
-// The command-queue events exist because proxy work tokens are fungible:
-// the agent work item submitted for one endpoint's command may service a
-// different endpoint's queue (the scan is round-robin across the node's
-// registered queues). Pairing spans with work items in FIFO order would
-// cross identities whenever two endpoints on a node have commands in
-// flight; riding the span on the command queue itself keeps attribution
-// exact.
+//	Enqueued  the command reached the proxy's command queue or the
+//	          adapter's work queue: submit ends
+//	Picked    an agent took the command (from the scan pass that dequeued
+//	          it, with that pass's probes) or a packet: cmdq-wait or
+//	          input-queue ends
+//	Launched  the first packet left: agent-service ends, or submit under
+//	          the system-call design point, whose kernel sends inline
+//	Arrived   the packet reached the destination node: wire ends
+//	Taken     a DEQ's remote queue produced its record: rq-wait ends
+//	Done      the data deposited: deliver (or intra) ends
 //
-// Phase boundaries chain through a per-span monotone mark, so the phase
-// durations of every span sum exactly to Done-Submit — the assembler
-// never loses or double-counts time, even when it cannot attribute a
-// boundary (the residual lands in the enclosing phase and the span is
-// flagged Approx). Serialized request/response traffic (the Table 4
-// micro-benchmark shape) attributes exactly; pipelined DMA pages and
-// system-call kernel chains degrade gracefully to coarser phases.
+// Each mark reads the engine clock when the fabric executes it, so the
+// boundaries are monotone by construction and the phases tile [Submit,
+// Done] exactly. A span's state decides which marks advance it; the rest
+// are ignored. So a multi-page transfer marks its first page's service,
+// wire and input-queue boundaries and delivers at the last deposit, a
+// duplicated or retransmitted packet marks nothing, and a system-call
+// reply launched from interrupt context stays in deliver.
+//
+// The ID is not on trace.Event: the events that coincide with the
+// boundaries come from generic layers (sim.FIFO, machine.Agent, the
+// links' schedules) that cannot know the operation. Recording spans
+// leaves the event stream and every trace digest unchanged.
 package span
 
 import (
@@ -102,7 +99,7 @@ type Interval struct {
 // Dur returns the interval length in nanoseconds.
 func (iv Interval) Dur() int64 { return iv.To - iv.From }
 
-// Span is one operation's reconstructed lifecycle.
+// Span is one operation's recorded lifecycle.
 type Span struct {
 	ID     int
 	Run    int // engine segment (0, 1, ... as drivers build fresh engines)
@@ -111,45 +108,44 @@ type Span struct {
 	Origin string // issuing process
 	Submit int64  // nanoseconds
 	Done   int64
-	// Latency is the one-way latency KOpDone reported (== Done-Submit
-	// unless the submit event predates the tracer).
+	// Latency is the one-way latency, submission to data deposit
+	// (== Done-Submit).
 	Latency int64
-	// Complete marks spans that reached KOpDone before the run ended.
+	// Complete marks spans that completed before the run ended.
 	Complete bool
-	// Approx marks spans with at least one fallback-attributed or
-	// clamped boundary (overlapping DMA pages, kernel chains).
-	Approx bool
 	// Intra marks same-node shared-memory operations.
 	Intra bool
-	// Route lists the agents that serviced the span's work items, in
-	// pickup order.
+	// Route lists the agents that picked the operation up, in pickup
+	// order.
 	Route []string
-	// Probes and HeadChecks total the command-queue scan work observed
-	// during this span's agent service (KScan attribution).
+	// Probes and HeadChecks total the command-queue scan work of the
+	// passes that dequeued the operation's command.
 	Probes     int64
 	HeadChecks int64
 	Intervals  []Interval
 
-	mark    int64 // end of the last recorded interval
-	engHops int   // network deliveries attributed so far
-	closed  bool
+	mark  int64 // end of the last recorded interval
+	hops  int   // arrivals marked so far
+	state state
+	wait  Phase // the phase the next pickup closes (state queued)
 }
 
-// phase appends an interval [mark, to] of phase p. A boundary earlier
-// than the mark (overlapped pipeline stages) clamps to zero length and
-// flags the span approximate; the mark never moves backward, so the
-// intervals always tile [Submit, Done] exactly.
-func (s *Span) phase(p Phase, where string, to int64) {
-	if s.closed {
-		return
-	}
-	from := s.mark
-	if to < from {
-		s.Approx = true
-		to = from
-	}
-	s.Intervals = append(s.Intervals, Interval{Phase: p, Where: where, Hop: s.engHops, From: from, To: to})
-	s.mark = to
+// state is where a span stands in its lifecycle; it decides which marks
+// advance the span.
+type state uint8
+
+const (
+	open    state = iota // submitted, not yet queued or launched
+	queued               // waiting for an agent's pickup
+	service              // an agent is serving it
+	flight               // a packet is on the wire
+	closed               // done
+)
+
+// phase appends the interval [mark, now] of phase p.
+func (s *Span) phase(p Phase, where string, now int64) {
+	s.Intervals = append(s.Intervals, Interval{Phase: p, Where: where, Hop: s.hops, From: s.mark, To: now})
+	s.mark = now
 }
 
 // PhaseTotal returns the span's total time in phase p across all hops.
@@ -184,10 +180,9 @@ func (s *Span) Total() int64 {
 }
 
 // Flow identifies the span's path: origin process and the agents visited.
-// Consecutive visits to the same agent (a multi-packet DMA stream lands
-// one hop per page on the receiving proxy) collapse to one entry, so
-// flows group by path rather than by packet count. Same-node operations
-// report the shared-memory fast path.
+// Consecutive visits to the same agent (a DEQ's request and reply on the
+// remote proxy) collapse to one entry, so flows group by path. Same-node
+// operations report the shared-memory fast path.
 func (s *Span) Flow() string {
 	if s.Intra {
 		return s.Origin + ">intra"
@@ -211,9 +206,6 @@ func (s *Span) Report() string {
 	} else {
 		b.WriteString("  (incomplete)")
 	}
-	if s.Approx {
-		b.WriteString("  [approx]")
-	}
 	b.WriteByte('\n')
 	for _, iv := range s.Intervals {
 		fmt.Fprintf(&b, "  %10.3fus .. %10.3fus  %-13s %8.3fus  hop %d  %s\n",
@@ -227,105 +219,38 @@ func (s *Span) Report() string {
 	return b.String()
 }
 
-// Stats counts the assembler's attribution quality. Unattributed items
-// and orphan completions measure how much of the stream fell back to
-// heuristics (zero on the serialized micro-benchmark scenarios).
+// Stats counts what a recorder holds.
 type Stats struct {
-	Spans             int `json:"spans"`
-	Completed         int `json:"completed"`
-	Approximate       int `json:"approximate"`
-	Intra             int `json:"intra"`
-	LatencyMismatches int `json:"latency_mismatches"`
-	UnattributedItems int `json:"unattributed_items"`
-	FallbackDone      int `json:"fallback_done"`
-	OrphanDone        int `json:"orphan_done"`
-	FifoDesyncs       int `json:"fifo_desyncs"`
-	Runs              int `json:"runs"`
+	Spans     int `json:"spans"`
+	Completed int `json:"completed"`
+	Intra     int `json:"intra"`
+	Runs      int `json:"runs"`
 }
 
-// workItem mirrors one entry of an agent's work queue.
-type workItem struct {
-	span  *Span
-	enqAt int64
-	// send marks a user command submission (phase boundary: command-queue
-	// wait); network delivery hops wait in the input FIFO instead.
-	send bool
-	// deqReq marks the first delivery hop of a DEQ: its service parks the
-	// span until the remote queue produces a record.
-	deqReq bool
-	// probes and headChecks stash scan work observed before the item bound
-	// a span (proxy tokens bind at the command-queue dequeue, which the
-	// scan itself precedes); the rebind transfers them to the span.
-	probes, headChecks int64
-}
-
-// schedInfo remembers who created an engine event, so the packet-flight
-// schedules a service launches can carry span attribution to the delivery.
-type schedInfo struct {
-	at      int64 // creation time (= packet launch time for wire events)
-	span    *Span
-	creator string
-	// fromUser marks schedules created by a user process with a pending
-	// submission — under SW these are the wire flights themselves.
-	fromUser bool
-	owner    string
-}
-
-// Assembler reconstructs spans from a trace stream. It is a trace.Tracer;
-// install it alongside other tracers via trace.Multi. Like the metrics
-// collector it is not safe for concurrent engines.
-type Assembler struct {
+// Recorder collects the spans of every fabric built on an engine it is
+// installed on. It takes its marks from the fabric, not from the event
+// stream: it is a trace.Tracer only so that it installs like every other
+// collector, through trace.Multi, and comm.NewWith finds it among the
+// engine's tracers (see Attach). Like the metrics collector it is not
+// safe for concurrent engines.
+type Recorder struct {
 	spans []*Span
-	stats Stats
-
-	cur       string // running process ("" = engine context)
-	pending   map[string]*Span
-	scheds    map[uint64]schedInfo
-	curFire   schedInfo
-	tent      schedInfo // fromUser fire awaiting wire-vs-resume resolution
-	tentAt    int64
-	haveTent  bool
-	qfifo     map[string][]*workItem // per-agent work-queue mirror
-	ready     map[string]*workItem   // dequeued, awaiting KPoll
-	active    map[string]*workItem   // in service
-	cmdq      map[string][]*Span     // per-command-queue span FIFO (proxy)
-	owed      map[string]int         // user procs whose span rode the cmdq
-	dormant   []*Span                // DEQ spans parked on empty remote queues
-	openByOp  map[string][]*Span
-	lastAt    int64
-	curRun    int
-	runActive bool
+	runs  int
 }
 
-// NewAssembler returns an empty assembler.
-func NewAssembler() *Assembler {
-	a := &Assembler{}
-	a.resetRun()
-	return a
-}
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
-func (a *Assembler) resetRun() {
-	a.cur = ""
-	a.pending = make(map[string]*Span)
-	a.scheds = make(map[uint64]schedInfo)
-	a.curFire = schedInfo{}
-	a.haveTent = false
-	a.qfifo = make(map[string][]*workItem)
-	a.ready = make(map[string]*workItem)
-	a.active = make(map[string]*workItem)
-	a.cmdq = make(map[string][]*Span)
-	a.owed = make(map[string]int)
-	a.dormant = nil
-	a.openByOp = make(map[string][]*Span)
-}
+// Record implements trace.Tracer; events carry no span marks.
+func (r *Recorder) Record(trace.Event) {}
 
 // Spans returns every span opened so far, in submission order.
-func (a *Assembler) Spans() []*Span { return a.spans }
+func (r *Recorder) Spans() []*Span { return r.spans }
 
-// CompleteSpans returns the spans that reached KOpDone.
-func (a *Assembler) CompleteSpans() []*Span {
-	out := make([]*Span, 0, a.stats.Completed)
-	for _, s := range a.spans {
+// CompleteSpans returns the spans that completed.
+func (r *Recorder) CompleteSpans() []*Span {
+	var out []*Span
+	for _, s := range r.spans {
 		if s.Complete {
 			out = append(out, s)
 		}
@@ -333,334 +258,155 @@ func (a *Assembler) CompleteSpans() []*Span {
 	return out
 }
 
-// Stats returns attribution-quality counters.
-func (a *Assembler) Stats() Stats {
-	st := a.stats
-	if a.runActive {
-		st.Runs = a.curRun + 1
+// Stats returns the recorder's counts.
+func (r *Recorder) Stats() Stats {
+	st := Stats{Spans: len(r.spans), Runs: r.runs}
+	for _, s := range r.spans {
+		if s.Complete {
+			st.Completed++
+		}
+		if s.Intra {
+			st.Intra++
+		}
 	}
 	return st
 }
 
-// agentOf maps an agent work-queue trace name to its agent, following the
-// machine.NewAgent contract that agent queues are named "<agent>.q" (the
-// only named sim.FIFOs in the tree). Command-queue components
-// ("rank<N>.cmdq") do not match: their suffix is ".cmdq", not ".q".
-func agentOf(comp string) (string, bool) {
-	return strings.CutSuffix(comp, ".q")
+// Run is one fabric's handle on the recorders its engine's tracer
+// delivers to: normally one, two when a driver nests another's tracer.
+// Span IDs are local to the run: ID k names the k-th operation opened
+// through it; 0 names none, and marks on it are ignored.
+type Run struct {
+	now  func() int64
+	recs []*Recorder
+	runs []int     // each recorder's number for this run
+	byID [][]*Span // per ID, the span in each recorder
 }
 
-// isCmdq reports whether comp names a per-user command queue, following
-// the comm fabric contract that they are named "rank<N>.cmdq".
-func isCmdq(comp string) bool {
-	return strings.HasSuffix(comp, ".cmdq")
-}
-
-// Record implements trace.Tracer.
-func (a *Assembler) Record(ev trace.Event) {
-	if ev.At < a.lastAt {
-		// Time ran backwards: the driver built a fresh engine. In-flight
-		// state is per-engine; open spans stay incomplete.
-		a.curRun++
-		a.resetRun()
-	}
-	a.lastAt = ev.At
-	a.runActive = true
-	if a.haveTent {
-		// A user-context schedule fired as the previous event. If the
-		// process merely resumed (a Hold or a flag wake), this event is
-		// its KUnpark; anything else means the schedule was a packet
-		// flight launched inline from user context (the SW send path).
-		if ev.Kind == trace.KUnpark {
-			a.haveTent = false
-		} else {
-			a.commitTent()
-		}
-	}
-	switch ev.Kind {
-	case trace.KSchedule:
-		si := schedInfo{at: ev.At, creator: a.cur}
-		if a.cur == "" {
-			si.span = a.curFire.span
-		} else if item := a.active[a.cur]; item != nil {
-			si.span = item.span
-		} else if sp := a.pending[a.cur]; sp != nil {
-			si.span = sp
-			si.fromUser = true
-			si.owner = a.cur
-		}
-		if si.span != nil {
-			a.scheds[ev.Seq] = si
-		}
-	case trace.KFire:
-		a.cur = ""
-		a.curFire = a.scheds[ev.Seq]
-		delete(a.scheds, ev.Seq)
-		if a.curFire.fromUser && a.curFire.span != nil && !a.curFire.span.closed {
-			a.tent = a.curFire
-			a.tentAt = ev.At
-			a.haveTent = true
-		}
-	case trace.KSpawn, trace.KUnpark:
-		a.cur = ev.Comp
-	case trace.KPark, trace.KProcEnd:
-		a.cur = ""
-	case trace.KOpSubmit:
-		sp := &Span{
-			ID: len(a.spans), Run: a.curRun, Op: ev.Comp, Bytes: ev.Arg,
-			Origin: a.cur, Submit: ev.At, mark: ev.At,
-		}
-		a.spans = append(a.spans, sp)
-		a.stats.Spans++
-		if a.cur != "" {
-			a.pending[a.cur] = sp
-		}
-		a.openByOp[sp.Op] = append(a.openByOp[sp.Op], sp)
-	case trace.KEnqueue:
-		if isCmdq(ev.Comp) {
-			a.onCmdqEnqueue(ev)
-			return
-		}
-		a.onEnqueue(ev)
-	case trace.KDequeue:
-		if isCmdq(ev.Comp) {
-			a.onCmdqDequeue(ev)
-			return
-		}
-		agent, ok := agentOf(ev.Comp)
-		if !ok {
-			return
-		}
-		delete(a.active, agent)
-		if fifo := a.qfifo[agent]; len(fifo) > 0 {
-			a.ready[agent] = fifo[0]
-			a.qfifo[agent] = fifo[1:]
-		} else {
-			delete(a.ready, agent)
-			a.stats.FifoDesyncs++
-		}
-	case trace.KPoll:
-		agent := ev.Comp
-		item := a.ready[agent]
-		delete(a.ready, agent)
-		if item == nil {
-			a.stats.FifoDesyncs++
-			return
-		}
-		a.active[agent] = item
-		sp := item.span
-		if sp == nil || sp.closed {
-			return
-		}
-		sp.Route = append(sp.Route, agent)
-		if item.send {
-			sp.phase(PhaseCmdQueue, agent+".q", ev.At)
-		} else {
-			sp.phase(PhaseInputQueue, agent+".q", ev.At)
-		}
-		if item.deqReq {
-			a.dormant = append(a.dormant, sp)
-		}
-	case trace.KScan:
-		agent := strings.TrimSuffix(ev.Comp, ".scan")
-		if item := a.active[agent]; item != nil {
-			s := trace.DecodeScanArg(ev.Arg)
-			if sp := item.span; sp != nil {
-				if !sp.closed {
-					sp.Probes += s.Probes
-					sp.HeadChecks += s.HeadChecks
-				}
-			} else {
-				// The scan precedes the command-queue dequeue that binds
-				// this item's span; stash until the rebind.
-				item.probes += s.Probes
-				item.headChecks += s.HeadChecks
+// Attach starts a run on every Recorder t delivers to, reading the clock
+// through now, or returns nil when there is none (then the fabric's
+// marks are single nil checks).
+func Attach(t trace.Tracer, now func() int64) *Run {
+	var u *Run
+	trace.Each(t, func(t trace.Tracer) {
+		if rec, ok := t.(*Recorder); ok {
+			if u == nil {
+				u = &Run{now: now}
 			}
+			u.recs = append(u.recs, rec)
+			u.runs = append(u.runs, rec.runs)
+			rec.runs++
 		}
-	case trace.KOpDone:
-		a.onDone(ev)
+	})
+	return u
+}
+
+// spans returns the spans id names, one per recorder.
+func (u *Run) spans(id uint32) []*Span {
+	if id == 0 {
+		return nil
+	}
+	return u.byID[id-1]
+}
+
+// Open opens the span of an operation submitted by origin and returns
+// its ID.
+func (u *Run) Open(op string, bytes int64, origin string) uint32 {
+	now := u.now()
+	ss := make([]*Span, len(u.recs))
+	for i, rec := range u.recs {
+		ss[i] = &Span{
+			ID: len(rec.spans), Run: u.runs[i], Op: op, Bytes: bytes,
+			Origin: origin, Submit: now, mark: now,
+		}
+		rec.spans = append(rec.spans, ss[i])
+	}
+	u.byID = append(u.byID, ss)
+	return uint32(len(u.byID))
+}
+
+// Enqueued marks the command reaching the queue its agent serves.
+func (u *Run) Enqueued(id uint32) {
+	now := u.now()
+	for _, s := range u.spans(id) {
+		if s.state == open {
+			s.phase(PhaseSubmit, s.Origin, now)
+			s.state, s.wait = queued, PhaseCmdQueue
+		}
 	}
 }
 
-// onEnqueue mirrors a put to an agent work queue and attributes it.
-func (a *Assembler) onEnqueue(ev trace.Event) {
-	agent, ok := agentOf(ev.Comp)
-	if !ok {
-		return
+// Picked marks agent picking the operation up, with the probes and head
+// checks of the scan pass that found its command (zero for packets).
+func (u *Run) Picked(id uint32, agent string, probes, headChecks int64) {
+	now := u.now()
+	for _, s := range u.spans(id) {
+		if s.state == queued {
+			s.Route = append(s.Route, agent)
+			s.phase(s.wait, agent+".q", now)
+			s.Probes += probes
+			s.HeadChecks += headChecks
+			s.state = service
+		}
 	}
-	item := &workItem{enqAt: ev.At}
-	switch {
-	case a.cur == "":
-		// Engine context: a packet delivery scheduled by some earlier
-		// service (or a shutdown pill / retransmission, which stay
-		// unattributed). The firing schedule carries the span and the
-		// launch instant, splitting service time from wire time.
-		if sp := a.curFire.span; sp != nil && !sp.closed {
-			item.span = sp
-			sp.phase(PhaseService, a.curFire.creator, a.curFire.at)
-			sp.phase(PhaseWire, "wire", ev.At)
-			sp.engHops++
-			if sp.Op == "DEQ" && sp.engHops == 1 {
-				item.deqReq = true
-			}
-		} else {
-			a.stats.UnattributedItems++
-		}
-	case a.active[a.cur] != nil:
-		// Agent context mid-service: the only agent-side submissions are
-		// DEQ replies materializing from a remote queue's TakeAsync.
-		if len(a.dormant) > 0 {
-			sp := a.dormant[0]
-			a.dormant = a.dormant[1:]
-			if !sp.closed {
-				item.span = sp
-				sp.phase(PhaseRQWait, ev.Comp, ev.At)
-			}
-		} else {
-			a.stats.UnattributedItems++
-		}
-	case a.pending[a.cur] != nil:
-		// User context: the submitted command reached the agent's queue.
-		sp := a.pending[a.cur]
-		delete(a.pending, a.cur)
-		if !sp.closed {
-			item.span = sp
-			item.send = true
-			sp.phase(PhaseSubmit, sp.Origin, ev.At)
-		}
-	case a.owed[a.cur] > 0:
-		// Proxy notification token: the span already rode the command
-		// queue at onCmdqEnqueue; this work item stays span-less until
-		// the scan's dequeue binds whichever span it actually drains.
-		a.owed[a.cur]--
-	default:
-		a.stats.UnattributedItems++
-	}
-	a.qfifo[agent] = append(a.qfifo[agent], item)
 }
 
-// onCmdqEnqueue records a user command entering its per-user command
-// queue under the proxy design points: the submit phase ends here, and
-// the span rides the command queue — not the agent work token — so the
-// round-robin scan's pick binds the right identity.
-func (a *Assembler) onCmdqEnqueue(ev trace.Event) {
-	if a.cur == "" {
-		a.cmdq[ev.Comp] = append(a.cmdq[ev.Comp], nil)
-		a.stats.UnattributedItems++
-		return
-	}
-	a.owed[a.cur]++
-	sp := a.pending[a.cur]
-	if sp != nil {
-		delete(a.pending, a.cur)
-		sp.phase(PhaseSubmit, sp.Origin, ev.At)
-	} else {
-		a.stats.UnattributedItems++
-	}
-	a.cmdq[ev.Comp] = append(a.cmdq[ev.Comp], sp)
-}
-
-// onCmdqDequeue binds the oldest span waiting in the drained command
-// queue to the agent work item currently in service: command-queue wait
-// ends, and the rest of the item's service attributes to this span.
-func (a *Assembler) onCmdqDequeue(ev trace.Event) {
-	fifo := a.cmdq[ev.Comp]
-	if len(fifo) == 0 {
-		a.stats.FifoDesyncs++
-		return
-	}
-	sp := fifo[0]
-	a.cmdq[ev.Comp] = fifo[1:]
-	item := a.active[a.cur]
-	if item == nil {
-		a.stats.FifoDesyncs++
-		return
-	}
-	item.span = sp
-	if sp == nil || sp.closed {
-		return
-	}
-	sp.Route = append(sp.Route, a.cur)
-	sp.phase(PhaseCmdQueue, a.cur+".q", ev.At)
-	sp.Probes += item.probes
-	sp.HeadChecks += item.headChecks
-	item.probes, item.headChecks = 0, 0
-}
-
-// commitTent resolves a user-context schedule as a wire flight: under the
-// system-call architecture the kernel send runs inline on the user's
-// processor and ships directly, so the span's submit phase ends at the
-// launch and the flight time is wire.
-func (a *Assembler) commitTent() {
-	a.haveTent = false
-	t := a.tent
-	if t.owner != "" && a.pending[t.owner] == t.span {
-		delete(a.pending, t.owner)
-	}
-	sp := t.span
-	if sp == nil || sp.closed {
-		return
-	}
-	sp.phase(PhaseSubmit, t.creator, t.at)
-	sp.phase(PhaseWire, "wire", a.tentAt)
-	sp.engHops++
-}
-
-// onDone closes the span a KOpDone belongs to. Resolution order: the
-// serving agent's active item, the issuing user's pending submission
-// (intra-node fast path), the firing schedule's span (system-call kernel
-// chains), then the oldest open span of the operation kind.
-func (a *Assembler) onDone(ev trace.Event) {
-	var sp *Span
-	intra := false
-	if a.cur != "" {
-		if item := a.active[a.cur]; item != nil && item.span != nil &&
-			!item.span.closed && item.span.Op == ev.Comp {
-			sp = item.span
-		} else if p := a.pending[a.cur]; p != nil && !p.closed && p.Op == ev.Comp {
-			sp = p
-			intra = true
-			delete(a.pending, a.cur)
-		}
-	} else if p := a.curFire.span; p != nil && !p.closed && p.Op == ev.Comp {
-		sp = p
-	}
-	if sp == nil {
-		open := a.openByOp[ev.Comp]
-		for len(open) > 0 && open[0].closed {
-			open = open[1:]
-		}
-		a.openByOp[ev.Comp] = open
-		if len(open) > 0 {
-			sp = open[0]
-			sp.Approx = true
-			a.stats.FallbackDone++
+// Launched marks the operation's packet leaving: the serving agent's
+// service ends, or, for an operation no agent picked up (the system-call
+// kernel sends inline), its submission.
+func (u *Run) Launched(id uint32) {
+	now := u.now()
+	for _, s := range u.spans(id) {
+		switch s.state {
+		case open:
+			s.phase(PhaseSubmit, s.Origin, now)
+			s.state = flight
+		case service:
+			s.phase(PhaseService, s.Route[len(s.Route)-1], now)
+			s.state = flight
 		}
 	}
-	if sp == nil {
-		a.stats.OrphanDone++
-		return
+}
+
+// Arrived marks the packet in flight reaching its destination node.
+func (u *Run) Arrived(id uint32) {
+	now := u.now()
+	for _, s := range u.spans(id) {
+		if s.state == flight {
+			s.phase(PhaseWire, "wire", now)
+			s.hops++
+			s.state, s.wait = queued, PhaseInputQueue
+		}
 	}
-	where := a.cur
-	if where == "" {
-		where = "engine"
+}
+
+// Taken marks a DEQ's remote queue producing the record, which then
+// waits for agent's pickup.
+func (u *Run) Taken(id uint32, agent string) {
+	now := u.now()
+	for _, s := range u.spans(id) {
+		if s.state == service {
+			s.phase(PhaseRQWait, agent+".q", now)
+			s.state, s.wait = queued, PhaseInputQueue
+		}
 	}
-	if intra {
-		sp.Intra = true
-		a.stats.Intra++
-		sp.phase(PhaseIntra, where, ev.At)
-	} else {
-		sp.phase(PhaseDeliver, where, ev.At)
-	}
-	sp.Done = ev.At
-	sp.Latency = ev.Arg
-	sp.Complete = true
-	sp.closed = true
-	a.stats.Completed++
-	if sp.Approx {
-		a.stats.Approximate++
-	}
-	if sp.Done-sp.Submit != sp.Latency {
-		a.stats.LatencyMismatches++
+}
+
+// Done closes the span: where deposited the data. An operation that
+// never left its origin completed through the node's shared memory, on
+// the origin's processor.
+func (u *Run) Done(id uint32, where string) {
+	now := u.now()
+	for _, s := range u.spans(id) {
+		switch s.state {
+		case closed:
+			continue
+		case open:
+			s.Intra = true
+			s.phase(PhaseIntra, s.Origin, now)
+		default:
+			s.phase(PhaseDeliver, where, now)
+		}
+		s.Done, s.Latency, s.Complete, s.state = now, now-s.Submit, true, closed
 	}
 }

@@ -7,71 +7,74 @@ import (
 	"mproxy/internal/trace"
 )
 
-// feed replays a synthetic event stream mimicking the engine's emission
-// contract: KSchedule/KFire pair by Seq, KSpawn/KUnpark open a process
-// context, KPark/KProcEnd/KFire close it.
-func feed(a *Assembler, evs []trace.Event) {
-	for _, ev := range evs {
-		a.Record(ev)
+// clock is a settable engine clock for driving a Run by hand.
+type clock int64
+
+func (c *clock) now() int64 { return int64(*c) }
+
+// attach starts a run on rec over a fresh clock.
+func attach(t *testing.T, rec trace.Tracer) (*Run, *clock) {
+	t.Helper()
+	c := new(clock)
+	u := Attach(rec, c.now)
+	if u == nil {
+		t.Fatal("Attach found no recorder")
 	}
+	return u, c
 }
 
-// putStream is the minimal proxy-architecture PUT lifecycle: submit,
-// command-queue wait, service, wire, input wait, deliver.
-func putStream() []trace.Event {
-	return []trace.Event{
-		{At: 0, Kind: trace.KSpawn, Comp: "user"},
-		{At: 0, Kind: trace.KOpSubmit, Comp: "PUT", Arg: 64},
-		{At: 100, Kind: trace.KEnqueue, Comp: "p0.q", Arg: 1}, // submission lands
-		{At: 100, Kind: trace.KPark, Comp: "user"},
-		{At: 150, Kind: trace.KUnpark, Comp: "p0"}, // local agent picks up
-		{At: 150, Kind: trace.KDequeue, Comp: "p0.q", Arg: 0},
-		{At: 200, Kind: trace.KPoll, Comp: "p0", Arg: 100},
-		{At: 210, Kind: trace.KScan, Comp: "p0.scan", Arg: trace.ScanArg(3, 1, true)},
-		{At: 300, Kind: trace.KSchedule, Seq: 7, Arg: 150}, // packet flight (agent ctx would be set... )
-		{At: 300, Kind: trace.KPark, Comp: "p0"},
-		{At: 450, Kind: trace.KFire, Seq: 7},
-		{At: 450, Kind: trace.KEnqueue, Comp: "p1.q", Arg: 1}, // delivery hop
-		{At: 460, Kind: trace.KUnpark, Comp: "p1"},
-		{At: 460, Kind: trace.KDequeue, Comp: "p1.q", Arg: 0},
-		{At: 500, Kind: trace.KPoll, Comp: "p1", Arg: 50},
-		{At: 600, Kind: trace.KOpDone, Comp: "PUT", Arg: 600},
-		{At: 600, Kind: trace.KPark, Comp: "p1"},
-	}
+// recordPUT marks the proxy-architecture PUT lifecycle the fabric
+// produces: submit, command-queue wait, service, wire, input wait,
+// deliver.
+func recordPUT(u *Run, c *clock) uint32 {
+	*c = 0
+	id := u.Open("PUT", 64, "user")
+	*c = 100
+	u.Enqueued(id)
+	*c = 200
+	u.Picked(id, "p0", 3, 1)
+	*c = 300
+	u.Launched(id)
+	*c = 450
+	u.Arrived(id)
+	*c = 500
+	u.Picked(id, "p1", 0, 0)
+	*c = 600
+	u.Done(id, "p1")
+	return id
 }
 
-// The schedule at 300 must happen in agent context (after p0's KPoll,
-// before its KPark); the stream above interleaves exactly as the engine
-// does: the agent is "current" from KUnpark until KPark.
-
-func TestAssemblePUT(t *testing.T) {
-	a := NewAssembler()
-	feed(a, putStream())
-	spans := a.CompleteSpans()
+func TestRecordPUT(t *testing.T) {
+	rec := NewRecorder()
+	u, c := attach(t, rec)
+	if id := recordPUT(u, c); id != 1 {
+		t.Errorf("first span ID = %d, want 1", id)
+	}
+	spans := rec.CompleteSpans()
 	if len(spans) != 1 {
-		t.Fatalf("got %d complete spans, want 1: %+v", len(spans), a.Stats())
+		t.Fatalf("got %d complete spans, want 1: %+v", len(spans), rec.Stats())
 	}
 	s := spans[0]
 	if s.Op != "PUT" || s.Bytes != 64 || s.Origin != "user" {
 		t.Errorf("span header wrong: %+v", s)
 	}
-	if s.Submit != 0 || s.Done != 600 || s.Latency != 600 {
-		t.Errorf("span times wrong: submit=%d done=%d lat=%d", s.Submit, s.Done, s.Latency)
+	if s.Submit != 0 || s.Done != 600 || s.Latency != 600 || s.Total() != 600 {
+		t.Errorf("span times wrong: submit=%d done=%d lat=%d sum=%d", s.Submit, s.Done, s.Latency, s.Total())
 	}
-	if s.Total() != 600 {
-		t.Errorf("phase sum %d != 600", s.Total())
+	want := []Interval{
+		{PhaseSubmit, "user", 0, 0, 100},
+		{PhaseCmdQueue, "p0.q", 0, 100, 200},
+		{PhaseService, "p0", 0, 200, 300},
+		{PhaseWire, "wire", 0, 300, 450},
+		{PhaseInputQueue, "p1.q", 1, 450, 500},
+		{PhaseDeliver, "p1", 1, 500, 600},
 	}
-	wantPhases := map[Phase]int64{
-		PhaseSubmit:     100, // 0 -> enqueue at 100
-		PhaseCmdQueue:   100, // 100 -> poll at 200
-		PhaseService:    100, // 200 -> launch at 300
-		PhaseWire:       150, // 300 -> arrival at 450
-		PhaseInputQueue: 50,  // 450 -> poll at 500
-		PhaseDeliver:    100, // 500 -> done at 600
+	if len(s.Intervals) != len(want) {
+		t.Fatalf("intervals = %+v, want %+v", s.Intervals, want)
 	}
-	for p, want := range wantPhases {
-		if got := s.PhaseTotal(p); got != want {
-			t.Errorf("phase %s = %d, want %d", p, got, want)
+	for i, iv := range s.Intervals {
+		if iv != want[i] {
+			t.Errorf("interval %d = %+v, want %+v", i, iv, want[i])
 		}
 	}
 	if got, want := s.Flow(), "user>p0>p1"; got != want {
@@ -80,99 +83,206 @@ func TestAssemblePUT(t *testing.T) {
 	if s.Probes != 3 || s.HeadChecks != 1 {
 		t.Errorf("scan attribution: probes=%d checks=%d, want 3/1", s.Probes, s.HeadChecks)
 	}
-	if s.Approx {
-		t.Error("span marked approximate")
-	}
-	st := a.Stats()
-	if st.UnattributedItems != 0 || st.FallbackDone != 0 || st.OrphanDone != 0 || st.FifoDesyncs != 0 {
-		t.Errorf("attribution counters nonzero: %+v", st)
-	}
 }
 
-// TestRollover replays the same stream twice, as a driver building two
-// engines does: time runs backwards at the boundary and the assembler
-// must keep the runs separate.
-func TestRollover(t *testing.T) {
-	a := NewAssembler()
-	feed(a, putStream())
-	feed(a, putStream())
-	spans := a.CompleteSpans()
+// TestRuns: every fabric attached to a recorder is a run of its own, and
+// span IDs are local to the run.
+func TestRuns(t *testing.T) {
+	rec := NewRecorder()
+	u0, c0 := attach(t, rec)
+	recordPUT(u0, c0)
+	u1, c1 := attach(t, rec)
+	if id := recordPUT(u1, c1); id != 1 {
+		t.Errorf("second run's first span ID = %d, want 1", id)
+	}
+	spans := rec.CompleteSpans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d complete spans, want 2", len(spans))
 	}
-	if spans[0].Run != 0 || spans[1].Run != 1 {
-		t.Errorf("runs = %d,%d, want 0,1", spans[0].Run, spans[1].Run)
+	if spans[0].Run != 0 || spans[1].Run != 1 || spans[1].ID != 1 {
+		t.Errorf("runs = %d,%d ids = %d,%d, want runs 0,1 ids 0,1",
+			spans[0].Run, spans[1].Run, spans[0].ID, spans[1].ID)
 	}
-	if spans[1].Total() != 600 {
-		t.Errorf("second run phase sum %d != 600", spans[1].Total())
-	}
-}
-
-// TestIncompleteSpan: a stream ending before KOpDone leaves the span open
-// and out of the complete set, without disturbing counters.
-func TestIncompleteSpan(t *testing.T) {
-	a := NewAssembler()
-	evs := putStream()
-	feed(a, evs[:8]) // stop after the scan, mid-service
-	if got := len(a.CompleteSpans()); got != 0 {
-		t.Fatalf("got %d complete spans, want 0", got)
-	}
-	if st := a.Stats(); st.Spans != 1 || st.Completed != 0 {
+	if st := rec.Stats(); st.Runs != 2 || st.Spans != 2 || st.Completed != 2 {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
-// TestUnattributedPoison: a nil work item (an agent shutdown pill) must
-// flow through the FIFO mirror without desyncing later attribution.
-func TestUnattributedPoison(t *testing.T) {
-	a := NewAssembler()
-	evs := []trace.Event{
-		// An enqueue from an unknown engine-context source (no fire info).
-		{At: 10, Kind: trace.KEnqueue, Comp: "p0.q", Arg: 1},
-		{At: 20, Kind: trace.KUnpark, Comp: "p0"},
-		{At: 20, Kind: trace.KDequeue, Comp: "p0.q", Arg: 0},
-		{At: 30, Kind: trace.KPoll, Comp: "p0", Arg: 20},
-		{At: 40, Kind: trace.KPark, Comp: "p0"},
+// TestIncompleteSpan: a span never marked done stays out of the complete
+// set.
+func TestIncompleteSpan(t *testing.T) {
+	rec := NewRecorder()
+	u, c := attach(t, rec)
+	id := u.Open("GET", 8, "user")
+	*c = 10
+	u.Enqueued(id)
+	if got := len(rec.CompleteSpans()); got != 0 {
+		t.Fatalf("got %d complete spans, want 0", got)
 	}
-	feed(a, evs)
-	st := a.Stats()
-	if st.UnattributedItems != 1 {
-		t.Errorf("unattributed = %d, want 1", st.UnattributedItems)
-	}
-	if st.FifoDesyncs != 0 {
-		t.Errorf("fifo desyncs = %d, want 0", st.FifoDesyncs)
-	}
-	// A subsequent attributed command still assembles cleanly.
-	feed(a, putStream()) // time goes backwards -> rollover, fresh state
-	if got := len(a.CompleteSpans()); got != 1 {
-		t.Errorf("complete spans after poison = %d, want 1", got)
+	if st := rec.Stats(); st.Spans != 1 || st.Completed != 0 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 
-// TestClampedPhase: a phase boundary earlier than the span's mark (an
-// overlapped pipeline) clamps to zero length, flags Approx, and keeps the
-// exact-sum invariant.
-func TestClampedPhase(t *testing.T) {
-	s := &Span{Submit: 100, mark: 100}
-	s.phase(PhaseSubmit, "u", 200)
-	s.phase(PhaseService, "a", 150) // earlier than mark: clamp
-	s.phase(PhaseDeliver, "b", 300)
-	if !s.Approx {
-		t.Error("clamped span not marked approximate")
+// TestMarksOutOfState: marks that do not advance the lifecycle change
+// nothing — later pages of a multi-page transfer, duplicated packets, a
+// second completion, and span ID 0 (an acknowledgment).
+func TestMarksOutOfState(t *testing.T) {
+	rec := NewRecorder()
+	u, c := attach(t, rec)
+	id := u.Open("PUT", 16384, "user")
+	*c = 100
+	u.Enqueued(id)
+	u.Enqueued(id)
+	*c = 200
+	u.Picked(id, "p0", 0, 0)
+	*c = 300
+	u.Launched(id) // first page
+	*c = 400
+	u.Launched(id) // second page
+	*c = 450
+	u.Arrived(id) // first page
+	*c = 460
+	u.Arrived(id) // duplicate
+	*c = 500
+	u.Picked(id, "p1", 0, 0)
+	*c = 550
+	u.Arrived(id)            // second page
+	u.Picked(id, "p1", 0, 0) // second page
+	*c = 700
+	u.Done(id, "p1")
+	*c = 800
+	u.Done(id, "p1")
+	for _, f := range []func(uint32){u.Enqueued, u.Launched, u.Arrived} {
+		f(0)
 	}
-	if got := s.Total(); got != 200 {
-		t.Errorf("total = %d, want 200 (exact tiling preserved)", got)
+	u.Done(0, "p1")
+	s := rec.Spans()[0]
+	if len(s.Intervals) != 6 || s.Done != 700 || s.Total() != 700 || s.Route[len(s.Route)-1] != "p1" || len(s.Route) != 2 {
+		t.Errorf("extra marks changed the span:\n%s", s.Report())
 	}
-	if s.PhaseTotal(PhaseService) != 0 {
-		t.Errorf("clamped phase duration = %d, want 0", s.PhaseTotal(PhaseService))
+	if st := rec.Stats(); st.Completed != 1 {
+		t.Errorf("completed = %d, want 1", st.Completed)
+	}
+}
+
+// TestKernelSend: under the system-call design point the user's kernel
+// launches the packet itself (submit ends at the launch), and a reply
+// launched from interrupt context after the arrival stays in deliver.
+func TestKernelSend(t *testing.T) {
+	rec := NewRecorder()
+	u, c := attach(t, rec)
+	id := u.Open("GET", 64, "user")
+	*c = 100
+	u.Launched(id)
+	*c = 150
+	u.Arrived(id)
+	*c = 300
+	u.Launched(id)
+	*c = 350
+	u.Arrived(id)
+	*c = 500
+	u.Done(id, "engine")
+	s := rec.Spans()[0]
+	want := []Phase{PhaseSubmit, PhaseWire, PhaseDeliver}
+	if len(s.Intervals) != len(want) {
+		t.Fatalf("intervals:\n%s", s.Report())
+	}
+	for i, p := range want {
+		if s.Intervals[i].Phase != p {
+			t.Errorf("interval %d is %s, want %s", i, s.Intervals[i].Phase, p)
+		}
+	}
+	if s.Intervals[0].Where != "user" || s.PhaseTotal(PhaseDeliver) != 350 {
+		t.Errorf("kernel send attributed wrong:\n%s", s.Report())
+	}
+}
+
+// TestDeq: the remote queue's record-taken mark ends rq-wait, and the
+// reply agent's pickup ends the reply's input wait.
+func TestDeq(t *testing.T) {
+	rec := NewRecorder()
+	u, c := attach(t, rec)
+	id := u.Open("DEQ", 8, "user")
+	for _, step := range []func(){
+		func() { u.Enqueued(id) },
+		func() { u.Picked(id, "p0", 0, 0) },
+		func() { u.Launched(id) },
+		func() { u.Arrived(id) },
+		func() { u.Picked(id, "p1", 0, 0) },
+		func() { u.Taken(id, "p1") },
+		func() { u.Picked(id, "p1", 0, 0) },
+		func() { u.Launched(id) },
+		func() { u.Arrived(id) },
+		func() { u.Picked(id, "p0", 0, 0) },
+		func() { u.Done(id, "p0") },
+	} {
+		*c += 100
+		step()
+	}
+	s := rec.Spans()[0]
+	want := []Phase{
+		PhaseSubmit, PhaseCmdQueue, PhaseService, PhaseWire, PhaseInputQueue,
+		PhaseRQWait, PhaseInputQueue, PhaseService, PhaseWire, PhaseInputQueue, PhaseDeliver,
+	}
+	if len(s.Intervals) != len(want) {
+		t.Fatalf("intervals:\n%s", s.Report())
+	}
+	for i, p := range want {
+		if s.Intervals[i].Phase != p {
+			t.Errorf("interval %d is %s, want %s", i, s.Intervals[i].Phase, p)
+		}
+	}
+	if got := s.Flow(); got != "user>p0>p1>p0" {
+		t.Errorf("flow = %q", got)
+	}
+}
+
+// TestIntra: an operation completed without leaving its origin is a
+// shared-memory transfer on the origin's processor.
+func TestIntra(t *testing.T) {
+	rec := NewRecorder()
+	u, c := attach(t, rec)
+	id := u.Open("ENQ", 8, "user")
+	*c = 40
+	u.Done(id, "")
+	s := rec.Spans()[0]
+	if !s.Intra || s.Flow() != "user>intra" || len(s.Intervals) != 1 ||
+		s.Intervals[0].Phase != PhaseIntra || s.Intervals[0].Where != "user" {
+		t.Errorf("intra span:\n%s", s.Report())
+	}
+	if rec.Stats().Intra != 1 {
+		t.Errorf("stats = %+v", rec.Stats())
+	}
+}
+
+// TestAttach: Attach finds recorders anywhere in a fan-out, feeds each
+// its own spans, and returns nil when there is none.
+func TestAttach(t *testing.T) {
+	if Attach(nil, nil) != nil || Attach(trace.NewDigest(), nil) != nil {
+		t.Error("Attach without a recorder returned a run")
+	}
+	a, b := NewRecorder(), NewRecorder()
+	NewRecorder() // not installed
+	u, c := attach(t, trace.Multi(trace.NewDigest(), trace.Multi(a, &trace.Recorder{}), b))
+	recordPUT(u, c)
+	for _, rec := range []*Recorder{a, b} {
+		if spans := rec.CompleteSpans(); len(spans) != 1 || spans[0].Total() != 600 {
+			t.Errorf("recorder got %d spans", len(spans))
+		}
+	}
+	if a.Spans()[0] == b.Spans()[0] {
+		t.Error("recorders share a span")
 	}
 }
 
 func TestBreakdownAggregate(t *testing.T) {
-	a := NewAssembler()
-	feed(a, putStream())
-	feed(a, putStream())
-	bd := Aggregate(a.Spans())
+	rec := NewRecorder()
+	u, c := attach(t, rec)
+	recordPUT(u, c)
+	u, c = attach(t, rec)
+	recordPUT(u, c)
+	bd := Aggregate(rec.Spans())
 	g := bd.ByOp["PUT"]
 	if g == nil || g.Count != 2 {
 		t.Fatalf("PUT group missing or wrong count: %+v", g)

@@ -114,7 +114,7 @@ func ChromeTrace(spans []*span.Span, windows []Window) ([]byte, error) {
 }
 
 // Slice is one complete interval on a named track, for renderers that
-// build Chrome traces from sources other than the span assembler — the
+// build Chrome traces from sources other than the span recorder — the
 // flight recorder's exemplar dumps use it.
 type Slice struct {
 	Track   string

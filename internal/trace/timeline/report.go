@@ -7,7 +7,7 @@ import (
 )
 
 // Profile is the combined observability report for one run (or driver
-// session): span attribution quality, the per-operation and per-flow
+// session): span counts, the per-operation and per-flow
 // phase breakdowns, utilization/depth windows, and the critical path of
 // the slowest message.
 type Profile struct {
@@ -18,16 +18,17 @@ type Profile struct {
 	CriticalPath string                 `json:"critical_path,omitempty"`
 }
 
-// BuildProfile assembles a Profile from an assembler and (optionally) a
-// sampler. The sampler is flushed; pass nil to skip the timeline section.
-func BuildProfile(asm *span.Assembler, smp *Sampler, scenario string) Profile {
-	p := Profile{Scenario: scenario, SpanStats: asm.Stats()}
-	p.Breakdown = span.Aggregate(asm.Spans()).Snapshot()
+// BuildProfile assembles a Profile from a span recorder and (optionally)
+// a sampler. The sampler is flushed; pass nil to skip the timeline
+// section.
+func BuildProfile(rec *span.Recorder, smp *Sampler, scenario string) Profile {
+	p := Profile{Scenario: scenario, SpanStats: rec.Stats()}
+	p.Breakdown = span.Aggregate(rec.Spans()).Snapshot()
 	if smp != nil {
 		smp.Flush()
 		p.Windows = smp.Windows()
 	}
-	if worst := SlowestSpan(asm.Spans()); worst != nil {
+	if worst := SlowestSpan(rec.Spans()); worst != nil {
 		p.CriticalPath = worst.Report()
 	}
 	return p

@@ -133,8 +133,8 @@ type ScanSample struct {
 }
 
 // DecodeScanArg unpacks a KScan Arg into a ScanSample. It is the single
-// decoder for the packed word built by ScanArg; consumers (metrics, span
-// assembly) must use it rather than re-implementing the bit layout.
+// decoder for the packed word built by ScanArg; consumers (the metrics
+// collector) must use it rather than re-implementing the bit layout.
 func DecodeScanArg(arg int64) ScanSample {
 	return ScanSample{
 		Probes:     arg >> 32,
@@ -315,6 +315,26 @@ func (t *Writer) RecordBatch(evs []Event) {
 
 // Err returns the first write error, if any.
 func (t *Writer) Err() error { return t.err }
+
+// Each calls fn for every tracer t delivers to: t itself, or each child of
+// a Multi fan-out (recursively). Collectors that are fed by the model
+// layers rather than the event stream are installed as tracers and found
+// this way.
+func Each(t Tracer, fn func(Tracer)) {
+	switch m := t.(type) {
+	case nil:
+	case multi:
+		for _, c := range m {
+			Each(c, fn)
+		}
+	case batchMulti:
+		for _, c := range m {
+			Each(c, fn)
+		}
+	default:
+		fn(t)
+	}
+}
 
 type multi []Tracer
 
