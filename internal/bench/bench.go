@@ -88,6 +88,7 @@ func Run(opt Options) (Suite, error) {
 	suite := []bm{
 		{"engine-events", 2_000_000, benchEngineEvents},
 		{"engine-timer", 1_000_000, benchEngineTimer},
+		{"engine-deep", 30_000, benchEngineDeep},
 		{"engine-traced", 1_000_000, benchEngineTraced},
 		{"pingpong-e2e", 2_000, benchPingPong},
 		{"serving-smoke", 4_000, benchServing(nil, 1, "", 0)},
@@ -199,6 +200,83 @@ func benchEngineTimer(ops int64) (uint64, error) {
 		e.Schedule(sim.Time(1+i), step)
 	}
 	err := e.Run()
+	return e.Scheduled(), err
+}
+
+// Shape of the engine-deep row, after the serve-1k workload: 1,024
+// clients with 80 us mean inter-arrival times, and requests of 32 events
+// that cross 25 wire hops (0.5 us latency plus ~0.57 us to serialize a
+// 100-byte packet at 175 MB/s) and 7 service holds (1-13 us). About
+// 1,000 requests are then in flight beside the 1,024 arrival timers, so
+// ~2,000 events are pending, as in serve-1k.
+const (
+	deepClients = 1024
+	deepMeanNs  = 80_000
+	deepSteps   = 32
+)
+
+// benchEngineDeep exercises the timer queue at serving depth: one op is
+// one request, its arrival plus its 32 steps, so events/op is exactly 33.
+// The delays come from a fixed xorshift stream, so the row is
+// deterministic.
+func benchEngineDeep(ops int64) (uint64, error) {
+	if ops < deepClients {
+		return 0, fmt.Errorf("engine-deep needs at least %d ops, got %d", deepClients, ops)
+	}
+	e := sim.NewEngine()
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	// A request walks its steps through one pooled frame and a prebuilt
+	// continuation, so the row measures the queue, not the allocator.
+	type request struct {
+		step int
+		k    func()
+	}
+	var free []*request
+	var arrived int64
+	start := func() {
+		var r *request
+		if n := len(free); n > 0 {
+			r, free = free[n-1], free[:n-1]
+		} else {
+			r = &request{}
+			r.k = func() {
+				r.step++
+				if r.step == deepSteps {
+					free = append(free, r)
+					return
+				}
+				d := sim.Time(1070 + next()%500 - 250) // a wire hop
+				if r.step%4 == 0 {
+					d = sim.Time(1000 + next()%12000) // a service hold
+				}
+				e.Schedule(d, r.k)
+			}
+		}
+		r.step = 0
+		e.Schedule(sim.Time(1070+next()%500-250), r.k)
+	}
+	for c := 0; c < deepClients; c++ {
+		var arrive func()
+		arrive = func() {
+			arrived++
+			start()
+			if arrived+deepClients <= ops {
+				u := float64(next()>>11) / (1 << 53)
+				e.Schedule(sim.Time(-math.Log(1-u)*deepMeanNs)+1, arrive)
+			}
+		}
+		e.Schedule(sim.Time(next()%deepMeanNs)+1, arrive)
+	}
+	err := e.Run()
+	if err == nil && arrived != ops {
+		err = fmt.Errorf("ran %d of %d requests", arrived, ops)
+	}
 	return e.Scheduled(), err
 }
 

@@ -161,8 +161,8 @@ func TestRunQuickSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Results) != 10 {
-		t.Fatalf("suite has %d results, want 10", len(s.Results))
+	if len(s.Results) != 11 {
+		t.Fatalf("suite has %d results, want 11", len(s.Results))
 	}
 	for _, r := range s.Results {
 		if r.EventsPerOp <= 0 {

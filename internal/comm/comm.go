@@ -158,7 +158,7 @@ type Fabric struct {
 	eps []*Endpoint
 	// scanners holds the per-(node, proxy) round-robin command-queue
 	// scanner used by the message proxy design points.
-	scanners [][]*proxy.Scanner[request]
+	scanners [][]*proxy.Scanner[*reqBox]
 	// cmdqNames mirrors the scanners' registration order with the trace
 	// component name of each command queue ("rank<N>.cmdq"), so the pick
 	// sites can emit which queue a scan dequeued without formatting on
@@ -244,13 +244,13 @@ func NewWith(cl *machine.Cluster, opt Options) *Fabric {
 		}
 	}
 	if f.A.Kind == arch.Proxy {
-		f.scanners = make([][]*proxy.Scanner[request], len(cl.Nodes))
+		f.scanners = make([][]*proxy.Scanner[*reqBox], len(cl.Nodes))
 		f.cmdqNames = make([][][]string, len(cl.Nodes))
 		for i, nd := range cl.Nodes {
-			f.scanners[i] = make([]*proxy.Scanner[request], len(nd.Agents))
+			f.scanners[i] = make([]*proxy.Scanner[*reqBox], len(nd.Agents))
 			f.cmdqNames[i] = make([][]string, len(nd.Agents))
 			for k := range nd.Agents {
-				s := proxy.NewScanner[request]()
+				s := proxy.NewScanner[*reqBox]()
 				// Scan passes feed the trace stream under the serving
 				// agent's name; Emit is a no-op without a tracer.
 				name := nd.Agents[k].Name + ".scan"
@@ -278,7 +278,7 @@ func NewWith(cl *machine.Cluster, opt Options) *Fabric {
 	for _, cpu := range cl.CPUs {
 		ep := &Endpoint{f: f, cpu: cpu, rank: cpu.Rank, subFree: &f.pools[cpu.Node.ID].sub}
 		if f.A.Kind == arch.Proxy {
-			ep.cmdq = proxy.NewCommandQueue[request](cpu.Rank, opt.queueCap())
+			ep.cmdq = proxy.NewCommandQueue[*reqBox](cpu.Rank, opt.queueCap())
 			nProxies := len(cpu.Node.Agents)
 			ep.proxyIdx = f.sched.Home(cpu.Node.ID, cpu.Slot, cpu.Rank, nProxies)
 			ep.cmdqIdx = f.scanners[cpu.Node.ID][ep.proxyIdx].Register(ep.cmdq)
@@ -311,7 +311,7 @@ func (f *Fabric) Endpoints() []*Endpoint { return f.eps }
 
 // CommandQueue returns the endpoint's proxy command queue (nil on design
 // points without one).
-func (ep *Endpoint) CommandQueue() *proxy.CommandQueue[request] { return ep.cmdq }
+func (ep *Endpoint) CommandQueue() *proxy.CommandQueue[*reqBox] { return ep.cmdq }
 
 // Endpoint returns the endpoint of a global rank.
 func (f *Fabric) Endpoint(rank int) *Endpoint { return f.eps[rank] }
@@ -421,7 +421,7 @@ type Endpoint struct {
 	cpu     *machine.CPU
 	rank    int
 	proc    *sim.Proc
-	cmdq    *proxy.CommandQueue[request]
+	cmdq    *proxy.CommandQueue[*reqBox]
 	cmdqIdx int
 	// cmdqComp is the command queue's trace component name, emitted on
 	// every command enqueue.
@@ -684,14 +684,16 @@ func (ep *Endpoint) submit(r request) {
 		// Writing the opcode and operands into the user's command queue:
 		// a read miss on the tail entry and a write miss publishing it.
 		ep.cpu.Compute(ep.proc, 2*f.A.AgentMiss+f.A.Instr(0.2))
-		if err := ep.cmdq.Enqueue(ep.rank, r); err != nil {
+		node := ep.cpu.Node
+		box := f.newReqBox(node)
+		box.r = r
+		if err := ep.cmdq.Enqueue(ep.rank, box); err != nil {
 			// Queue full: the user spins until the proxy drains an entry.
 			for err != nil {
 				ep.cpu.Compute(ep.proc, f.A.PollDelay())
-				err = ep.cmdq.Enqueue(ep.rank, r)
+				err = ep.cmdq.Enqueue(ep.rank, box)
 			}
 		}
-		node := ep.cpu.Node
 		node.Eng.Emit(trace.KEnqueue, ep.cmdqComp, int64(ep.cmdq.Len()))
 		if f.spans != nil {
 			f.spans.Enqueued(r.span)

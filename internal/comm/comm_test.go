@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mproxy/internal/arch"
+	"mproxy/internal/fault"
 	"mproxy/internal/machine"
 	"mproxy/internal/memory"
 	"mproxy/internal/sim"
@@ -662,5 +663,48 @@ func TestLatencyStatsIntra(t *testing.T) {
 	// Intra-node: a couple of cache misses, far below any network path.
 	if ls[OpPut].MeanUs > 5 {
 		t.Fatalf("intra PUT latency = %v us", ls[OpPut].MeanUs)
+	}
+}
+
+// TestDupWithoutRelCompletesOnce: over a wire that duplicates every
+// packet, with no reliable transport to filter the copies, each PUT and
+// GET still completes once: one latency sample, and one signal on each
+// of its flags.
+func TestDupWithoutRelCompletesOnce(t *testing.T) {
+	const ops = 10
+	for _, a := range archsUnderTest() {
+		t.Run(a.Name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 1}, a)
+			cl.SetFaultPlane(fault.NewPlane(fault.Config{Seed: 1, Dup: 1}))
+			f := New(cl)
+			reg := f.Registry()
+			local := reg.NewSegment(0, 64)
+			remote := reg.NewSegment(1, 64)
+			remote.Grant(0)
+			putF, putR := reg.NewFlag(0), reg.NewFlag(1)
+			getF, getR := reg.NewFlag(0), reg.NewFlag(1)
+			run2(t, eng, f, func(ep *Endpoint) {
+				for i := int64(1); i <= ops; i++ {
+					if err := ep.Put(local.Addr(0), remote.Addr(0), 64, putF, putR); err != nil {
+						t.Error(err)
+					}
+					ep.WaitFlag(putF, i)
+					if err := ep.Get(local.Addr(0), remote.Addr(0), 64, getF, getR); err != nil {
+						t.Error(err)
+					}
+					ep.WaitFlag(getF, i)
+				}
+			}, nil)
+			for name, ref := range map[string]memory.FlagRef{"PUT fsync": putF, "PUT rsync": putR, "GET fsync": getF, "GET rsync": getR} {
+				if fl, _ := reg.Flag(ref); fl.Value() != ops {
+					t.Errorf("%s signaled %d times for %d operations", name, fl.Value(), ops)
+				}
+			}
+			lat := f.LatencyStats()
+			if lat[OpPut].Count != ops || lat[OpGet].Count != ops {
+				t.Errorf("latency samples: %d PUT, %d GET for %d of each", lat[OpPut].Count, lat[OpGet].Count, ops)
+			}
+		})
 	}
 }

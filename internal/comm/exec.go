@@ -124,6 +124,14 @@ func (fr *agentExec) picked(id uint32, probes, headChecks int64) {
 	}
 }
 
+// take copies the command a scan pass dequeued into the frame, marks it
+// picked up with that pass's probes, and frees its box.
+func (fr *agentExec) take(box *reqBox) {
+	fr.r = box.r
+	fr.picked(fr.r.span, fr.f.pass.probes, fr.f.pass.headChecks)
+	fr.f.freeReqBox(fr.node, box)
+}
+
 // opDone completes the operation of the packet being processed.
 func (fr *agentExec) opDone(kind OpKind) {
 	fr.f.opDone(fr.node, kind, fr.pkt.issued, fr.pkt.span, fr.a.Name)
@@ -285,14 +293,13 @@ func (fr *agentExec) step() {
 	case pcMPStealScan:
 		// Stolen turn (see steal.go): the cross-queue penalty is paid,
 		// now scan the victim exactly as mpServiceWork scans home turf.
-		r, qi, ok := f.scanners[fr.node.ID][fr.stealIdx].Next()
+		box, qi, ok := f.scanners[fr.node.ID][fr.stealIdx].Next()
 		if !ok {
 			fr.finish() // the victim (or another thief) got there first
 			return
 		}
 		fr.node.Eng.Emit(trace.KDequeue, f.cmdqNames[fr.node.ID][fr.stealIdx][qi], 0)
-		fr.picked(r.span, f.pass.probes, f.pass.headChecks)
-		fr.r = r
+		fr.take(box)
 		fr.hold(A.AgentMiss+A.Instr(0.5)+A.VMAtt, pcMPSend)
 
 	// ---- custom hardware: send side (hwSendWork) ----
@@ -594,14 +601,13 @@ func (fr *agentExec) pageDMADone() {
 func mpServiceWork(a *machine.Agent, _ any) {
 	fr := a.Exec().(*agentExec)
 	f := fr.f
-	r, qi, ok := f.scanners[fr.node.ID][fr.scanIdx].Next()
+	box, qi, ok := f.scanners[fr.node.ID][fr.scanIdx].Next()
 	if !ok {
 		a.WorkDone() // stale scan hint; the command was already consumed
 		return
 	}
 	fr.node.Eng.Emit(trace.KDequeue, f.cmdqNames[fr.node.ID][fr.scanIdx][qi], 0)
-	fr.picked(r.span, f.pass.probes, f.pass.headChecks)
-	fr.r = r
+	fr.take(box)
 	A := &f.A
 	// Dequeue entry (read miss), decode command and allocate a CCB,
 	// vm_att to the user's space.

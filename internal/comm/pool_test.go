@@ -5,6 +5,7 @@ import (
 
 	"mproxy/internal/arch"
 	"mproxy/internal/machine"
+	"mproxy/internal/memory"
 	"mproxy/internal/sim"
 )
 
@@ -57,4 +58,59 @@ func TestPacketCrossesEngines(t *testing.T) {
 	for _, e := range engs {
 		e.Shutdown()
 	}
+}
+
+// TestReqBoxesSurviveAFullRing: behind a one-entry command queue, a task
+// that submits back to back finds the ring full and retries. Every
+// command control block its submissions take, including those of the
+// attempts that bounced, goes back to the engine's pool once the proxy
+// has drained the queue.
+func TestReqBoxesSurviveAFullRing(t *testing.T) {
+	const burst = 8
+	eng := sim.NewEngine()
+	cl := machine.New(eng, machine.Config{Nodes: 2, ProcsPerNode: 1}, arch.MP1)
+	f := NewWith(cl, Options{CommandQueueCap: 1})
+	q := f.Registry().NewQueue(1)
+	q.Grant(0)
+	ref := memory.QueueRef{Owner: 1, ID: q.ID}
+	ep := f.Endpoint(0)
+	submit := func() {
+		eng.SpawnTask("submitter", func(tk *sim.Task) {
+			i := 0
+			var next func()
+			next = func() {
+				if i == burst {
+					tk.End()
+					return
+				}
+				i++
+				if err := ep.EnqBytesTask(tk, []byte{byte(i)}, ref, memory.FlagRef{}, next); err != nil {
+					t.Error(err)
+				}
+			}
+			next()
+		})
+		if err := eng.RunUntil(eng.Now() + sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit() // grows the pool to the burst's working depth
+	// Spare boxes let every attempt draw from the pool rather than
+	// allocate, so a box an attempt drops shows as a shortfall.
+	pool, full := &f.pools[0].req, ep.CommandQueue().FullHits()
+	for i := 0; i < burst; i++ {
+		pool.Put(&reqBox{})
+	}
+	before := pool.Len()
+	submit()
+	if ep.CommandQueue().FullHits() == full {
+		t.Fatal("no submission found the ring full")
+	}
+	if got := pool.Len(); got != before {
+		t.Errorf("request-box pool holds %d boxes after the queue drained, %d before the burst", got, before)
+	}
+	if n := q.Len(); n != 2*burst {
+		t.Errorf("%d records delivered, want %d", n, 2*burst)
+	}
+	eng.Shutdown()
 }

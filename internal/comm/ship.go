@@ -47,6 +47,9 @@ type packet struct {
 	// agents' paths (see newPacket).
 	buf    []byte
 	pooled bool
+	// delivered marks a packet its receiving node has taken (see
+	// deliver).
+	delivered bool
 }
 
 // enginePools is one engine's recycling pools for the fabric's hot-path
@@ -70,18 +73,30 @@ type enginePools struct {
 // from collecting every packet the other shards send it.
 const maxFreePackets = 1024
 
-// reqBox carries a request into a custom-hardware agent work item: the
-// adapter's command control block. Boxes recycle through the node
-// engine's pool.
+// reqBox is a command control block: it carries a request through a
+// user's command queue to the proxy, or into a custom-hardware adapter's
+// work item, so a queue slot or a work item holds a pointer instead of a
+// copy. Boxes are taken and freed on the submitting node, and recycle
+// through its engine's pool.
 type reqBox struct {
 	r request
 }
 
+// reqBoxSlab is how many boxes an empty pool allocates at once, so a
+// fresh engine's pool reaches its working depth in one allocation per
+// slab rather than one per box.
+const reqBoxSlab = 8
+
 func (f *Fabric) newReqBox(node *machine.Node) *reqBox {
-	if b := f.pools[node.ID].req.Get(); b != nil {
+	pool := &f.pools[node.ID].req
+	if b := pool.Get(); b != nil {
 		return b
 	}
-	return &reqBox{}
+	slab := make([]reqBox, reqBoxSlab)
+	for i := 1; i < len(slab); i++ {
+		pool.Put(&slab[i])
+	}
+	return &slab[0]
 }
 
 func (f *Fabric) freeReqBox(node *machine.Node, b *reqBox) {
@@ -200,7 +215,17 @@ func (f *Fabric) DeliverPacket(arg any, fate machine.PacketFate) {
 
 // deliver dispatches an arriving packet to the receiving node's agent
 // (proxy or adapter) or, under SW, interrupts the destination CPU.
+//
+// A fault plane's duplicate delivers the same packet a second time; the
+// reliable transport filters such copies out before they get here, but
+// without it the receiver drops them. The copy carries nothing the first
+// delivery did not, and handling it again would complete its operation,
+// signal its flags and answer its request a second time.
 func (f *Fabric) deliver(dest *machine.Node, pkt *packet) {
+	if pkt.delivered {
+		return
+	}
+	pkt.delivered = true
 	if f.spans != nil {
 		f.spans.Arrived(pkt.span)
 	}

@@ -95,11 +95,15 @@ func (ep *Endpoint) submitTask(t *sim.Task, fr *submitFrame, k func()) {
 // blocking loop.
 func (fr *submitFrame) enqueue() {
 	ep := fr.ep
-	if err := ep.cmdq.Enqueue(ep.rank, fr.r); err != nil {
+	node := ep.cpu.Node
+	box := ep.f.newReqBox(node)
+	box.r = fr.r
+	if err := ep.cmdq.Enqueue(ep.rank, box); err != nil {
+		// The frame keeps the request; the box goes back until the retry.
+		ep.f.freeReqBox(node, box)
 		ep.cpu.ComputeTask(fr.t, ep.f.A.PollDelay(), fr.enqueueK)
 		return
 	}
-	node := ep.cpu.Node
 	node.Eng.Emit(trace.KEnqueue, ep.cmdqComp, int64(ep.cmdq.Len()))
 	if ep.f.spans != nil {
 		ep.f.spans.Enqueued(fr.r.span)

@@ -58,21 +58,64 @@ type Config struct {
 }
 
 // repWait tracks one replicated PUT at its primary until every follower
-// has acknowledged.
+// has acknowledged; need is 0 once it has.
 type repWait struct {
-	need   int
-	client int
+	need   int32
+	client int32
 	flags  int64
 	issued int64
+}
+
+// repRing holds a shard's in-flight replicated PUTs by their sequential
+// replication id: ids head..next-1 sit at id mod len(waits), completed
+// ones with need 0 until head passes them. It doubles when every slot is
+// in that window, so it holds at most twice the span from the oldest
+// unacknowledged PUT to the newest.
+type repRing struct {
+	waits      []repWait
+	head, next uint64
+}
+
+// add records a new replicated PUT and returns its id.
+func (r *repRing) add(w repWait) uint64 {
+	if r.next-r.head == uint64(len(r.waits)) {
+		grown := make([]repWait, max(1, 2*len(r.waits)))
+		for id := r.head; id < r.next; id++ {
+			grown[id%uint64(len(grown))] = r.waits[id%uint64(len(r.waits))]
+		}
+		r.waits = grown
+	}
+	id := r.next
+	r.next++
+	r.waits[id%uint64(len(r.waits))] = w
+	return id
+}
+
+// get returns id's record, or nil when id is not in flight.
+func (r *repRing) get(id uint64) *repWait {
+	if id < r.head || id >= r.next {
+		return nil
+	}
+	w := &r.waits[id%uint64(len(r.waits))]
+	if w.need == 0 {
+		return nil
+	}
+	return w
+}
+
+// retire advances head past the completed records at the window's start.
+func (r *repRing) retire() {
+	for r.head < r.next && r.waits[r.head%uint64(len(r.waits))].need == 0 {
+		r.head++
+	}
 }
 
 // shard is one server's state. A server touches exclusively its own
 // shard, so the shards of a parallel run never contend and the aggregate
 // accessors below sum deterministically.
 type shard struct {
-	si         int                 // shard index: position in Config.Servers
-	pending    map[uint64]*repWait // in-flight replicated PUTs, by id; nil without replication
-	nextRep    uint64              // next replication id (keys of pending)
+	si         int     // shard index: position in Config.Servers
+	reps       repRing // in-flight replicated PUTs; empty without replication
 	served     [numOps]int64
 	replicated int64
 	pools      *enginePools // the server node engine's pools
@@ -127,9 +170,6 @@ func New(l *am.Layer, cfg Config) *Service {
 		sh := &s.shards[i]
 		sh.si = i
 		sh.pools = sim.Pool[enginePools](l.Port(rank).Endpoint().Node().Eng)
-		if cfg.Replication > 1 {
-			sh.pending = make(map[uint64]*repWait)
-		}
 		s.byRank[rank] = sh
 	}
 	// Pre-size the value scratch to the largest payload any handler
@@ -217,15 +257,14 @@ func (s *Service) flightServe(p *am.Port, sh *shard, flags int64, k func()) func
 	return m.doneK
 }
 
-// enginePools holds one engine's recycled continuation frames and
-// replication records (sim.Pool), shared by every server whose node runs
-// on the engine. A frame takes its pool with its other fields when it is
-// taken, and only serve loops on that engine touch the pool, so the
-// shards of a parallel run never share one.
+// enginePools holds one engine's recycled continuation frames
+// (sim.Pool), shared by every server whose node runs on the engine. A
+// frame takes its pool with its other fields when it is taken, and only
+// serve loops on that engine touch the pool, so the shards of a parallel
+// run never share one.
 type enginePools struct {
 	marks sim.Freelist[serviceMark]
 	reps  sim.Freelist[repChain]
-	waits sim.Freelist[repWait]
 }
 
 // serviceMark is flightServe's wrapped continuation: it marks service
@@ -312,15 +351,8 @@ func (s *Service) onPut(p *am.Port, t *sim.Task, src int, args []int64, payload 
 		p.SendTask(t, src, s.hPutRe, args[:2], nil, k)
 		return
 	}
-	id := sh.nextRep
-	sh.nextRep++
+	id := sh.reps.add(repWait{need: int32(s.cfg.Replication - 1), client: int32(src), flags: args[0], issued: args[1]})
 	sp := sh.pools
-	w := sp.waits.Get()
-	if w == nil {
-		w = &repWait{}
-	}
-	*w = repWait{need: s.cfg.Replication - 1, client: src, flags: args[0], issued: args[1]}
-	sh.pending[id] = w
 	c := sp.reps.Get()
 	if c == nil {
 		c = &repChain{}
@@ -355,7 +387,7 @@ func (s *Service) onRep(p *am.Port, t *sim.Task, src int, args []int64, payload 
 func (s *Service) onRepAck(p *am.Port, t *sim.Task, src int, args []int64, payload []byte, k func()) {
 	sh := s.byRank[p.Rank()]
 	id := uint64(args[0])
-	w := sh.pending[id]
+	w := sh.reps.get(id)
 	if w == nil {
 		panic(fmt.Sprintf("kv: server %d acked unknown replication %d", src, id))
 	}
@@ -363,14 +395,13 @@ func (s *Service) onRepAck(p *am.Port, t *sim.Task, src int, args []int64, paylo
 		k()
 		return
 	}
-	delete(sh.pending, id)
 	if s.Flight != nil {
 		if fid := flight.FlagsID(w.flags); fid != 0 {
 			s.Flight.RepAcked(fid)
 		}
 	}
-	client, flags, issued := w.client, w.flags, w.issued
-	sh.pools.waits.Put(w)
+	client, flags, issued := int(w.client), w.flags, w.issued
+	sh.reps.retire()
 	p.SendTask(t, client, s.hPutRe, []int64{flags, issued}, nil, k)
 }
 

@@ -166,6 +166,38 @@ func TestFaultedSpans(t *testing.T) {
 	}
 }
 
+// TestDupWithoutRelCompletesOnce runs the ping-pong over a wire that
+// duplicates packets with no reliable transport to filter the copies:
+// the run still completes each operation exactly once.
+func TestDupWithoutRelCompletesOnce(t *testing.T) {
+	for _, archName := range []string{"MP1", "HW1", "SW1"} {
+		for _, op := range []string{"PUT", "GET"} {
+			events := &trace.Recorder{}
+			_, err := PingPong(Config{
+				Arch: archName, Op: op, Reps: 200,
+				Fault:  fault.NewPlane(fault.Config{Seed: 3, Dup: 0.05}),
+				Tracer: events,
+			})
+			if err != nil {
+				t.Fatalf("%s %s: %v", archName, op, err)
+			}
+			done := 0
+			for _, ev := range events.Events() {
+				if ev.Kind == trace.KOpDone {
+					done++
+				}
+			}
+			want := 200 // GETs
+			if op == "PUT" {
+				want = 400 // a PUT each way per rep
+			}
+			if done != want {
+				t.Errorf("%s %s: %d operations completed, %d issued", archName, op, done, want)
+			}
+		}
+	}
+}
+
 // TestModelDelta checks the measured-vs-model acceptance bar on the
 // calibrated serialized scenario: every phase of every architecture's
 // PUT and GET must sit within 5% of the analytic phase prediction (in

@@ -10,16 +10,17 @@
 // non-empty bit vector lets it detect the state of many queues in a single
 // probe (the polling-delay optimization discussed in Section 4.1).
 //
-// Both structures are generic in the command type: the owner instantiates
-// them with its concrete command struct, so enqueueing stores the command
-// inline in the ring entry instead of boxing it into an `any` — one fewer
-// heap allocation per message on the simulator's hottest path.
+// Both structures are generic in the command type, so a ring entry holds
+// the owner's command as is instead of boxing it into an `any`. The
+// communication fabric's command is a pointer to a pooled command control
+// block, which keeps an entry at 16 bytes however large a request is.
 package proxy
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // ErrFull is returned when a command queue has no free entry; the caller
@@ -67,6 +68,10 @@ func NewCommandQueue[T any](owner, capacity int) *CommandQueue[T] {
 
 // Owner returns the producing rank.
 func (q *CommandQueue[T]) Owner() int { return q.owner }
+
+// EntrySize returns the host bytes one ring slot takes. It reads nothing
+// from q, which may be nil.
+func (q *CommandQueue[T]) EntrySize() uintptr { return unsafe.Sizeof(entry[T]{}) }
 
 // Cap returns the queue's logical capacity.
 func (q *CommandQueue[T]) Cap() int { return q.capacity }

@@ -44,16 +44,42 @@ type event struct {
 // below a peeked minimum. It caches the minimum above bucket 0 (lo):
 // pushes lower it and only settle invalidates it, so a Proc that peeks
 // on every Hold while many events wait in one far bucket scans that
-// bucket once, and the settle that finally drains it reuses the scan. Vacated slots are zeroed so fired closures
-// become GC-able while the bucket arrays are reused for the whole run.
+// bucket once, and the settle that finally drains it reuses the scan.
+//
+// Storage is one chunk store for all 64 buckets: a bucket is a list of
+// fixed-size chunks, every chunk but its last full. A bucket keeps its
+// first chunk when it empties, so the buckets a run keeps refilling
+// append in place; every other chunk that drains — bucket 0's as pops
+// consume it, a settled bucket's as its entries move down — goes back to
+// the queue's one free list for the next bucket that overflows. The
+// queue therefore holds one chunk per bucket it has used plus what its
+// peak pending events fill, however they spread over the buckets over a
+// run, and reusing chunks leaves no garbage behind. Vacated slots and
+// free chunks are zeroed so fired closures become GC-able. The free room
+// in each bucket's last chunk is counted beside the list heads, so an
+// append touches the slot it fills and that count, not the chunk's link.
 type eventHeap struct {
-	last Time
-	n    int
-	head int    // bucket 0's next entry to pop
-	mask uint64 // bit k set when bucket k is non-empty
-	b    [64][]event
-	lo   Time // minimum time above bucket 0, when loOK
-	loOK bool
+	last  Time
+	n     int
+	head  int    // bucket 0's next entry to pop, in its first chunk
+	mask  uint64 // bit k set when bucket k is non-empty
+	first [64]*chunk
+	tail  [64]*chunk
+	room  [64]int // free slots in tail[k]; 0 when it is full or absent
+	free  *chunk  // drained chunks, linked through next
+	lo    Time    // minimum time above bucket 0, when loOK
+	loOK  bool
+}
+
+// chunkLen is the number of events a chunk holds: with its link, a
+// chunk fills one 1 KiB allocation size class.
+const chunkLen = 42
+
+// chunk is one fixed-size piece of a bucket: next is the bucket's
+// following chunk (or, on the free list, the next free one).
+type chunk struct {
+	next *chunk
+	ev   [chunkLen]event
 }
 
 // bucket returns the bucket an event at `at` belongs to relative to
@@ -69,7 +95,14 @@ func (h *eventHeap) push(ev event) {
 		panic("sim: event time ran backwards")
 	}
 	k := h.bucket(ev.at)
-	h.b[k] = append(h.b[k], ev)
+	if h.room[k] == 0 {
+		// A call that nothing follows keeps the fast path free of the
+		// register spills a call it resumes after would need.
+		h.pushExtend(k, ev)
+		return
+	}
+	h.tail[k].ev[chunkLen-h.room[k]] = ev
+	h.room[k]--
 	h.mask |= 1 << k
 	h.n++
 	if k > 0 && h.loOK && ev.at < h.lo {
@@ -77,68 +110,173 @@ func (h *eventHeap) push(ev event) {
 	}
 }
 
+// pushExtend is push for an event whose bucket k has no room.
+func (h *eventHeap) pushExtend(k int, ev event) {
+	h.extend(k)
+	h.push(ev)
+}
+
+// extend appends an empty chunk to bucket k, from the free list when it
+// has one.
+func (h *eventHeap) extend(k int) {
+	c := h.free
+	if c != nil {
+		h.free = c.next
+		c.next = nil
+	} else {
+		c = new(chunk)
+	}
+	if t := h.tail[k]; t != nil {
+		t.next = c
+	} else {
+		h.first[k] = c
+	}
+	h.tail[k] = c
+	h.room[k] = chunkLen
+}
+
+// release returns a chunk whose slots are already zeroed to the free
+// list.
+func (h *eventHeap) release(c *chunk) {
+	c.next = h.free
+	h.free = c
+}
+
 // due reports whether events at exactly t are next: bucket 0 is
 // non-empty and the last pop happened at t.
-func (h *eventHeap) due(t Time) bool { return h.head < len(h.b[0]) && h.last == t }
-
-// lowest returns the lowest occupied bucket above 0 and its minimum time,
-// scanning the bucket only when lo is not cached. Bucket 0 must be empty
-// and the queue non-empty.
-func (h *eventHeap) lowest() (int, Time) {
-	k := bits.TrailingZeros64(h.mask)
-	if !h.loOK {
-		m := h.b[k][0].at
-		for _, ev := range h.b[k][1:] {
-			m = min(m, ev.at)
-		}
-		h.lo, h.loOK = m, true
-	}
-	return k, h.lo
-}
+func (h *eventHeap) due(t Time) bool { return h.mask&1 != 0 && h.last == t }
 
 // peek returns the minimum pending time without moving last. The queue
 // must be non-empty.
 func (h *eventHeap) peek() Time {
-	if h.head < len(h.b[0]) {
+	if h.mask&1 != 0 {
 		return h.last
 	}
-	_, m := h.lowest()
-	return m
+	if !h.loOK {
+		h.scanLo()
+	}
+	return h.lo
+}
+
+// scanLo caches the minimum time above bucket 0: the lowest occupied
+// bucket's. Kept out of line so that peek, which the engine calls on
+// every Hold and every limited run step, stays small enough to inline.
+//
+//go:noinline
+func (h *eventHeap) scanLo() {
+	k := bits.TrailingZeros64(h.mask)
+	c, tail := h.first[k], h.tail[k]
+	m := c.ev[0].at
+	for ; c != tail; c = c.next {
+		for _, ev := range c.ev[:] {
+			m = min(m, ev.at)
+		}
+	}
+	for _, ev := range c.ev[:chunkLen-h.room[k]] {
+		m = min(m, ev.at)
+	}
+	h.lo, h.loOK = m, true
 }
 
 // pop removes and returns the (at, seq)-minimum event. The queue must
 // be non-empty.
 func (h *eventHeap) pop() event {
-	if h.head == len(h.b[0]) {
+	if h.mask&1 == 0 {
 		h.settle()
 	}
-	b0 := h.b[0]
-	ev := b0[h.head]
-	b0[h.head] = event{} // clear the vacated slot: the closure must be collectable
+	c := h.first[0]
+	ev := c.ev[h.head]
+	c.ev[h.head] = event{} // clear the vacated slot: the closure must be collectable
 	h.head++
-	if h.head == len(b0) {
-		h.b[0] = b0[:0]
-		h.head = 0
-		h.mask &^= 1
+	if c == h.tail[0] {
+		if h.head == chunkLen-h.room[0] {
+			// Bucket 0 is empty; its chunk stays for the next instant.
+			h.room[0], h.head = chunkLen, 0
+			h.mask &^= 1
+		}
+	} else if h.head == chunkLen {
+		h.first[0], h.head = c.next, 0
+		h.release(c)
 	}
 	h.n--
 	return ev
 }
 
 // settle refills the drained bucket 0 from the lowest occupied bucket.
+// Bucket 1 holds a single instant, last with bit 0 set, so the two
+// buckets just trade chunk lists. Any other bucket's entries are copied
+// down chunk by chunk; the bucket keeps its first chunk, empty, and frees
+// the rest as they drain, so the next chunk a lower bucket needs is one
+// just drained.
 func (h *eventHeap) settle() {
-	k, m := h.lowest()
-	b := h.b[k]
-	h.last = m
-	for _, ev := range b {
-		j := h.bucket(ev.at)
-		h.b[j] = append(h.b[j], ev)
-		h.mask |= 1 << j
+	k := bits.TrailingZeros64(h.mask)
+	if k == 1 {
+		h.last |= 1
+		h.loOK = false
+		h.first[0], h.first[1] = h.first[1], h.first[0]
+		h.tail[0], h.tail[1] = h.tail[1], h.tail[0]
+		h.room[0], h.room[1] = h.room[1], h.room[0]
+		h.mask ^= 0b11
+		return
 	}
-	clear(b)
-	h.b[k] = b[:0]
-	h.mask &^= 1 << k
+	first, tail, n := h.first[k], h.tail[k], chunkLen-h.room[k]
+	if !h.loOK {
+		// A bucket of one chunk, the usual case, is scanned here: a call
+		// to scanLo costs about as much as the scan.
+		if first == tail {
+			m := first.ev[0].at
+			for _, ev := range first.ev[1:n] {
+				m = min(m, ev.at)
+			}
+			h.lo = m
+		} else {
+			h.scanLo()
+		}
+	}
+	h.last = h.lo
 	h.loOK = false
+	h.mask &^= 1 << k
+	h.tail[k], h.room[k] = first, chunkLen
+	var occupied uint64 // the buckets entries land in, kept in a register
+	for c := first; ; {
+		evs := c.ev[:]
+		if c == tail {
+			evs = evs[:n]
+		}
+		for i := 0; ; {
+			// The inner loop makes no call, so nothing it keeps in
+			// registers is spilled: it stops at a full bucket, and the
+			// outer one extends that bucket and resumes.
+			for ; i < len(evs); i++ {
+				j := h.bucket(evs[i].at)
+				r := h.room[j]
+				if r == 0 {
+					break
+				}
+				h.tail[j].ev[chunkLen-r] = evs[i]
+				h.room[j] = r - 1
+				occupied |= 1 << j
+			}
+			if i == len(evs) {
+				break
+			}
+			h.extend(h.bucket(evs[i].at))
+		}
+		clear(evs)
+		if c == tail {
+			if c != first {
+				h.release(c)
+				first.next = nil
+			}
+			h.mask |= occupied
+			return
+		}
+		next := c.next
+		if c != first {
+			h.release(c)
+		}
+		c = next
+	}
 }
 
 // eventLane is the same-timestamp FIFO fast lane. Every Schedule(0, ...)

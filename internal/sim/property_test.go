@@ -110,8 +110,8 @@ func TestPropertyNegativeDelayPanics(t *testing.T) {
 // that time — with delays and push/pop interleavings drawn from the fuzz
 // bytes, and checks every pop against a brute-force (at, seq) model: the
 // order that makes every simulation replayable. Peeks interleaved with
-// the pushes check the cached minimum against the model too. It also
-// checks that vacated slots are zeroed (no retained closures).
+// the pushes check the cached minimum against the model too. After
+// every pop it checks the chunk layout (see checkChunks).
 func FuzzEventHeap(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 5, 3, 9, 0, 0, 5, 0, 0, 0})
 	f.Add([]byte{255, 255, 1, 1, 0, 0, 0, 0, 0, 0})
@@ -147,18 +147,7 @@ func FuzzEventHeap(f *testing.F) {
 				t.Fatal("pop lost the event payload")
 			}
 			last = ev.at
-			for k := range h.b {
-				b := h.b[k]
-				vacated := b[len(b):cap(b)]
-				if k == 0 {
-					vacated = append(b[:h.head:h.head], vacated...)
-				}
-				for i, v := range vacated {
-					if v.fn != nil {
-						t.Fatalf("bucket %d: vacated slot %d retains a reference", k, i)
-					}
-				}
-			}
+			checkChunks(t, &h)
 		}
 		for len(data) >= 2 {
 			op, arg := data[0], data[1]
@@ -189,6 +178,107 @@ func FuzzEventHeap(f *testing.F) {
 			t.Fatalf("drained queue reports len %d, mask %#x", h.len(), h.mask)
 		}
 	})
+}
+
+// checkChunks checks the queue's chunk layout: each bucket's list ends
+// at its tail and its fill slice covers the tail's filled slots, an empty
+// bucket keeps at most one chunk and nothing in it, and no slot outside
+// the pending entries — past a bucket's fill, before bucket 0's head, or
+// anywhere in a free chunk — keeps a closure.
+func checkChunks(t *testing.T, h *eventHeap) {
+	t.Helper()
+	for k, c := range h.first {
+		empty := h.mask&(1<<k) == 0
+		if (c == nil) != (h.tail[k] == nil) || c == nil && !empty ||
+			c == nil && h.room[k] != 0 || h.room[k] < 0 || h.room[k] > chunkLen ||
+			empty && (c != nil && (h.room[k] != chunkLen || c.next != nil) || k == 0 && h.head != 0) {
+			t.Fatalf("bucket %d: first %p, tail %p, room %d, mask %#x disagree", k, c, h.tail[k], h.room[k], h.mask)
+		}
+		from := 0
+		if k == 0 {
+			from = h.head
+		}
+		for ; c != nil; c = c.next {
+			to := chunkLen
+			if c.next == nil {
+				if c != h.tail[k] {
+					t.Fatalf("bucket %d: list ends before its tail", k)
+				}
+				to = chunkLen - h.room[k]
+			}
+			for i := range c.ev {
+				if (i < from || i >= to) && c.ev[i].fn != nil {
+					t.Fatalf("bucket %d: vacated slot %d retains a reference", k, i)
+				}
+			}
+			from = 0
+		}
+	}
+	for c := h.free; c != nil; c = c.next {
+		for i := range c.ev {
+			if c.ev[i].fn != nil {
+				t.Fatalf("free chunk slot %d retains a reference", i)
+			}
+		}
+	}
+}
+
+// chunksHeld counts the chunks the queue holds: in its buckets and on
+// its free list.
+func (h *eventHeap) chunksHeld() int {
+	n := 0
+	for _, c := range h.first {
+		for ; c != nil; c = c.next {
+			n++
+		}
+	}
+	for c := h.free; c != nil; c = c.next {
+		n++
+	}
+	return n
+}
+
+// TestEventQueueMemoryTracksPending pins the chunk store's memory
+// contract: however the events spread over the buckets over a run, the
+// queue holds no more chunks than its peak pending events fill plus one
+// per bucket. The run keeps at most 256 events
+// pending, but sweeps them through every delay scale from 2^4 to 2^40 ns
+// and scatters them at random in between, so every bucket sees a deep
+// backlog at some point: a queue that gave each bucket its own array,
+// grown to that bucket's own high-water, held 4.5 times the bound here.
+func TestEventQueueMemoryTracksPending(t *testing.T) {
+	const pending = 256
+	var h eventHeap
+	var seq uint64
+	rng := rand.New(rand.NewSource(1))
+	push := func(d Time) {
+		seq++
+		h.push(event{at: h.last + d, seq: seq, fn: nopEvent})
+	}
+	for scale := 4; scale <= 40; scale++ {
+		// One instant-dense burst at this scale, drained...
+		for h.len() < pending {
+			push(1<<scale + Time(rng.Intn(pending)))
+		}
+		for h.len() > 0 {
+			h.pop()
+		}
+		// ...then a steady random mix across all scales.
+		for i := 0; i < 4*pending; i++ {
+			if h.len() == pending {
+				h.pop()
+			}
+			push(Time(rng.Int63n(1 << (1 + rng.Intn(scale)))))
+		}
+		for h.len() > 0 {
+			h.pop()
+		}
+	}
+	bound := (pending+chunkLen-1)/chunkLen + 64
+	if got := h.chunksHeld(); got > bound {
+		t.Fatalf("queue holds %d chunks after a run with at most %d events pending, want <= %d", got, pending, bound)
+	}
+	checkChunks(t, &h)
 }
 
 // TestEventHeapPushBehindLastPanics pins the queue's monotone contract:
