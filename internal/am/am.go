@@ -55,16 +55,16 @@ type enginePools struct {
 // and granting every rank permission to enqueue into it.
 func New(f *comm.Fabric) *Layer {
 	n := len(f.Cl.CPUs)
-	l := &Layer{f: f, queues: make([]*memory.RQueue, 0, n),
-		refs: make([]memory.QueueRef, 0, n), ports: make([]*Port, 0, n)}
-	for rank := 0; rank < n; rank++ {
-		q := f.Registry().NewQueue(rank)
+	l := &Layer{f: f, queues: f.Registry().NewQueues(n),
+		refs: make([]memory.QueueRef, n), ports: make([]*Port, n)}
+	ports := make([]Port, n) // one slab; l.ports points into it
+	for rank, q := range l.queues {
 		q.GrantWorld()
-		l.queues = append(l.queues, q)
-		l.refs = append(l.refs, memory.QueueRef{Owner: rank, ID: q.ID})
+		l.refs[rank] = memory.QueueRef{Owner: rank, ID: q.ID}
 		ep := f.Endpoint(rank)
 		eng := ep.Node().Eng
-		l.ports = append(l.ports, &Port{l: l, rank: rank, ep: ep, pools: sim.Pool[enginePools](eng)})
+		ports[rank] = Port{l: l, rank: rank, ep: ep, pools: sim.Pool[enginePools](eng)}
+		l.ports[rank] = &ports[rank]
 	}
 	return l
 }

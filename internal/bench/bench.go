@@ -54,6 +54,15 @@ type Result struct {
 	// Compare holds it equal to the baseline's. Absent from baselines
 	// recorded before the field existed.
 	EventsPerOp float64 `json:"events_per_op,omitempty"`
+	// The timer queue's work per op (sim.QueueStats: events it took,
+	// settles, entries the settles moved) and its peak depth, on rows
+	// whose engines the harness can read. Exact like EventsPerOp, so
+	// measure rejects a row whose reps disagree; Compare does not gate
+	// them.
+	PushesPerOp  float64 `json:"pushes_per_op,omitempty"`
+	SettlesPerOp float64 `json:"settles_per_op,omitempty"`
+	MovesPerOp   float64 `json:"settle_moves_per_op,omitempty"`
+	PeakPending  int     `json:"peak_pending,omitempty"`
 }
 
 // Suite is a full harness run.
@@ -97,6 +106,7 @@ func Run(opt Options) (Suite, error) {
 		{"serving-smoke-par", 4_000, benchServing(nil, 1, "", 2)},
 		{"engine-par-events", 8_000, benchServingPar()},
 		{"figure8-small", 3, benchFigure8},
+		{"build-1k", 10, benchBuild},
 	}
 	for _, b := range suite {
 		res, err := measure(b.name, b.ops, b.fn)
@@ -109,8 +119,20 @@ func Run(opt Options) (Suite, error) {
 }
 
 // benchFunc runs a benchmark of ops operations and returns how many
-// simulated events it scheduled.
-type benchFunc func(ops int64) (events uint64, err error)
+// simulated events it scheduled and, where it can read its engines, their
+// timer-queue work.
+type benchFunc func(ops int64) (counts, error)
+
+// counts is what a benchmark run counted.
+type counts struct {
+	events uint64
+	queue  sim.QueueStats
+}
+
+// engineCounts reads one engine's counts.
+func engineCounts(e *sim.Engine) counts {
+	return counts{events: e.Scheduled(), queue: e.QueueStats()}
+}
 
 // measureReps is how many times each benchmark runs; the fastest
 // repetition is reported. Best-of-N is what keeps the CI shard's short
@@ -123,32 +145,37 @@ const measureReps = 5
 
 // measure runs fn(ops) measureReps times between MemStats snapshots and
 // reports the fastest repetition's per-op figures. Every repetition must
-// schedule the same number of events.
+// count the same events and timer-queue work.
 func measure(name string, ops int64, fn benchFunc) (Result, error) {
 	best := Result{Name: name, Ops: ops}
-	var events uint64
+	var first counts
 	for rep := 0; rep < measureReps; rep++ {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		start := time.Now()
-		ev, err := fn(ops)
+		c, err := fn(ops)
 		if err != nil {
 			return Result{}, err
 		}
-		if rep > 0 && ev != events {
-			return Result{}, fmt.Errorf("scheduled %d events, %d on the first rep: the row is not deterministic", ev, events)
+		if rep > 0 && c != first {
+			return Result{}, fmt.Errorf("counted %+v, %+v on the first rep: the row is not deterministic", c, first)
 		}
-		events = ev
+		first = c
 		wall := time.Since(start)
 		runtime.ReadMemStats(&m1)
+		perOp := func(n uint64) float64 { return float64(n) / float64(ops) }
 		r := Result{
-			Name:        name,
-			Ops:         ops,
-			NsPerOp:     float64(wall.Nanoseconds()) / float64(ops),
-			AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(ops),
-			BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops),
-			EventsPerOp: float64(events) / float64(ops),
+			Name:         name,
+			Ops:          ops,
+			NsPerOp:      float64(wall.Nanoseconds()) / float64(ops),
+			AllocsPerOp:  float64(m1.Mallocs-m0.Mallocs) / float64(ops),
+			BytesPerOp:   float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops),
+			EventsPerOp:  perOp(c.events),
+			PushesPerOp:  perOp(c.queue.Pushes),
+			SettlesPerOp: perOp(c.queue.Settles),
+			MovesPerOp:   perOp(c.queue.SettleMoves),
+			PeakPending:  c.queue.PeakPending,
 		}
 		if wall > 0 {
 			r.OpsPerSec = float64(ops) / wall.Seconds()
@@ -163,7 +190,7 @@ func measure(name string, ops int64, fn benchFunc) (Result, error) {
 // benchEngineEvents is the engine event-throughput benchmark: a
 // self-rescheduling zero-delay chain, one schedule+fire per op — the
 // pattern every Wake/park handoff reduces to.
-func benchEngineEvents(ops int64) (uint64, error) {
+func benchEngineEvents(ops int64) (counts, error) {
 	e := sim.NewEngine()
 	var n int64
 	var step func()
@@ -175,17 +202,17 @@ func benchEngineEvents(ops int64) (uint64, error) {
 	}
 	e.Schedule(0, step)
 	if err := e.Run(); err != nil {
-		return 0, err
+		return counts{}, err
 	}
 	if n < ops {
-		return 0, fmt.Errorf("ran %d of %d events", n, ops)
+		return counts{}, fmt.Errorf("ran %d of %d events", n, ops)
 	}
-	return e.Scheduled(), nil
+	return engineCounts(e), nil
 }
 
 // benchEngineTimer exercises the timer queue: 64 outstanding future events,
 // each pop followed by a push at a varying delay.
-func benchEngineTimer(ops int64) (uint64, error) {
+func benchEngineTimer(ops int64) (counts, error) {
 	const outstanding = 64
 	e := sim.NewEngine()
 	var n int64
@@ -200,7 +227,7 @@ func benchEngineTimer(ops int64) (uint64, error) {
 		e.Schedule(sim.Time(1+i), step)
 	}
 	err := e.Run()
-	return e.Scheduled(), err
+	return engineCounts(e), err
 }
 
 // Shape of the engine-deep row, after the serve-1k workload: 1,024
@@ -219,9 +246,9 @@ const (
 // one request, its arrival plus its 32 steps, so events/op is exactly 33.
 // The delays come from a fixed xorshift stream, so the row is
 // deterministic.
-func benchEngineDeep(ops int64) (uint64, error) {
+func benchEngineDeep(ops int64) (counts, error) {
 	if ops < deepClients {
-		return 0, fmt.Errorf("engine-deep needs at least %d ops, got %d", deepClients, ops)
+		return counts{}, fmt.Errorf("engine-deep needs at least %d ops, got %d", deepClients, ops)
 	}
 	e := sim.NewEngine()
 	rng := uint64(0x9e3779b97f4a7c15)
@@ -277,12 +304,12 @@ func benchEngineDeep(ops int64) (uint64, error) {
 	if err == nil && arrived != ops {
 		err = fmt.Errorf("ran %d of %d requests", arrived, ops)
 	}
-	return e.Scheduled(), err
+	return engineCounts(e), err
 }
 
 // benchEngineTraced is benchEngineEvents with the golden-trace digest
 // installed: schedule + fire + two batched trace events per op.
-func benchEngineTraced(ops int64) (uint64, error) {
+func benchEngineTraced(ops int64) (counts, error) {
 	e := sim.NewEngine()
 	e.SetTracer(trace.NewDigest())
 	var n int64
@@ -295,17 +322,17 @@ func benchEngineTraced(ops int64) (uint64, error) {
 	}
 	e.Schedule(0, step)
 	err := e.Run()
-	return e.Scheduled(), err
+	return engineCounts(e), err
 }
 
 // benchPingPong is the end-to-end latency path: the golden-trace pingpong
 // scenario (64-byte PUTs bounced between two MP1 nodes through command
 // queue, proxy scan, wire, and remote deposit), one round trip per op.
-func benchPingPong(ops int64) (uint64, error) {
+func benchPingPong(ops int64) (counts, error) {
 	const n = 64
 	a, ok := arch.ByName("MP1")
 	if !ok {
-		return 0, fmt.Errorf("unknown arch MP1")
+		return counts{}, fmt.Errorf("unknown arch MP1")
 	}
 	reps := int(ops)
 	eng := sim.NewEngine()
@@ -341,7 +368,7 @@ func benchPingPong(ops int64) (uint64, error) {
 		}
 	})
 	err := eng.Run()
-	return eng.Scheduled(), err
+	return engineCounts(eng), err
 }
 
 // benchServing measures the open-loop serving stack end-to-end: a small
@@ -360,10 +387,10 @@ func benchPingPong(ops int64) (uint64, error) {
 // overhead — mailbox posts, window barriers, pooling disabled — against
 // the identical sequential configuration next to it in the suite.
 func benchServing(fcfg *flight.Config, proxies int, sched string, shards int) benchFunc {
-	return func(ops int64) (uint64, error) {
+	return func(ops int64) (counts, error) {
 		a, ok := arch.ByName("MP1")
 		if !ok {
-			return 0, fmt.Errorf("unknown arch MP1")
+			return counts{}, fmt.Errorf("unknown arch MP1")
 		}
 		res, err := openloop.Run(openloop.Config{
 			Arch: a, Nodes: 4, Clients: 2, Proxies: proxies, ProxySched: sched,
@@ -377,16 +404,21 @@ func benchServing(fcfg *flight.Config, proxies int, sched string, shards int) be
 			SimShards: shards,
 		})
 		if err != nil {
-			return 0, err
+			return counts{}, err
 		}
 		if got := int64(res.Points[0].Latency.Count); got != ops {
-			return 0, fmt.Errorf("measured %d of %d requests", got, ops)
+			return counts{}, fmt.Errorf("measured %d of %d requests", got, ops)
 		}
 		if fcfg != nil && res.Points[0].Flight == nil {
-			return 0, fmt.Errorf("flight recorder produced no data")
+			return counts{}, fmt.Errorf("flight recorder produced no data")
 		}
-		return res.Points[0].Events, nil
+		return pointCounts(res.Points[0]), nil
 	}
+}
+
+// pointCounts reads a serving point's counts.
+func pointCounts(pt openloop.Point) counts {
+	return counts{events: pt.Events, queue: pt.Queue}
 }
 
 // servingParConfig is the engine-par-events configuration: the 1k-node
@@ -418,32 +450,32 @@ func servingParConfig(a arch.Params, ops int64, shards int) openloop.Config {
 func benchServingPar() benchFunc {
 	const shards = 8
 	first := true
-	return func(ops int64) (uint64, error) {
+	return func(ops int64) (counts, error) {
 		a, ok := arch.ByName("MP1")
 		if !ok {
-			return 0, fmt.Errorf("unknown arch MP1")
+			return counts{}, fmt.Errorf("unknown arch MP1")
 		}
 		var seqWall time.Duration
 		if first {
 			first = false
 			start := time.Now()
 			if _, err := openloop.Run(servingParConfig(a, ops, 0)); err != nil {
-				return 0, err
+				return counts{}, err
 			}
 			seqWall = time.Since(start)
 		}
 		start := time.Now()
 		res, err := openloop.Run(servingParConfig(a, ops, shards))
 		if err != nil {
-			return 0, err
+			return counts{}, err
 		}
 		parWall := time.Since(start)
 		if got := int64(res.Points[0].Latency.Count); got != ops {
-			return 0, fmt.Errorf("measured %d of %d requests", got, ops)
+			return counts{}, fmt.Errorf("measured %d of %d requests", got, ops)
 		}
 		st := res.Points[0].Par
 		if st == nil || st.Shards != shards {
-			return 0, fmt.Errorf("parallel run reported no %d-shard stats", shards)
+			return counts{}, fmt.Errorf("parallel run reported no %d-shard stats", shards)
 		}
 		if seqWall > 0 {
 			fmt.Fprintf(os.Stderr, "par-speedup: %.2fx (seq %v, par %v, %d shards, GOMAXPROCS %d)\n",
@@ -451,30 +483,30 @@ func benchServingPar() benchFunc {
 				parWall.Round(time.Millisecond), shards, runtime.GOMAXPROCS(0))
 			fmt.Fprintf(os.Stderr, "par-stats: %s\n", st)
 		}
-		return res.Points[0].Events, nil
+		return pointCounts(res.Points[0]), nil
 	}
 }
 
 // benchFigure8 measures application wall-clock: the Sample kernel on MP1
 // at 1, 2 and 4 processors (one cell per op), at small scale.
-func benchFigure8(ops int64) (uint64, error) {
+func benchFigure8(ops int64) (counts, error) {
 	spec, err := registry.ByName("Sample")
 	if err != nil {
-		return 0, err
+		return counts{}, err
 	}
 	a, ok := arch.ByName("MP1")
 	if !ok {
-		return 0, fmt.Errorf("unknown arch MP1")
+		return counts{}, fmt.Errorf("unknown arch MP1")
 	}
-	var events uint64
+	var c counts
 	for _, nodes := range []int{1, 2, 4} {
 		res, err := workload.Run(spec.New(registry.Small), a, nodes, 1)
 		if err != nil {
-			return 0, err
+			return counts{}, err
 		}
-		events += res.Events
+		c.events += res.Events
 	}
-	return events, nil
+	return c, nil
 }
 
 // Validate checks a suite for schema conformance: the exact schema tag,
@@ -565,6 +597,20 @@ func WriteComparison(w io.Writer, current, baseline Suite) {
 		}
 		fmt.Fprintf(w, "%-16s %14.2f %14.2f %7.2fx %12.2f %12.2f %12.2f %12.2f\n",
 			c.Name, c.NsPerOp, b.NsPerOp, speedup, c.AllocsPerOp, b.AllocsPerOp, c.EventsPerOp, b.EventsPerOp)
+	}
+	writeQueueTable(w, current)
+}
+
+// writeQueueTable renders the timer-queue counts of the rows that have
+// them: per op, the events the queue took, its settles and the entries
+// they moved, and the row's peak queue depth.
+func writeQueueTable(w io.Writer, s Suite) {
+	fmt.Fprintf(w, "%-16s %14s %14s %14s %12s\n", "timer queue", "pushes/op", "settles/op", "moves/op", "peak")
+	for _, r := range s.Results {
+		if r.PeakPending == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "%-16s %14.2f %14.2f %14.2f %12d\n", r.Name, r.PushesPerOp, r.SettlesPerOp, r.MovesPerOp, r.PeakPending)
 	}
 }
 

@@ -161,12 +161,21 @@ func TestRunQuickSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Results) != 11 {
-		t.Fatalf("suite has %d results, want 11", len(s.Results))
+	if len(s.Results) != 12 {
+		t.Fatalf("suite has %d results, want 12", len(s.Results))
 	}
 	for _, r := range s.Results {
 		if r.EventsPerOp <= 0 {
 			t.Errorf("%s: events_per_op %v, want > 0 on every row", r.Name, r.EventsPerOp)
+		}
+		// Every row that drives the timer queue reports its work.
+		switch r.Name {
+		case "engine-timer", "engine-deep", "pingpong-e2e", "serving-smoke", "serving-forensics",
+			"serving-proxysched", "serving-smoke-par", "engine-par-events":
+			if r.PushesPerOp <= 0 || r.SettlesPerOp <= 0 || r.PeakPending <= 0 {
+				t.Errorf("%s: timer queue pushes/op %v, settles/op %v, peak %d, want all > 0",
+					r.Name, r.PushesPerOp, r.SettlesPerOp, r.PeakPending)
+			}
 		}
 	}
 	reparsed, err := ParseJSON(s.JSON())

@@ -23,3 +23,21 @@ func BenchmarkPingPong(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+func BenchmarkEngineTimer(b *testing.B) {
+	if _, err := benchEngineTimer(int64(b.N)); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkEngineDeep(b *testing.B) {
+	if _, err := benchEngineDeep(max(int64(b.N), deepClients)); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkBuild1k(b *testing.B) {
+	if _, err := benchBuild(int64(b.N)); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"mproxy/internal/arch"
 	"mproxy/internal/machine"
 	"mproxy/internal/memory"
+	"mproxy/internal/names"
 	"mproxy/internal/proxy"
 	"mproxy/internal/rel"
 	"mproxy/internal/sim"
@@ -159,11 +160,6 @@ type Fabric struct {
 	// scanners holds the per-(node, proxy) round-robin command-queue
 	// scanner used by the message proxy design points.
 	scanners [][]*proxy.Scanner[*reqBox]
-	// cmdqNames mirrors the scanners' registration order with the trace
-	// component name of each command queue ("rank<N>.cmdq"), so the pick
-	// sites can emit which queue a scan dequeued without formatting on
-	// the hot path.
-	cmdqNames [][][]string
 	// sched is the proxy-scheduling policy binding endpoint command
 	// streams to proxies (Options.ProxySched, else the cluster's).
 	sched proxy.Sched
@@ -235,38 +231,27 @@ func NewWith(cl *machine.Cluster, opt Options) *Fabric {
 	}
 	// Each agent gets its resident protocol frame: the continuation state
 	// its work items run through, built once per agent. (System-call
-	// nodes have no agents.)
+	// nodes have no agents.) Frames, scanners, endpoints and command
+	// queues each come from one slab, and names from one string (see
+	// package names).
+	nAgents := 0
+	for _, nd := range cl.Nodes {
+		nAgents += len(nd.Agents)
+	}
+	frames := make([]agentExec, nAgents)
+	i := 0
 	for _, nd := range cl.Nodes {
 		for k, ag := range nd.Agents {
-			fr := &agentExec{f: f, a: ag, node: nd, scanIdx: k}
+			fr := &frames[i]
+			i++
+			fr.f, fr.a, fr.node, fr.scanIdx = f, ag, nd, k
 			fr.stepK = fr.step
 			ag.SetExec(fr)
 		}
 	}
+	eps := make([]Endpoint, len(cl.CPUs))
 	if f.A.Kind == arch.Proxy {
-		f.scanners = make([][]*proxy.Scanner[*reqBox], len(cl.Nodes))
-		f.cmdqNames = make([][][]string, len(cl.Nodes))
-		for i, nd := range cl.Nodes {
-			f.scanners[i] = make([]*proxy.Scanner[*reqBox], len(nd.Agents))
-			f.cmdqNames[i] = make([][]string, len(nd.Agents))
-			for k := range nd.Agents {
-				s := proxy.NewScanner[*reqBox]()
-				// Scan passes feed the trace stream under the serving
-				// agent's name; Emit is a no-op without a tracer.
-				name := nd.Agents[k].Name + ".scan"
-				eng := nd.Eng // scan passes run in the node's event context
-				s.SetObserver(func(probes, headChecks int64, found bool) {
-					eng.Emit(trace.KScan, name, trace.ScanArg(probes, headChecks, found))
-					if f.spans != nil {
-						f.pass.probes, f.pass.headChecks = probes, headChecks
-					}
-				})
-				f.scanners[i][k] = s
-				// A proxy crash (fault plane) wipes the scanner's volatile
-				// state; on restart it reprobes every registered queue head.
-				nd.Agents[k].OnRestart(s.Restart)
-			}
-		}
+		f.wireProxies(eps, nAgents, opt.queueCap())
 		if f.sched.Steal() {
 			f.installStealing()
 		}
@@ -274,27 +259,84 @@ func NewWith(cl *machine.Cluster, opt Options) *Fabric {
 	if opt.Rel != nil {
 		f.EnableRel(*opt.Rel)
 	}
-	f.eps = make([]*Endpoint, 0, len(cl.CPUs))
-	for _, cpu := range cl.CPUs {
-		ep := &Endpoint{f: f, cpu: cpu, rank: cpu.Rank, subFree: &f.pools[cpu.Node.ID].sub}
-		if f.A.Kind == arch.Proxy {
-			ep.cmdq = proxy.NewCommandQueue[*reqBox](cpu.Rank, opt.queueCap())
-			nProxies := len(cpu.Node.Agents)
-			ep.proxyIdx = f.sched.Home(cpu.Node.ID, cpu.Slot, cpu.Rank, nProxies)
-			ep.cmdqIdx = f.scanners[cpu.Node.ID][ep.proxyIdx].Register(ep.cmdq)
-			ep.cmdqComp = fmt.Sprintf("rank%d.cmdq", cpu.Rank)
-			f.cmdqNames[cpu.Node.ID][ep.proxyIdx] = append(f.cmdqNames[cpu.Node.ID][ep.proxyIdx], ep.cmdqComp)
-			// The proxy-service work item is identical for every operation
-			// this endpoint submits (the request travels via the command
-			// queue, not the work item), so build it once.
-			ep.work = machine.Work{TFn: mpServiceWork}
-		}
-		f.eps = append(f.eps, ep)
+	f.eps = make([]*Endpoint, len(cl.CPUs))
+	for r, cpu := range cl.CPUs {
+		ep := &eps[r]
+		ep.f, ep.cpu, ep.rank, ep.subFree = f, cpu, cpu.Rank, &f.pools[cpu.Node.ID].sub
+		f.eps[r] = ep
 	}
 	if fabricHook != nil {
 		fabricHook(f)
 	}
 	return f
+}
+
+// wireProxies builds the message-proxy design points' command path: one
+// scanner per agent and one command queue per endpoint (eps, indexed by
+// rank), each queue registered with the scanner of the proxy the policy
+// binds its endpoint to. Every endpoint is bound first, so each scanner
+// is built with room for exactly the queues it will scan.
+func (f *Fabric) wireProxies(eps []Endpoint, nAgents, queueCap int) {
+	cl := f.Cl
+	scanBase := make([]int, len(cl.Nodes)) // first scanner of each node
+	regs := make([]int, nAgents)
+	i := 0
+	for n, nd := range cl.Nodes {
+		scanBase[n] = i
+		i += len(nd.Agents)
+	}
+	for r, cpu := range cl.CPUs {
+		ep := &eps[r]
+		ep.proxyIdx = f.sched.Home(cpu.Node.ID, cpu.Slot, cpu.Rank, len(cpu.Node.Agents))
+		regs[scanBase[cpu.Node.ID]+ep.proxyIdx]++
+	}
+	var nb names.Builder
+	nb.Grow(nAgents+len(cl.CPUs), 16)
+	for _, nd := range cl.Nodes {
+		for _, ag := range nd.Agents {
+			nb.Str(ag.Name).Str(".scan").End()
+		}
+	}
+	for r := range cl.CPUs {
+		nb.Str("rank").Int(r).Str(".cmdq").End()
+	}
+	name := nb.Names()
+
+	scanners := proxy.NewScanners[*reqBox](regs)
+	ptrs := make([]*proxy.Scanner[*reqBox], nAgents)
+	f.scanners = make([][]*proxy.Scanner[*reqBox], len(cl.Nodes))
+	for n, nd := range cl.Nodes {
+		i := scanBase[n]
+		f.scanners[n] = ptrs[i : i+len(nd.Agents) : i+len(nd.Agents)]
+		for k, ag := range nd.Agents {
+			s := &scanners[i+k]
+			// Scan passes feed the trace stream under the serving
+			// agent's name; Emit is a no-op without a tracer.
+			scanName := name[i+k]
+			eng := nd.Eng // scan passes run in the node's event context
+			s.SetObserver(func(probes, headChecks int64, found bool) {
+				eng.Emit(trace.KScan, scanName, trace.ScanArg(probes, headChecks, found))
+				if f.spans != nil {
+					f.pass.probes, f.pass.headChecks = probes, headChecks
+				}
+			})
+			f.scanners[n][k] = s
+			// A proxy crash (fault plane) wipes the scanner's volatile
+			// state; on restart it reprobes every registered queue head.
+			ag.OnRestart(s.Restart)
+		}
+	}
+	cmdqs := proxy.NewCommandQueues[*reqBox](len(cl.CPUs), queueCap)
+	for r, cpu := range cl.CPUs {
+		ep := &eps[r]
+		ep.cmdq = &cmdqs[r]
+		ep.cmdqIdx = f.scanners[cpu.Node.ID][ep.proxyIdx].Register(ep.cmdq)
+		ep.cmdqComp = name[nAgents+r]
+		// The proxy-service work item is identical for every operation
+		// this endpoint submits (the request travels via the command
+		// queue, not the work item), so build it once.
+		ep.work = machine.Work{TFn: mpServiceWork}
+	}
 }
 
 // fabricHook, when set, observes every fabric built by New. It mirrors

@@ -293,12 +293,13 @@ func (fr *agentExec) step() {
 	case pcMPStealScan:
 		// Stolen turn (see steal.go): the cross-queue penalty is paid,
 		// now scan the victim exactly as mpServiceWork scans home turf.
-		box, qi, ok := f.scanners[fr.node.ID][fr.stealIdx].Next()
+		sc := f.scanners[fr.node.ID][fr.stealIdx]
+		box, qi, ok := sc.Next()
 		if !ok {
 			fr.finish() // the victim (or another thief) got there first
 			return
 		}
-		fr.node.Eng.Emit(trace.KDequeue, f.cmdqNames[fr.node.ID][fr.stealIdx][qi], 0)
+		fr.node.Eng.Emit(trace.KDequeue, f.eps[sc.Owner(qi)].cmdqComp, 0)
 		fr.take(box)
 		fr.hold(A.AgentMiss+A.Instr(0.5)+A.VMAtt, pcMPSend)
 
@@ -601,12 +602,13 @@ func (fr *agentExec) pageDMADone() {
 func mpServiceWork(a *machine.Agent, _ any) {
 	fr := a.Exec().(*agentExec)
 	f := fr.f
-	box, qi, ok := f.scanners[fr.node.ID][fr.scanIdx].Next()
+	sc := f.scanners[fr.node.ID][fr.scanIdx]
+	box, qi, ok := sc.Next()
 	if !ok {
 		a.WorkDone() // stale scan hint; the command was already consumed
 		return
 	}
-	fr.node.Eng.Emit(trace.KDequeue, f.cmdqNames[fr.node.ID][fr.scanIdx][qi], 0)
+	fr.node.Eng.Emit(trace.KDequeue, f.eps[sc.Owner(qi)].cmdqComp, 0)
 	fr.take(box)
 	A := &f.A
 	// Dequeue entry (read miss), decode command and allocate a CCB,

@@ -23,7 +23,7 @@ import (
 type Agent struct {
 	Name   string
 	eng    *sim.Engine
-	queue  *sim.FIFO[agentWork]
+	queue  sim.FIFO[agentWork]
 	notice sim.Time
 
 	busyTotal sim.Time
@@ -79,13 +79,24 @@ type agentWork struct {
 
 // NewAgent creates an agent server on eng.
 func NewAgent(eng *sim.Engine, name string, notice sim.Time) *Agent {
-	a := &Agent{Name: name, eng: eng, queue: sim.NewFIFO[agentWork](eng, name+".q"), notice: notice}
+	a := new(Agent)
+	a.init(eng, name, name+".q", notice)
+	return a
+}
+
+// init makes the zero Agent a an agent named name whose work queue is
+// named qname, and spawns its task.
+func (a *Agent) init(eng *sim.Engine, name, qname string, notice sim.Time) {
+	a.Name, a.eng, a.notice = name, eng, notice
+	a.queue.Init(eng, qname)
 	a.awaitFn = a.awaitWork
 	a.beginFn = a.begin
 	a.serveFn = a.serve
-	a.task = eng.SpawnTaskDaemon(name, func(*sim.Task) { a.awaitWork() })
-	return a
+	a.task = eng.SpawnTaskDaemon(name, a.start)
 }
+
+// start is the agent task's start function.
+func (a *Agent) start(*sim.Task) { a.awaitWork() }
 
 // awaitWork is the agent's idle state: take the next item or park.
 func (a *Agent) awaitWork() {

@@ -12,6 +12,7 @@ import (
 
 	"mproxy/internal/arch"
 	"mproxy/internal/memory"
+	"mproxy/internal/names"
 	"mproxy/internal/proxy"
 	"mproxy/internal/sim"
 	"mproxy/internal/trace"
@@ -233,41 +234,82 @@ func build(eng *sim.Engine, engs []*sim.Engine, shard []int32, cfg Config, a arc
 	sched, _ := proxy.SchedByName(cfg.ProxySched) // validated above
 	c := &Cluster{Eng: eng, Cfg: cfg, Arch: a, Reg: memory.NewRegistry(eng), Sched: sched,
 		Engs: engs, NodeShard: shard}
-	for n := 0; n < cfg.Nodes; n++ {
+	// Every component of a kind comes from one slab, and every name from
+	// one string (see package names): the views below point into them.
+	perNode := 0
+	switch a.Kind {
+	case arch.Proxy:
+		perNode = cfg.ProxiesPerNode
+	case arch.CustomHW:
+		perNode = 1
+	}
+	ppn := cfg.ProcsPerNode
+	nodes := make([]Node, cfg.Nodes)
+	links := make([]Link, 2*cfg.Nodes)
+	cpus := make([]CPU, cfg.Nodes*ppn)
+	agents := make([]Agent, cfg.Nodes*perNode)
+	agentPtrs := make([]*Agent, len(agents))
+	c.Nodes = make([]*Node, cfg.Nodes)
+	c.CPUs = make([]*CPU, len(cpus))
+	name := clusterNames(cfg.Nodes, perNode, a.Kind)
+	for n := range nodes {
 		ne := eng
 		if shard != nil {
 			ne = engs[shard[n]]
 		}
-		node := &Node{
-			ID:      n,
-			Cluster: c,
-			Eng:     ne,
-			OutLink: NewLink(ne, fmt.Sprintf("node%d.out", n), a.NetBW, a.NetLatency),
-			DMA:     NewLink(ne, fmt.Sprintf("node%d.dma", n), a.DMABW, 0),
-		}
-		switch a.Kind {
-		case arch.Proxy:
-			for k := 0; k < cfg.ProxiesPerNode; k++ {
-				node.Agents = append(node.Agents,
-					NewAgent(ne, fmt.Sprintf("node%d.proxy%d", n, k), a.PollDelay()))
+		node := &nodes[n]
+		nm := name[n*(2+2*perNode):]
+		node.ID, node.Cluster, node.Eng = n, c, ne
+		node.OutLink, node.DMA = &links[2*n], &links[2*n+1]
+		node.OutLink.Init(ne, nm[0], a.NetBW, a.NetLatency)
+		node.DMA.Init(ne, nm[1], a.DMABW, 0)
+		if perNode > 0 {
+			node.Agents = agentPtrs[n*perNode : (n+1)*perNode : (n+1)*perNode]
+			notice := sim.Time(0)
+			if a.Kind == arch.Proxy {
+				notice = a.PollDelay()
+			}
+			for k := range node.Agents {
+				ag := &agents[n*perNode+k]
+				ag.init(ne, nm[2+2*k], nm[3+2*k], notice)
+				node.Agents[k] = ag
 			}
 			node.Agent = node.Agents[0]
-		case arch.CustomHW:
-			node.Agent = NewAgent(ne, fmt.Sprintf("node%d.adapter", n), 0)
-			node.Agents = []*Agent{node.Agent}
 		}
-		for s := 0; s < cfg.ProcsPerNode; s++ {
-			cpu := &CPU{Node: node, Rank: n*cfg.ProcsPerNode + s, Slot: s,
-				frames: &sim.Pool[enginePools](ne).frames}
-			node.CPUs = append(node.CPUs, cpu)
-			c.CPUs = append(c.CPUs, cpu)
+		frames := &sim.Pool[enginePools](ne).frames
+		node.CPUs = c.CPUs[n*ppn : (n+1)*ppn : (n+1)*ppn]
+		for s := range node.CPUs {
+			cpu := &cpus[n*ppn+s]
+			cpu.Node, cpu.Rank, cpu.Slot, cpu.frames = node, n*ppn+s, s, frames
+			node.CPUs[s] = cpu
 		}
-		c.Nodes = append(c.Nodes, node)
+		c.Nodes[n] = node
 	}
 	if clusterHook != nil {
 		clusterHook(c)
 	}
 	return c
+}
+
+// clusterNames returns every node's component names, node by node: its
+// output link and DMA engine, then each agent and the agent's work queue.
+func clusterNames(nodes, agents int, kind arch.Kind) []string {
+	var b names.Builder
+	b.Grow(nodes*(2+2*agents), 16)
+	for n := 0; n < nodes; n++ {
+		b.Str("node").Int(n).Str(".out").End()
+		b.Str("node").Int(n).Str(".dma").End()
+		for k := 0; k < agents; k++ {
+			b.Str("node").Int(n)
+			if kind == arch.CustomHW {
+				b.Str(".adapter").End()
+			} else {
+				b.Str(".proxy").Int(k).End()
+			}
+			b.Last().Str(".q").End()
+		}
+	}
+	return b.Names()
 }
 
 // SetFaultPlane installs a fault plane on every node's output link and
@@ -440,12 +482,6 @@ type Link struct {
 	packets  int64
 	sentByte int64
 
-	// plane, when non-nil, decides the fate of every packet sent on this
-	// link; node keys the fault PRNG. Perfect delivery otherwise.
-	plane FaultPlane
-	node  int
-	lost  int64 // packets dropped, corrupted-in-flight or lost to down windows
-
 	// freeDel is the engine's pool of delivery nodes for the sink-based
 	// send path, shared by every link on the engine: a steady-state
 	// packet stream schedules without allocating per packet, and the
@@ -453,18 +489,39 @@ type Link struct {
 	// link.
 	freeDel *sim.Freelist[delivery]
 
+	// hooks holds the fault plane and the cross-shard route, which only
+	// faulted and sharded runs install; nil otherwise, so a link costs
+	// one pointer for them and the send path one nil check.
+	hooks *linkHooks
+}
+
+// linkHooks is the part of a Link that SetFaultPlane and SetRoute set.
+type linkHooks struct {
+	// plane, when non-nil, decides the fate of every packet sent on this
+	// link; node keys the fault PRNG. Perfect delivery otherwise.
+	plane FaultPlane
+	node  int
+	lost  int64 // packets dropped, corrupted-in-flight or lost to down windows
+
 	// route, when non-nil, intercepts sink deliveries whose destination is
 	// owned by another simulation shard: it receives the absolute arrival
 	// time and returns true if it posted the delivery to a cross-shard
 	// mailbox, false to fall through to the local (pooled, zero-alloc)
-	// path. Installed only in parallel mode; sequential runs pay one nil
-	// check.
+	// path. Installed only in parallel mode.
 	route func(at sim.Time, sink PacketSink, arg any) bool
 }
 
 // NewLink returns a link of mbps MB/s bandwidth and the given wire latency.
 func NewLink(eng *sim.Engine, name string, mbps float64, latency sim.Time) *Link {
-	return &Link{eng: eng, name: name, mbps: mbps, latency: latency,
+	l := new(Link)
+	l.Init(eng, name, mbps, latency)
+	return l
+}
+
+// Init makes the zero Link l a link like NewLink's, so that links can be
+// allocated many to a slice.
+func (l *Link) Init(eng *sim.Engine, name string, mbps float64, latency sim.Time) {
+	*l = Link{eng: eng, name: name, mbps: mbps, latency: latency,
 		freeDel: &sim.Pool[enginePools](eng).del}
 }
 
@@ -476,13 +533,30 @@ type enginePools struct {
 }
 
 // SetFaultPlane installs (or, with nil, removes) the link's fault plane.
-func (l *Link) SetFaultPlane(p FaultPlane, node int) { l.plane, l.node = p, node }
+func (l *Link) SetFaultPlane(p FaultPlane, node int) {
+	if p == nil && l.hooks == nil {
+		return
+	}
+	l.setHooks().plane, l.hooks.node = p, node
+}
 
 // SetRoute installs (or, with nil, removes) the cross-shard routing hook
 // on the link's sink-delivery path. Parallel runs never combine routing
 // with a fault plane (fault scenarios are parallel-ineligible), so the
-// hook lives on the plane-free fast path only.
-func (l *Link) SetRoute(r func(at sim.Time, sink PacketSink, arg any) bool) { l.route = r }
+// hook lives on the plane-free path only.
+func (l *Link) SetRoute(r func(at sim.Time, sink PacketSink, arg any) bool) {
+	if r == nil && l.hooks == nil {
+		return
+	}
+	l.setHooks().route = r
+}
+
+func (l *Link) setHooks() *linkHooks {
+	if l.hooks == nil {
+		l.hooks = &linkHooks{}
+	}
+	return l.hooks
+}
 
 // Latency returns the link's wire latency — the lookahead contribution of
 // one hop when the link crosses simulation shards.
@@ -566,8 +640,20 @@ func (l *Link) dispatch(n int, depart sim.Time, sink PacketSink, arg any) {
 	seq := uint64(l.packets)
 	l.packets++
 	l.sentByte += int64(n)
-	if l.plane == nil {
-		if l.route != nil && l.route(l.eng.Now()+depart+l.latency, sink, arg) {
+	if l.hooks == nil {
+		d := l.newDelivery()
+		d.sink, d.arg = sink, arg
+		l.eng.Schedule(depart+l.latency, d.run)
+		return
+	}
+	l.dispatchHooked(seq, depart, sink, arg)
+}
+
+// dispatchHooked is dispatch for a link with a fault plane or a route.
+func (l *Link) dispatchHooked(seq uint64, depart sim.Time, sink PacketSink, arg any) {
+	h := l.hooks
+	if h.plane == nil {
+		if h.route != nil && h.route(l.eng.Now()+depart+l.latency, sink, arg) {
 			return
 		}
 		d := l.newDelivery()
@@ -575,19 +661,19 @@ func (l *Link) dispatch(n int, depart sim.Time, sink PacketSink, arg any) {
 		l.eng.Schedule(depart+l.latency, d.run)
 		return
 	}
-	fate := l.plane.PacketFate(l.name, l.node, seq, l.eng.Now())
+	fate := h.plane.PacketFate(l.name, h.node, seq, l.eng.Now())
 	switch {
 	case fate.Down:
-		l.lost++
+		h.lost++
 		l.eng.Emit(trace.KLinkDown, l.name, int64(seq))
 		return
 	case fate.Drop:
-		l.lost++
+		h.lost++
 		l.eng.Emit(trace.KDrop, l.name, int64(seq))
 		return
 	}
 	if fate.Corrupt {
-		l.lost++
+		h.lost++
 	}
 	arrive := depart + l.latency + fate.Delay
 	d := l.newDelivery()
@@ -604,7 +690,7 @@ func (l *Link) dispatch(n int, depart sim.Time, sink PacketSink, arg any) {
 }
 
 // Faulty reports whether a fault plane is installed on the link.
-func (l *Link) Faulty() bool { return l.plane != nil }
+func (l *Link) Faulty() bool { return l.hooks != nil && l.hooks.plane != nil }
 
 // flagSink raises the *sim.Flag carried as its delivery argument: the
 // completion signal of an Occupy transfer.
@@ -638,7 +724,12 @@ func (l *Link) Packets() int64 { return l.packets }
 
 // Lost returns the number of packets the fault plane destroyed in flight
 // (drops, link-down windows, and corruptions the receiver will discard).
-func (l *Link) Lost() int64 { return l.lost }
+func (l *Link) Lost() int64 {
+	if l.hooks == nil {
+		return 0
+	}
+	return l.hooks.lost
+}
 
 // Bytes returns the number of bytes sent.
 func (l *Link) Bytes() int64 { return l.sentByte }

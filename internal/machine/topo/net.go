@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mproxy/internal/machine"
+	"mproxy/internal/names"
 	"mproxy/internal/sim"
 	"mproxy/internal/sim/par"
 )
@@ -36,7 +37,16 @@ type Net struct {
 	adj   [][]int32         // per switch: neighbor element ids, ascending
 	links [][]*machine.Link // per switch: output link per port
 	tiers [][]Tier          // per switch: tier per port
-	route [][]uint16        // per switch: destination node -> port
+
+	// Routing by destination edge switch: past its edge switch a node is
+	// indistinguishable from the other nodes on its leaf. route holds one
+	// port per (switch, edge switch) pair, row-major by switch, with edge
+	// switches numbered in switch order by edgeIdx; nodePort holds each
+	// node's port on its edge switch. See port.
+	route    []uint16
+	edgeIdx  []uint16
+	nodePort []uint16
+	edges    int // edge switches: route's row length
 
 	// shard maps every element (nodes, then switches) to its owning
 	// simulation shard; all-zero on a sequential cluster. Hop pools (each
@@ -82,20 +92,36 @@ func NewNet(cl *machine.Cluster, g Graph) *Net {
 	n.delivered = make([]int64, nsh)
 	n.totalHops = make([]int64, nsh)
 	n.adj, n.tiers = neighbors(g)
+	// One slab of ports and one string of names for every switch.
+	ports := 0
+	for _, a := range n.adj {
+		ports += len(a)
+	}
+	links := make([]machine.Link, ports)
+	ptrs := make([]*machine.Link, ports)
+	var nb names.Builder
+	nb.Grow(ports, len(g.Kind)+12)
+	for s, a := range n.adj {
+		for pi := range a {
+			nb.Str(g.Kind).Str(".sw").Int(s).Str(".p").Int(pi).End()
+		}
+	}
+	name := nb.Names()
 	n.links = make([][]*machine.Link, g.Switches)
+	i := 0
 	for s := range n.links {
 		eng := cl.Eng
 		if cl.Sharded() {
 			eng = cl.Engs[n.shard[g.Nodes+s]]
 		}
-		n.links[s] = make([]*machine.Link, len(n.adj[s]))
-		for pi := range n.adj[s] {
-			n.links[s][pi] = machine.NewLink(eng,
-				fmt.Sprintf("%s.sw%d.p%d", g.Kind, s, pi),
-				cl.Arch.NetBW, cl.Arch.NetLatency)
+		n.links[s] = ptrs[i : i+len(n.adj[s]) : i+len(n.adj[s])]
+		for pi := range n.links[s] {
+			links[i].Init(eng, name[i], cl.Arch.NetBW, cl.Arch.NetLatency)
+			n.links[s][pi] = &links[i]
+			i++
 		}
 	}
-	n.route = routes(g, n.adj)
+	n.buildRoutes()
 	if netHook != nil {
 		netHook(n)
 	}
@@ -170,10 +196,26 @@ func OnNewNet(fn func(*Net)) { netHook = fn }
 
 // neighbors builds each switch's port list: every attached node and
 // every cabled switch, sorted by element id so port numbering — and with
-// it route tie-breaking — is a pure function of the graph.
+// it route tie-breaking — is a pure function of the graph. Both tables
+// are cut from one slab each.
 func neighbors(g Graph) ([][]int32, [][]Tier) {
+	deg := make([]int32, g.Switches)
+	for _, up := range g.Up {
+		deg[int(up)-g.Nodes]++
+	}
+	for _, e := range g.Edges {
+		deg[int(e.A)-g.Nodes]++
+		deg[int(e.B)-g.Nodes]++
+	}
+	ports := len(g.Up) + 2*len(g.Edges)
+	adjSlab, tierSlab := make([]int32, 0, ports), make([]Tier, 0, ports)
 	adj := make([][]int32, g.Switches)
 	tiers := make([][]Tier, g.Switches)
+	for s, d := range deg {
+		end := len(adjSlab) + int(d)
+		adj[s], tiers[s] = adjSlab[len(adjSlab):len(adjSlab):end], tierSlab[len(adjSlab):len(adjSlab):end]
+		adjSlab, tierSlab = adjSlab[:end], tierSlab[:end]
+	}
 	add := func(s int, v int32, t Tier) {
 		pi := len(adj[s])
 		for pi > 0 && adj[s][pi-1] > v {
@@ -195,76 +237,86 @@ func neighbors(g Graph) ([][]int32, [][]Tier) {
 	return adj, tiers
 }
 
-// routes builds the per-switch forwarding tables: a switch forwards
-// toward the lowest-numbered port whose neighbor is nearest the
-// destination, which makes every route minimal-hop and deterministic.
-// Nodes are leaves, so every path into a node passes through its edge
-// switch u, and dist(v, dst) = dist(v, u) + 1 for every v != dst. One BFS
-// from each attached switch therefore serves all of its nodes: away from
-// u, the next hop toward any of them is the next hop toward u; at u, it
-// is the port to the node itself.
-func routes(g Graph, adj [][]int32) [][]uint16 {
-	nElem := g.Nodes + g.Switches
-	nbr := make([][]int32, nElem)
-	for node, up := range g.Up {
-		nbr[node] = []int32{up}
-	}
+// routes builds the forwarding tables: a switch forwards toward the
+// lowest-numbered port whose neighbor is nearest the destination, which
+// makes every route minimal-hop and deterministic. Nodes are leaves, so
+// every path into a node passes through its edge switch u, and
+// dist(v, dst) = dist(v, u) + 1 for every v != dst: away from u, the next
+// hop toward any of u's nodes is the next hop toward u. One BFS over the
+// switches from each edge switch therefore fills its column of route for
+// every other switch; at u itself the port is the node's own, nodePort.
+// Nodes never forward, so the BFS skips them: a node hanging off switch
+// s is farther from u than s is, so it never wins the comparison.
+func routes(g Graph, adj [][]int32) (route, edgeIdx, nodePort []uint16) {
+	S := g.Switches
+	edgeIdx = make([]uint16, S)
+	nodePort = make([]uint16, g.Nodes)
+	var edges []int32
 	for s := range adj {
-		nbr[g.Nodes+s] = adj[s]
-	}
-	route := make([][]uint16, g.Switches)
-	for s := range route {
-		route[s] = make([]uint16, g.Nodes)
-	}
-	attached := make([][]int32, g.Switches) // per switch: its nodes, ascending
-	for node, up := range g.Up {
-		u := int(up) - g.Nodes
-		attached[u] = append(attached[u], int32(node))
-	}
-	dist := make([]int32, nElem)
-	queue := make([]int32, 0, nElem)
-	for u, nodes := range attached {
-		if len(nodes) == 0 {
-			continue
+		if len(adj[s]) > 0 && adj[s][0] < int32(g.Nodes) { // ports sort nodes first
+			edgeIdx[s] = uint16(len(edges))
+			edges = append(edges, int32(s))
 		}
+		for pi, v := range adj[s] {
+			if v < int32(g.Nodes) {
+				nodePort[v] = uint16(pi)
+			}
+		}
+	}
+	E := len(edges)
+	route = make([]uint16, S*E)
+	dist := make([]int32, S)
+	queue := make([]int32, 0, S)
+	for e, u := range edges {
 		for i := range dist {
 			dist[i] = -1
 		}
-		dist[g.Nodes+u] = 0
-		queue = append(queue[:0], int32(g.Nodes+u))
+		dist[u] = 0
+		queue = append(queue[:0], u)
 		for qi := 0; qi < len(queue); qi++ {
 			v := queue[qi]
-			for _, w := range nbr[v] {
-				if dist[w] < 0 {
+			for _, w := range adj[v] {
+				if w -= int32(g.Nodes); w >= 0 && dist[w] < 0 {
 					dist[w] = dist[v] + 1
 					queue = append(queue, w)
 				}
 			}
 		}
 		for s := range adj {
-			if s == u {
-				for pi, v := range adj[s] {
-					if v < int32(g.Nodes) {
-						route[s][v] = uint16(pi)
-					}
-				}
+			if s == int(u) {
 				continue
 			}
-			best, bestD := -1, int32(1<<30)
+			if dist[s] < 0 {
+				panic(fmt.Sprintf("topo: edge switch %d unreachable from switch %d", u, s))
+			}
+			// Some neighbor is one step nearer and none is nearer still,
+			// so the first port found one step nearer is the route.
 			for pi, v := range adj[s] {
-				if d := dist[v]; d >= 0 && d < bestD {
-					best, bestD = pi, d
+				if v -= int32(g.Nodes); v >= 0 && dist[v] == dist[s]-1 {
+					route[s*E+e] = uint16(pi)
+					break
 				}
-			}
-			if best < 0 {
-				panic(fmt.Sprintf("topo: node %d unreachable from switch %d", nodes[0], s))
-			}
-			for _, dst := range nodes {
-				route[s][dst] = uint16(best)
 			}
 		}
 	}
-	return route
+	return route, edgeIdx, nodePort
+}
+
+// buildRoutes fills the forwarding tables from the port lists.
+func (n *Net) buildRoutes() {
+	n.route, n.edgeIdx, n.nodePort = routes(n.g, n.adj)
+	n.edges = len(n.route) / n.g.Switches
+}
+
+// port returns the port switch s forwards a packet for node dst on: the
+// port to dst itself at dst's edge switch, else the port toward that
+// edge switch.
+func (n *Net) port(s, dst int) int {
+	u := int(n.g.Up[dst]) - n.g.Nodes
+	if s == u {
+		return int(n.nodePort[dst])
+	}
+	return int(n.route[s*n.edges+int(n.edgeIdx[u])])
 }
 
 // newHop takes a hop from the executing shard's pool (sh indexes the
@@ -319,7 +371,7 @@ func (n *Net) DeliverPacket(arg any, fate machine.PacketFate) {
 		return
 	}
 	s := at - n.g.Nodes
-	pi := n.route[s][h.dst]
+	pi := n.port(s, int(h.dst))
 	h.at = n.adj[s][pi]
 	h.hops++
 	n.links[s][pi].SendToSink(h.bytes, n, h)
@@ -347,7 +399,7 @@ func (n *Net) Hops(src, dst int) int {
 			return -1
 		}
 		s := at - n.g.Nodes
-		pi := n.route[s][dst]
+		pi := n.port(s, dst)
 		at = int(n.adj[s][pi])
 		hops++
 	}
@@ -379,7 +431,7 @@ func (n *Net) RouteTiers(src, dst int) []Tier {
 			return nil
 		}
 		s := at - n.g.Nodes
-		pi := n.route[s][dst]
+		pi := n.port(s, dst)
 		out = append(out, n.tiers[s][pi])
 		at = int(n.adj[s][pi])
 	}

@@ -151,9 +151,10 @@ func routesPerNode(g Graph, adj [][]int32) [][]uint16 {
 	return route
 }
 
-// TestRoutesMatchPerNodeBFS checks the per-switch table builder against
-// the per-destination reference, including sizes that leave the last
-// leaf or router underfilled.
+// TestRoutesMatchPerNodeBFS checks the per-edge-switch tables against
+// the per-destination reference: port(s, dst) must equal the reference's
+// entry for every (switch, destination) pair, including sizes that leave
+// the last leaf or router underfilled.
 func TestRoutesMatchPerNodeBFS(t *testing.T) {
 	for _, kind := range []string{"fat-tree", "dragonfly"} {
 		for _, nodes := range []int{2, 3, 16, 17, 100, 1024, 4096} {
@@ -162,9 +163,37 @@ func TestRoutesMatchPerNodeBFS(t *testing.T) {
 				t.Fatal(err)
 			}
 			adj, _ := neighbors(g)
-			if got, want := routes(g, adj), routesPerNode(g, adj); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/%d: routing tables differ from the per-node BFS reference", kind, nodes)
+			n := &Net{g: g, adj: adj}
+			n.buildRoutes()
+			want := routesPerNode(g, adj)
+			for s := range want {
+				for dst, p := range want[s] {
+					if got := n.port(s, dst); got != int(p) {
+						t.Fatalf("%s/%d: switch %d forwards for node %d on port %d, per-node BFS on %d", kind, nodes, s, dst, got, p)
+					}
+				}
 			}
+		}
+	}
+}
+
+// TestRouteTableSize pins the forwarding state of the 1,024-node
+// topologies: one port per (switch, edge switch) pair, plus an index per
+// switch and a port per node. Per-destination tables took 128 kB
+// (fat-tree) and 540 kB (dragonfly).
+func TestRouteTableSize(t *testing.T) {
+	for _, c := range []struct {
+		kind     string
+		maxBytes int
+	}{{"fat-tree", 8 << 10}, {"dragonfly", 142 << 10}} {
+		g, err := ByName(c.kind, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj, _ := neighbors(g)
+		route, edgeIdx, nodePort := routes(g, adj)
+		if got := 2 * (len(route) + len(edgeIdx) + len(nodePort)); got > c.maxBytes {
+			t.Errorf("%s/1024: routing tables take %d bytes, want <= %d", c.kind, got, c.maxBytes)
 		}
 	}
 }

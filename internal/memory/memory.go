@@ -355,6 +355,23 @@ func (r *Registry) NewQueue(owner int) *RQueue {
 	return q
 }
 
+// NewQueues allocates n remote queues, queue i owned by rank i, as n
+// NewQueue calls in rank order would, from one slab.
+func (r *Registry) NewQueues(n int) []*RQueue {
+	qs := make([]RQueue, n)
+	out := make([]*RQueue, n)
+	r.queues = append(r.queues, make([]queueSlot, n)...)
+	base := len(r.queues) - n
+	for i := range qs {
+		r.nextQueue++
+		q := &qs[i]
+		q.ID, q.Owner, q.eng = r.nextQueue, i, r.eng
+		r.queues[base+i] = queueSlot{owner: i, q: q}
+		out[i] = q
+	}
+	return out
+}
+
 // Queue resolves a queue reference.
 func (r *Registry) Queue(ref QueueRef) (*RQueue, bool) {
 	if ref.ID <= 0 || int(ref.ID) >= len(r.queues) {

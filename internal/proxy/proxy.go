@@ -66,6 +66,22 @@ func NewCommandQueue[T any](owner, capacity int) *CommandQueue[T] {
 	return &CommandQueue[T]{owner: owner, capacity: capacity, ring: make([]entry[T], initialRing)}
 }
 
+// NewCommandQueues returns n queues of the given capacity, queue i owned
+// by rank i, as NewCommandQueue would build them one by one. The queues
+// and their initial rings come from one slab each.
+func NewCommandQueues[T any](n, capacity int) []CommandQueue[T] {
+	if capacity <= 0 {
+		panic("proxy: command queue capacity must be positive")
+	}
+	qs := make([]CommandQueue[T], n)
+	ring := make([]entry[T], n*initialRing)
+	for i := range qs {
+		qs[i] = CommandQueue[T]{owner: i, capacity: capacity,
+			ring: ring[i*initialRing : (i+1)*initialRing : (i+1)*initialRing]}
+	}
+	return qs
+}
+
 // Owner returns the producing rank.
 func (q *CommandQueue[T]) Owner() int { return q.owner }
 
@@ -168,6 +184,27 @@ func (s *Scanner[T]) SetObserver(o Observer) { s.observer = o }
 // NewScanner returns an empty scanner.
 func NewScanner[T any]() *Scanner[T] { return &Scanner[T]{} }
 
+// NewScanners returns len(queues) empty scanners, scanner i with room
+// for queues[i] registrations: the scanners, their queue lists and their
+// bit vectors come from one slab each, so registering that many queues
+// allocates nothing.
+func NewScanners[T any](queues []int) []Scanner[T] {
+	total, words := 0, 0
+	for _, n := range queues {
+		total += n
+		words += (n + 63) / 64
+	}
+	ss := make([]Scanner[T], len(queues))
+	qs := make([]*CommandQueue[T], total)
+	bv := make([]uint64, words)
+	for i, n := range queues {
+		w := (n + 63) / 64
+		ss[i].queues, qs = qs[:0:n], qs[n:]
+		ss[i].bitvec, bv = bv[:0:w], bv[w:]
+	}
+	return ss
+}
+
 // Register adds a queue to the scan set and returns its index.
 func (s *Scanner[T]) Register(q *CommandQueue[T]) int {
 	idx := len(s.queues)
@@ -177,6 +214,9 @@ func (s *Scanner[T]) Register(q *CommandQueue[T]) int {
 	}
 	return idx
 }
+
+// Owner returns the owning rank of registered queue idx.
+func (s *Scanner[T]) Owner(idx int) int { return s.queues[idx].owner }
 
 // Queues returns the number of registered queues.
 func (s *Scanner[T]) Queues() int { return len(s.queues) }

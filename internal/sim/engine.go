@@ -69,6 +69,13 @@ type eventHeap struct {
 	free  *chunk  // drained chunks, linked through next
 	lo    Time    // minimum time above bucket 0, when loOK
 	loOK  bool
+
+	// Work counters (see QueueStats), kept off the push and pop fast
+	// paths: pops counts the entries popped from bucket 0's chunks
+	// before its current first chunk (add head for the rest), so pushes
+	// are pops + n; peak is the most entries pending at a settle.
+	pops, settles, moves uint64
+	peak                 int
 }
 
 // chunkLen is the number of events a chunk holds: with its link, a
@@ -119,13 +126,7 @@ func (h *eventHeap) pushExtend(k int, ev event) {
 // extend appends an empty chunk to bucket k, from the free list when it
 // has one.
 func (h *eventHeap) extend(k int) {
-	c := h.free
-	if c != nil {
-		h.free = c.next
-		c.next = nil
-	} else {
-		c = new(chunk)
-	}
+	c := h.take()
 	if t := h.tail[k]; t != nil {
 		t.next = c
 	} else {
@@ -133,6 +134,17 @@ func (h *eventHeap) extend(k int) {
 	}
 	h.tail[k] = c
 	h.room[k] = chunkLen
+}
+
+// take returns an empty chunk, from the free list when it has one.
+func (h *eventHeap) take() *chunk {
+	c := h.free
+	if c == nil {
+		return new(chunk)
+	}
+	h.free = c.next
+	c.next = nil
+	return c
 }
 
 // release returns a chunk whose slots are already zeroed to the free
@@ -191,10 +203,12 @@ func (h *eventHeap) pop() event {
 	if c == h.tail[0] {
 		if h.head == chunkLen-h.room[0] {
 			// Bucket 0 is empty; its chunk stays for the next instant.
+			h.pops += uint64(h.head)
 			h.room[0], h.head = chunkLen, 0
 			h.mask &^= 1
 		}
 	} else if h.head == chunkLen {
+		h.pops += chunkLen
 		h.first[0], h.head = c.next, 0
 		h.release(c)
 	}
@@ -209,6 +223,8 @@ func (h *eventHeap) pop() event {
 // the rest as they drain, so the next chunk a lower bucket needs is one
 // just drained.
 func (h *eventHeap) settle() {
+	h.settles++
+	h.peak = max(h.peak, h.n)
 	k := bits.TrailingZeros64(h.mask)
 	if k == 1 {
 		h.last |= 1
@@ -238,10 +254,13 @@ func (h *eventHeap) settle() {
 	h.mask &^= 1 << k
 	h.tail[k], h.room[k] = first, chunkLen
 	var occupied uint64 // the buckets entries land in, kept in a register
+	moved := uint64(n)
 	for c := first; ; {
 		evs := c.ev[:]
 		if c == tail {
 			evs = evs[:n]
+		} else {
+			moved += chunkLen
 		}
 		for i := 0; ; {
 			// The inner loop makes no call, so nothing it keeps in
@@ -269,6 +288,7 @@ func (h *eventHeap) settle() {
 				first.next = nil
 			}
 			h.mask |= occupied
+			h.moves += moved
 			return
 		}
 		next := c.next
@@ -282,24 +302,54 @@ func (h *eventHeap) settle() {
 // eventLane is the same-timestamp FIFO fast lane. Every Schedule(0, ...)
 // and Wake — the dominant case, one per process handoff — lands here and
 // bypasses the heap entirely: events pushed while the clock sits at `now`
-// can only fire at `now`, in push order, so a ring suffices. The buffer
-// resets to its start whenever it drains, reusing its capacity forever.
+// can only fire at `now`, in push order, so a queue suffices. It is a
+// list of the heap's chunks, drawn from and returned to the heap's free
+// list like a bucket's: the lane keeps its first chunk when it drains,
+// and every other chunk goes back as pops consume it, so a burst (the
+// t = 0 spawn of a 1,024-node cluster's agents) leaves behind chunks the
+// heap reuses, not an array of its own.
 type eventLane struct {
-	buf  []event
-	head int
+	first, tail *chunk
+	head        int // next entry to pop, in first
+	fill        int // entries in tail; chunkLen when it is full or absent
+	n           int
 }
 
-func (l *eventLane) push(ev event) { l.buf = append(l.buf, ev) }
+func (l *eventLane) push(h *eventHeap, ev event) {
+	if l.fill == chunkLen {
+		l.extend(h)
+	}
+	l.tail.ev[l.fill] = ev
+	l.fill++
+	l.n++
+}
 
-func (l *eventLane) len() int { return len(l.buf) - l.head }
+// extend appends an empty chunk to the lane.
+func (l *eventLane) extend(h *eventHeap) {
+	c := h.take()
+	if l.tail != nil {
+		l.tail.next = c
+	} else {
+		l.first = c
+	}
+	l.tail, l.fill = c, 0
+}
 
-func (l *eventLane) pop() event {
-	ev := l.buf[l.head]
-	l.buf[l.head] = event{} // clear: fired closures must be collectable
+func (l *eventLane) len() int { return l.n }
+
+func (l *eventLane) pop(h *eventHeap) event {
+	c := l.first
+	ev := c.ev[l.head]
+	c.ev[l.head] = event{} // clear: fired closures must be collectable
 	l.head++
-	if l.head == len(l.buf) {
-		l.buf = l.buf[:0]
-		l.head = 0
+	l.n--
+	if l.n == 0 {
+		// Drained: the chunk stays for the next burst.
+		l.head, l.fill = 0, 0
+	} else if l.head == chunkLen {
+		l.first, l.head = c.next, 0
+		c.next = nil
+		h.release(c)
 	}
 	return ev
 }
@@ -316,8 +366,8 @@ const traceBatch = 256
 type Engine struct {
 	now  Time
 	seq  uint64
+	lane eventLane // beside the clock, ahead of the heap's 1.6 kB: a same-instant handoff stays in the first cache lines
 	heap eventHeap
-	lane eventLane
 
 	live    int   // spawned processes/tasks that have not yet terminated
 	failure error // first panic captured from a process body
@@ -332,7 +382,7 @@ type Engine struct {
 	// goroutine-leak window of a spawn event firing after its engine was
 	// shut down and its actor list discarded).
 	down   bool
-	actors []actor // every spawned Proc and Task, in spawn order
+	actors actorList // every spawned Proc and Task, in spawn order
 
 	// tracer, when non-nil, receives one trace.Event per engine
 	// occurrence. The nil check is the entire disabled-tracer cost.
@@ -349,7 +399,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine at time zero with no pending events.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{lane: eventLane{fill: chunkLen}} }
 
 // SetTracer installs (or, with nil, removes) the engine's tracer. Install
 // before Run for a complete event stream; the golden-trace harness hashes
@@ -419,6 +469,36 @@ func (e *Engine) NextAt() (Time, bool) {
 	return 0, false
 }
 
+// QueueStats counts the work of an engine's timer queue: the events it
+// took (Schedule with a positive delay), the settles that refilled its
+// current instant from a later bucket, the entries those settles moved,
+// and the most events it held when it moved on to a new instant (every
+// instant starts with a settle) or when it was read. Events scheduled
+// for the current instant go through the fast lane and count in none of
+// them. No counter touches the push or pop fast path: pushes are derived
+// from the pops, which are added up as chunks drain.
+type QueueStats struct {
+	Pushes, Settles, SettleMoves uint64
+	PeakPending                  int
+}
+
+// Add sums o into q, keeping the larger peak.
+func (q *QueueStats) Add(o QueueStats) {
+	q.Pushes += o.Pushes
+	q.Settles += o.Settles
+	q.SettleMoves += o.SettleMoves
+	q.PeakPending = max(q.PeakPending, o.PeakPending)
+}
+
+// QueueStats returns the timer queue's work counts so far.
+func (e *Engine) QueueStats() QueueStats { return e.heap.stats() }
+
+func (h *eventHeap) stats() QueueStats {
+	pops := h.pops + uint64(h.head)
+	return QueueStats{Pushes: pops + uint64(h.n), Settles: h.settles, SettleMoves: h.moves,
+		PeakPending: max(h.peak, h.n)}
+}
+
 // Scheduled returns the cumulative count of scheduled events — the
 // engine's sequence counter. sim/par reports it per shard so load
 // imbalance across a partition is visible.
@@ -448,7 +528,7 @@ func (e *Engine) Schedule(d Time, fn func()) {
 		e.record(trace.Event{At: int64(e.now), Seq: e.seq, Kind: trace.KSchedule, Arg: int64(d)})
 	}
 	if d == 0 {
-		e.lane.push(event{at: e.now, seq: e.seq, fn: fn})
+		e.lane.push(&e.heap, event{at: e.now, seq: e.seq, fn: fn})
 	} else {
 		e.heap.push(event{at: e.now + d, seq: e.seq, fn: fn})
 	}
@@ -476,7 +556,7 @@ func (e *Engine) Run() error {
 // outlive a shut-down engine.
 func (e *Engine) Shutdown() {
 	e.down = true
-	for _, a := range e.actors {
+	e.actors.each(func(a actor) {
 		if p := a.p; p != nil && !p.dead && p.started {
 			p.killed = true
 			e.transfer(p)
@@ -484,8 +564,8 @@ func (e *Engine) Shutdown() {
 		if t := a.t; t != nil && !t.dead && t.started {
 			t.end(1)
 		}
-	}
-	e.actors = nil
+	})
+	e.actors = actorList{}
 	e.FlushTrace()
 }
 
@@ -525,7 +605,7 @@ func (e *Engine) run(limit Time) error {
 			if e.heap.due(e.now) {
 				ev = e.heap.pop()
 			} else {
-				ev = e.lane.pop()
+				ev = e.lane.pop(&e.heap)
 			}
 		} else if e.heap.len() > 0 {
 			if limit >= 0 && e.heap.peek() > limit {

@@ -24,6 +24,10 @@ func NewFIFO[T any](e *Engine, name string) *FIFO[T] {
 	return &FIFO[T]{eng: e, name: name}
 }
 
+// Init makes the zero FIFO q a queue like NewFIFO's, so that a queue can
+// live inside the struct that owns it.
+func (q *FIFO[T]) Init(e *Engine, name string) { q.eng, q.name = e, name }
+
 // Name returns the queue's trace name.
 func (q *FIFO[T]) Name() string { return q.name }
 

@@ -53,7 +53,7 @@ func (e *Engine) spawn(name string, body func(p *Proc), daemon bool) *Proc {
 	if !daemon {
 		e.live++
 	}
-	e.actors = append(e.actors, actor{p: p})
+	e.actors.add(actor{p: p})
 	e.Schedule(0, func() {
 		if e.down {
 			// The engine was shut down before this spawn fired (a final

@@ -110,8 +110,10 @@ func TestPropertyNegativeDelayPanics(t *testing.T) {
 // that time — with delays and push/pop interleavings drawn from the fuzz
 // bytes, and checks every pop against a brute-force (at, seq) model: the
 // order that makes every simulation replayable. Peeks interleaved with
-// the pushes check the cached minimum against the model too. After
-// every pop it checks the chunk layout (see checkChunks).
+// the pushes check the cached minimum against the model too. A fast
+// lane shares the queue's chunk free list; lane pushes and pops
+// interleave with the queue's and are checked against a FIFO model.
+// After every pop it checks the chunk layout (see checkChunks).
 func FuzzEventHeap(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 5, 3, 9, 0, 0, 5, 0, 0, 0})
 	f.Add([]byte{255, 255, 1, 1, 0, 0, 0, 0, 0, 0})
@@ -122,8 +124,9 @@ func FuzzEventHeap(f *testing.F) {
 		// 512 operations, far more than the queue's 64 buckets need.
 		data = data[:min(len(data), 1024)]
 		var h eventHeap
-		var model []event
-		var seq uint64
+		lane := eventLane{fill: chunkLen}
+		var model, laneModel []event
+		var seq, pushes uint64
 		var last Time
 		nop := func() {}
 		modelMin := func() int {
@@ -147,11 +150,33 @@ func FuzzEventHeap(f *testing.F) {
 				t.Fatal("pop lost the event payload")
 			}
 			last = ev.at
-			checkChunks(t, &h)
+			checkChunks(t, &h, &lane)
+			if got := h.stats().Pushes; got != pushes {
+				t.Fatalf("queue counts %d pushes after a pop, made %d", got, pushes)
+			}
 		}
 		for len(data) >= 2 {
 			op, arg := data[0], data[1]
 			data = data[2:]
+			if op%4 == 3 && arg&1 == 1 {
+				if arg&2 != 0 && lane.len() > 0 {
+					ev := lane.pop(&h)
+					if want := laneModel[0]; ev.seq != want.seq || ev.fn == nil {
+						t.Fatalf("lane popped #%d, want #%d", ev.seq, want.seq)
+					}
+					laneModel = laneModel[1:]
+					checkChunks(t, &h, &lane)
+					continue
+				}
+				seq++
+				ev := event{at: last, seq: seq, fn: nop}
+				lane.push(&h, ev)
+				laneModel = append(laneModel, ev)
+				if lane.len() != len(laneModel) {
+					t.Fatalf("lane len %d, model %d", lane.len(), len(laneModel))
+				}
+				continue
+			}
 			if op%4 == 0 && len(model) > 0 {
 				pop()
 				continue
@@ -167,12 +192,23 @@ func FuzzEventHeap(f *testing.F) {
 			ev := event{at: last + Time(arg)<<(op>>2%48), seq: seq, fn: nop}
 			h.push(ev)
 			model = append(model, ev)
+			pushes++
 			if h.len() != len(model) {
 				t.Fatalf("len %d, model %d", h.len(), len(model))
+			}
+			if got := h.stats().Pushes; got != pushes {
+				t.Fatalf("queue counts %d pushes, made %d", got, pushes)
 			}
 		}
 		for len(model) > 0 {
 			pop()
+		}
+		for len(laneModel) > 0 {
+			if ev := lane.pop(&h); ev.seq != laneModel[0].seq {
+				t.Fatalf("lane popped #%d, want #%d", ev.seq, laneModel[0].seq)
+			}
+			laneModel = laneModel[1:]
+			checkChunks(t, &h, &lane)
 		}
 		if h.len() != 0 || h.mask != 0 {
 			t.Fatalf("drained queue reports len %d, mask %#x", h.len(), h.mask)
@@ -184,37 +220,56 @@ func FuzzEventHeap(f *testing.F) {
 // at its tail and its fill slice covers the tail's filled slots, an empty
 // bucket keeps at most one chunk and nothing in it, and no slot outside
 // the pending entries — past a bucket's fill, before bucket 0's head, or
-// anywhere in a free chunk — keeps a closure.
-func checkChunks(t *testing.T, h *eventHeap) {
+// anywhere in a free chunk — keeps a closure. The lane's list, which
+// draws on the same free list, obeys the same rules, and no chunk is in
+// two lists at once.
+func checkChunks(t *testing.T, h *eventHeap, l *eventLane) {
 	t.Helper()
-	for k, c := range h.first {
-		empty := h.mask&(1<<k) == 0
-		if (c == nil) != (h.tail[k] == nil) || c == nil && !empty ||
-			c == nil && h.room[k] != 0 || h.room[k] < 0 || h.room[k] > chunkLen ||
-			empty && (c != nil && (h.room[k] != chunkLen || c.next != nil) || k == 0 && h.head != 0) {
-			t.Fatalf("bucket %d: first %p, tail %p, room %d, mask %#x disagree", k, c, h.tail[k], h.room[k], h.mask)
+	seen := map[*chunk]string{}
+	own := func(c *chunk, where string) {
+		if prev, ok := seen[c]; ok {
+			t.Fatalf("chunk %p is in %s and in %s", c, prev, where)
 		}
-		from := 0
-		if k == 0 {
-			from = h.head
+		seen[c] = where
+	}
+	checkList := func(where string, c, tail *chunk, head, room int, empty bool) {
+		if (c == nil) != (tail == nil) || c == nil && !empty ||
+			c == nil && room != 0 || room < 0 || room > chunkLen ||
+			empty && (c != nil && (room != chunkLen || c.next != nil) || head != 0) {
+			t.Fatalf("%s: first %p, tail %p, head %d, room %d disagree (empty %v)", where, c, tail, head, room, empty)
 		}
+		from := head
 		for ; c != nil; c = c.next {
+			own(c, where)
 			to := chunkLen
 			if c.next == nil {
-				if c != h.tail[k] {
-					t.Fatalf("bucket %d: list ends before its tail", k)
+				if c != tail {
+					t.Fatalf("%s: list ends before its tail", where)
 				}
-				to = chunkLen - h.room[k]
+				to = chunkLen - room
 			}
 			for i := range c.ev {
 				if (i < from || i >= to) && c.ev[i].fn != nil {
-					t.Fatalf("bucket %d: vacated slot %d retains a reference", k, i)
+					t.Fatalf("%s: vacated slot %d retains a reference", where, i)
 				}
 			}
 			from = 0
 		}
 	}
+	for k, c := range h.first {
+		head := 0
+		if k == 0 {
+			head = h.head
+		}
+		checkList(fmt.Sprintf("bucket %d", k), c, h.tail[k], head, h.room[k], h.mask&(1<<k) == 0)
+	}
+	laneRoom := 0
+	if l.tail != nil {
+		laneRoom = chunkLen - l.fill
+	}
+	checkList("lane", l.first, l.tail, l.head, laneRoom, l.n == 0)
 	for c := h.free; c != nil; c = c.next {
+		own(c, "the free list")
 		for i := range c.ev {
 			if c.ev[i].fn != nil {
 				t.Fatalf("free chunk slot %d retains a reference", i)
@@ -278,7 +333,7 @@ func TestEventQueueMemoryTracksPending(t *testing.T) {
 	if got := h.chunksHeld(); got > bound {
 		t.Fatalf("queue holds %d chunks after a run with at most %d events pending, want <= %d", got, pending, bound)
 	}
-	checkChunks(t, &h)
+	checkChunks(t, &h, &eventLane{fill: chunkLen})
 }
 
 // TestEventHeapPushBehindLastPanics pins the queue's monotone contract:
@@ -295,4 +350,68 @@ func TestEventHeapPushBehindLastPanics(t *testing.T) {
 		}
 	}()
 	h.push(event{at: 9, seq: 3, fn: nopEvent})
+}
+
+// TestLaneBurstFeedsTheQueue pins where a same-instant burst's memory
+// goes: the lane keeps one chunk once it drains and returns the others
+// to the queue's free list, where later timer events find them instead
+// of allocating. (A 1,024-node cluster spawns its agents in such a burst
+// at t = 0.)
+func TestLaneBurstFeedsTheQueue(t *testing.T) {
+	const burst = 5000
+	e := NewEngine()
+	nop := func() {}
+	for i := 0; i < burst; i++ {
+		e.Schedule(0, nop)
+	}
+	if err := e.RunUntil(0); err != nil {
+		t.Fatal(err)
+	}
+	lane := 0
+	for c := e.lane.first; c != nil; c = c.next {
+		lane++
+	}
+	all := (burst + chunkLen - 1) / chunkLen
+	if held := e.heap.chunksHeld(); lane != 1 || held != all-1 {
+		t.Fatalf("after a %d-event burst the lane holds %d chunks and the queue %d, want 1 and %d", burst, lane, held, all-1)
+	}
+	for i := 1; i <= 1000; i++ {
+		e.Schedule(Time(i), nop)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if held := e.heap.chunksHeld(); held != all-1 {
+		t.Fatalf("timer events after the burst left the queue with %d chunks, want the burst's %d", held, all-1)
+	}
+	checkChunks(t, &e.heap, &e.lane)
+}
+
+// TestQueueStats pins the timer queue's counters on a schedule whose
+// counts are known: 100 timers at distinct instants (and 100 lane events,
+// which count nowhere) take 100 pushes and one settle per instant, with
+// all 100 pending at the first, and reading mid-run derives the same
+// push count from the pops so far.
+func TestQueueStats(t *testing.T) {
+	e := NewEngine()
+	nop := func() {}
+	for i := 1; i <= 100; i++ {
+		e.Schedule(Time(i), nop)
+		e.Schedule(0, nop)
+	}
+	if st := e.QueueStats(); st != (QueueStats{Pushes: 100, PeakPending: 100}) {
+		t.Fatalf("before the run: %+v", st)
+	}
+	if err := e.RunUntil(50); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.QueueStats(); st.Pushes != 100 || st.Settles != 50 || st.PeakPending != 100 {
+		t.Fatalf("at t = 50: %+v, want 100 pushes, 50 settles, peak 100", st)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.QueueStats(); st.Pushes != 100 || st.Settles != 100 || st.PeakPending != 100 {
+		t.Fatalf("after the run: %+v, want 100 pushes, 100 settles, peak 100", st)
+	}
 }

@@ -18,6 +18,7 @@ type Task struct {
 	name    string
 	next    func()
 	run     func() // prebuilt dispatch closure: wake events carry it, so waking allocates nothing
+	start   func(t *Task)
 	daemon  bool
 	dead    bool
 	started bool
@@ -36,8 +37,10 @@ func (e *Engine) SpawnTaskDaemon(name string, start func(t *Task)) *Task {
 	return e.spawnTask(name, start, true)
 }
 
+// spawnTask schedules the task's own dispatch closure as its spawn event:
+// the first dispatch finds the task not yet started and runs start.
 func (e *Engine) spawnTask(name string, start func(t *Task), daemon bool) *Task {
-	t := &Task{eng: e, name: name, daemon: daemon}
+	t := &Task{eng: e, name: name, start: start, daemon: daemon}
 	t.run = t.dispatch
 	if e.down {
 		t.dead = true
@@ -46,21 +49,28 @@ func (e *Engine) spawnTask(name string, start func(t *Task), daemon bool) *Task 
 	if !daemon {
 		e.live++
 	}
-	e.actors = append(e.actors, actor{t: t})
-	e.Schedule(0, func() {
-		if e.down {
-			t.dead = true
-			if !daemon {
-				e.live--
-			}
-			return
-		}
-		t.started = true
-		e.Emit(trace.KSpawn, t.name, 0)
-		start(t)
-		t.settle()
-	})
+	e.actors.add(actor{t: t})
+	e.Schedule(0, t.run)
 	return t
+}
+
+// begin is the spawn event: it starts the task unless the engine was
+// shut down before the event fired.
+func (t *Task) begin() {
+	e := t.eng
+	if e.down {
+		t.dead = true
+		if !t.daemon {
+			e.live--
+		}
+		return
+	}
+	t.started = true
+	e.Emit(trace.KSpawn, t.name, 0)
+	start := t.start
+	t.start = nil
+	start(t)
+	t.settle()
 }
 
 // Engine returns the engine this task belongs to.
@@ -117,6 +127,10 @@ func (t *Task) dispatch() {
 	if t.dead {
 		return
 	}
+	if !t.started {
+		t.begin()
+		return
+	}
 	k := t.next
 	t.next = nil
 	t.eng.Emit(trace.KUnpark, t.name, 0)
@@ -147,6 +161,36 @@ func (e *Engine) WakeTask(t *Task) {
 type actor struct {
 	p *Proc
 	t *Task
+}
+
+// actorList is the engine's spawn-order actor list: a chain of blocks,
+// each twice the size of the one before it, so that adding to it never
+// copies an actor it holds and a small engine's list stays small.
+type actorList struct {
+	full [][]actor // filled blocks, in order
+	cur  []actor   // the block being filled
+}
+
+func (l *actorList) add(a actor) {
+	if len(l.cur) == cap(l.cur) {
+		if l.cur != nil {
+			l.full = append(l.full, l.cur)
+		}
+		l.cur = make([]actor, 0, max(8, 2*cap(l.cur)))
+	}
+	l.cur = append(l.cur, a)
+}
+
+// each calls f on every actor in spawn order.
+func (l *actorList) each(f func(actor)) {
+	for _, b := range l.full {
+		for _, a := range b {
+			f(a)
+		}
+	}
+	for _, a := range l.cur {
+		f(a)
+	}
 }
 
 // waiter is a parked actor of either execution model, used by the sync

@@ -200,7 +200,9 @@ func (c *Collector) Record(ev trace.Event) {
 	cp := c.comps[ev.Comp]
 	if cp == nil {
 		cp = &comp{}
-		c.comps[ev.Comp] = cp
+		// Component names may share one arena with the rest of their
+		// cluster's (package names); the collector outlives the cluster.
+		c.comps[strings.Clone(ev.Comp)] = cp
 	}
 	cp.byKind[ev.Kind]++
 	if ev.Kind == trace.KScan {

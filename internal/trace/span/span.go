@@ -281,6 +281,31 @@ type Run struct {
 	recs []*Recorder
 	runs []int     // each recorder's number for this run
 	byID [][]*Span // per ID, the span in each recorder
+
+	// names and queues hold the run's copies of the component names its
+	// spans keep, and of each agent's queue name: a cluster's names share
+	// one arena (package names), which the recorders must not keep alive.
+	names, queues map[string]string
+}
+
+// keep returns the run's copy of name.
+func (u *Run) keep(name string) string {
+	if c, ok := u.names[name]; ok {
+		return c
+	}
+	c := strings.Clone(name)
+	u.names[c] = c
+	return c
+}
+
+// queue returns the run's copy of agent's work-queue name.
+func (u *Run) queue(agent string) string {
+	if q, ok := u.queues[agent]; ok {
+		return q
+	}
+	q := agent + ".q"
+	u.queues[u.keep(agent)] = q
+	return q
 }
 
 // Attach starts a run on every Recorder t delivers to, reading the clock
@@ -291,7 +316,7 @@ func Attach(t trace.Tracer, now func() int64) *Run {
 	trace.Each(t, func(t trace.Tracer) {
 		if rec, ok := t.(*Recorder); ok {
 			if u == nil {
-				u = &Run{now: now}
+				u = &Run{now: now, names: map[string]string{}, queues: map[string]string{}}
 			}
 			u.recs = append(u.recs, rec)
 			u.runs = append(u.runs, rec.runs)
@@ -313,6 +338,7 @@ func (u *Run) spans(id uint32) []*Span {
 // its ID.
 func (u *Run) Open(op string, bytes int64, origin string) uint32 {
 	now := u.now()
+	origin = u.keep(origin)
 	ss := make([]*Span, len(u.recs))
 	for i, rec := range u.recs {
 		ss[i] = &Span{
@@ -342,8 +368,8 @@ func (u *Run) Picked(id uint32, agent string, probes, headChecks int64) {
 	now := u.now()
 	for _, s := range u.spans(id) {
 		if s.state == queued {
-			s.Route = append(s.Route, agent)
-			s.phase(s.wait, agent+".q", now)
+			s.Route = append(s.Route, u.keep(agent))
+			s.phase(s.wait, u.queue(agent), now)
 			s.Probes += probes
 			s.HeadChecks += headChecks
 			s.state = service
@@ -386,7 +412,7 @@ func (u *Run) Taken(id uint32, agent string) {
 	now := u.now()
 	for _, s := range u.spans(id) {
 		if s.state == service {
-			s.phase(PhaseRQWait, agent+".q", now)
+			s.phase(PhaseRQWait, u.queue(agent), now)
 			s.state, s.wait = queued, PhaseInputQueue
 		}
 	}
@@ -405,7 +431,7 @@ func (u *Run) Done(id uint32, where string) {
 			s.Intra = true
 			s.phase(PhaseIntra, s.Origin, now)
 		default:
-			s.phase(PhaseDeliver, where, now)
+			s.phase(PhaseDeliver, u.keep(where), now)
 		}
 		s.Done, s.Latency, s.Complete, s.state = now, now-s.Submit, true, closed
 	}

@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"fmt"
+	"strings"
 
 	"mproxy/internal/arch"
 	"mproxy/internal/comm"
@@ -12,7 +13,8 @@ import (
 
 // ClusterProbes builds utilization/depth probes for every communication
 // agent (with its work-queue depth), NIC output port and DMA engine in
-// the cluster.
+// the cluster. Probe names are copies: a cluster's names share one
+// string (package names) that the sampler's series must not keep alive.
 func ClusterProbes(c *machine.Cluster) []Probe {
 	agentKind := "proxy"
 	if c.Arch.Kind == arch.CustomHW {
@@ -23,7 +25,7 @@ func ClusterProbes(c *machine.Cluster) []Probe {
 		for _, ag := range nd.Agents {
 			ag := ag
 			ps = append(ps, Probe{
-				Name: ag.Name, Kind: agentKind,
+				Name: strings.Clone(ag.Name), Kind: agentKind,
 				Busy: func() int64 { return int64(ag.BusyTime()) },
 				Util: func(since, busyAt int64) float64 {
 					return ag.UtilizationSince(sim.Time(since), sim.Time(busyAt))
@@ -37,7 +39,7 @@ func ClusterProbes(c *machine.Cluster) []Probe {
 		}{{nd.OutLink, "nic"}, {nd.DMA, "dma"}} {
 			l := lk.l
 			ps = append(ps, Probe{
-				Name: l.Name(), Kind: lk.kind,
+				Name: strings.Clone(l.Name()), Kind: lk.kind,
 				Busy: func() int64 { return int64(l.BusyTime()) },
 				Util: func(since, busyAt int64) float64 {
 					return l.UtilizationSince(sim.Time(since), sim.Time(busyAt))
@@ -74,7 +76,7 @@ func NetProbes(n *topo.Net) []Probe {
 	var ps []Probe
 	n.EachLink(func(t topo.Tier, l *machine.Link) {
 		ps = append(ps, Probe{
-			Name: l.Name(), Kind: "switch." + t.String(),
+			Name: strings.Clone(l.Name()), Kind: "switch." + t.String(),
 			Busy: func() int64 { return int64(l.BusyTime()) },
 			Util: func(since, busyAt int64) float64 {
 				return l.UtilizationSince(sim.Time(since), sim.Time(busyAt))

@@ -117,6 +117,9 @@ type Point struct {
 	// its engines (sim.Engine.Scheduled): deterministic, so the bench
 	// harness gates it exactly.
 	Events uint64 `json:"-"`
+	// Queue is the point's timer-queue work, summed over its engines
+	// (sim.Engine.QueueStats; the peak is the largest engine's).
+	Queue sim.QueueStats `json:"-"`
 }
 
 // Result is a full sweep: every point plus the saturation summary.
@@ -554,6 +557,7 @@ func runPoint(cfg *Config, zp *zipfParams, idx int, loadUs float64) (Point, erro
 	}
 	for _, e := range engs {
 		pt.Events += e.Scheduled()
+		pt.Queue.Add(e.QueueStats())
 	}
 	if window := agg.lastReply - agg.minIssued; window > 0 && agg.minIssued >= 0 {
 		pt.AchievedRPS = float64(agg.measured) * 1e9 / float64(window)
