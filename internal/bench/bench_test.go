@@ -140,6 +140,20 @@ func TestCompare(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Run("alloc growth within the wall tolerance fails", func(t *testing.T) {
+		// Baseline 2.5 allocs/op: 3.2 is within 10% + 0.5 but not within
+		// the allocation gate's own 0.5% + 0.5 (3.0125).
+		cur := goodSuite()
+		cur.Results[1].AllocsPerOp = 3.2
+		err := Compare(cur, base, 0.10)
+		if err == nil || !strings.Contains(err.Error(), "allocation") {
+			t.Fatalf("err = %v, want allocation regression", err)
+		}
+		cur.Results[1].AllocsPerOp = 3.0
+		if err := Compare(cur, base, 0.10); err != nil {
+			t.Fatalf("3.0 allocs/op against 2.5: %v", err)
+		}
+	})
 	t.Run("alloc regression fails", func(t *testing.T) {
 		cur := goodSuite()
 		cur.Results[0].AllocsPerOp = 1.0 // baseline 0: a whole new alloc/op is real

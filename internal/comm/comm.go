@@ -163,11 +163,12 @@ type Fabric struct {
 	// sched is the proxy-scheduling policy binding endpoint command
 	// streams to proxies (Options.ProxySched, else the cluster's).
 	sched proxy.Sched
-	// stealSeq seeds each node's deterministic victim rotation; stealWork
-	// holds the prebuilt per-(node, victim) steal work items so a steal
-	// turn submits without allocating.
-	stealSeq  []uint64
-	stealWork [][]machine.Work
+	// stealSeq seeds each node's deterministic victim rotation under the
+	// steal policy.
+	stealSeq []uint64
+	// costs are the agents' protocol costs that differ between the
+	// message proxy and the custom-hardware adapter.
+	costs agentCosts
 
 	// forceRemote disables the intra-node shared-memory fast path,
 	// pushing same-node operations through the agent and loopback network
@@ -229,11 +230,15 @@ func NewWith(cl *machine.Cluster, opt Options) *Fabric {
 		// Clusters assembled outside machine.New carry no policy.
 		f.sched, _ = proxy.SchedByName("")
 	}
-	// Each agent gets its resident protocol frame: the continuation state
-	// its work items run through, built once per agent. (System-call
+	// Each agent gets its resident protocol frame, its Exec. (System-call
 	// nodes have no agents.) Frames, scanners, endpoints and command
 	// queues each come from one slab, and names from one string (see
 	// package names).
+	f.costs = agentCostsOf(&f.A)
+	steal := f.A.Kind == arch.Proxy && f.sched.Steal()
+	if steal {
+		f.stealSeq = make([]uint64, len(cl.Nodes))
+	}
 	nAgents := 0
 	for _, nd := range cl.Nodes {
 		nAgents += len(nd.Agents)
@@ -245,16 +250,13 @@ func NewWith(cl *machine.Cluster, opt Options) *Fabric {
 			fr := &frames[i]
 			i++
 			fr.f, fr.a, fr.node, fr.scanIdx = f, ag, nd, k
-			fr.stepK = fr.step
-			ag.SetExec(fr)
+			fr.steal = steal && len(nd.Agents) > 1
+			ag.Attach(fr)
 		}
 	}
 	eps := make([]Endpoint, len(cl.CPUs))
 	if f.A.Kind == arch.Proxy {
-		f.wireProxies(eps, nAgents, opt.queueCap())
-		if f.sched.Steal() {
-			f.installStealing()
-		}
+		f.wireProxies(eps, frames, opt.queueCap())
 	}
 	if opt.Rel != nil {
 		f.EnableRel(*opt.Rel)
@@ -272,12 +274,14 @@ func NewWith(cl *machine.Cluster, opt Options) *Fabric {
 }
 
 // wireProxies builds the message-proxy design points' command path: one
-// scanner per agent and one command queue per endpoint (eps, indexed by
-// rank), each queue registered with the scanner of the proxy the policy
-// binds its endpoint to. Every endpoint is bound first, so each scanner
-// is built with room for exactly the queues it will scan.
-func (f *Fabric) wireProxies(eps []Endpoint, nAgents, queueCap int) {
+// scanner per agent (frames, in node order) and one command queue per
+// endpoint (eps, indexed by rank), each queue registered with the
+// scanner of the proxy the policy binds its endpoint to. Every endpoint
+// is bound first, so each scanner is built with room for exactly the
+// queues it will scan.
+func (f *Fabric) wireProxies(eps []Endpoint, frames []agentExec, queueCap int) {
 	cl := f.Cl
+	nAgents := len(frames)
 	scanBase := make([]int, len(cl.Nodes)) // first scanner of each node
 	regs := make([]int, nAgents)
 	i := 0
@@ -308,22 +312,13 @@ func (f *Fabric) wireProxies(eps []Endpoint, nAgents, queueCap int) {
 	for n, nd := range cl.Nodes {
 		i := scanBase[n]
 		f.scanners[n] = ptrs[i : i+len(nd.Agents) : i+len(nd.Agents)]
-		for k, ag := range nd.Agents {
-			s := &scanners[i+k]
-			// Scan passes feed the trace stream under the serving
-			// agent's name; Emit is a no-op without a tracer.
-			scanName := name[i+k]
-			eng := nd.Eng // scan passes run in the node's event context
-			s.SetObserver(func(probes, headChecks int64, found bool) {
-				eng.Emit(trace.KScan, scanName, trace.ScanArg(probes, headChecks, found))
-				if f.spans != nil {
-					f.pass.probes, f.pass.headChecks = probes, headChecks
-				}
-			})
+		for k := range nd.Agents {
+			// Scan passes feed the trace stream through the frame of the
+			// scanner's own proxy, under the scanner's name.
+			s, fr := &scanners[i+k], &frames[i+k]
+			fr.scanName = name[i+k]
+			s.SetObserver(fr)
 			f.scanners[n][k] = s
-			// A proxy crash (fault plane) wipes the scanner's volatile
-			// state; on restart it reprobes every registered queue head.
-			ag.OnRestart(s.Restart)
 		}
 	}
 	cmdqs := proxy.NewCommandQueues[*reqBox](len(cl.CPUs), queueCap)
@@ -332,10 +327,6 @@ func (f *Fabric) wireProxies(eps []Endpoint, nAgents, queueCap int) {
 		ep.cmdq = &cmdqs[r]
 		ep.cmdqIdx = f.scanners[cpu.Node.ID][ep.proxyIdx].Register(ep.cmdq)
 		ep.cmdqComp = name[nAgents+r]
-		// The proxy-service work item is identical for every operation
-		// this endpoint submits (the request travels via the command
-		// queue, not the work item), so build it once.
-		ep.work = machine.Work{TFn: mpServiceWork}
 	}
 }
 
@@ -469,9 +460,6 @@ type Endpoint struct {
 	// every command enqueue.
 	cmdqComp string
 	proxyIdx int // which of the node's proxies serves this endpoint
-	// work is the pre-built proxy work item submitted once per operation
-	// (proxy design points only).
-	work machine.Work
 	// subFree is the node engine's pool of task-side submission frames
 	// (see taskapi.go).
 	subFree *sim.Freelist[submitFrame]
@@ -741,7 +729,7 @@ func (ep *Endpoint) submit(r request) {
 			f.spans.Enqueued(r.span)
 		}
 		f.scanners[node.ID][ep.proxyIdx].MarkNonEmpty(ep.cmdqIdx)
-		node.Agents[ep.proxyIdx].Submit(ep.work)
+		node.Agents[ep.proxyIdx].Submit(workScan, nil)
 	case arch.CustomHW:
 		ep.cpu.Compute(ep.proc, f.A.ComputeOvh)
 		f.submitHW(ep.cpu.Node, r)
@@ -759,5 +747,5 @@ func (f *Fabric) submitHW(node *machine.Node, r request) {
 	if f.spans != nil {
 		f.spans.Enqueued(r.span)
 	}
-	node.Agent.Submit(machine.Work{TFn: hwSendWork, Arg: box})
+	node.Agent.Submit(workSend, box)
 }

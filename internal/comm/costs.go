@@ -11,6 +11,41 @@ import (
 // pio returns the programmed-I/O time for n payload bytes.
 func (f *Fabric) pio(n int) sim.Time { return arch.XferTime(n, f.A.PIOBW) }
 
+// agentCosts are the costs the agents' shared protocol states charge
+// where the message proxy and the custom-hardware adapter differ,
+// derived once per fabric from the Section 4 parameters.
+type agentCosts struct {
+	syncWrite   sim.Time // writing a synchronization flag in user memory
+	ack         sim.Time // building and launching a PUT acknowledgment
+	getReplyPIO sim.Time // building a PIO GET reply, before its payload's PIO
+	getReplyDMA sim.Time // setting up a GET reply's page stream
+	deqReply    sim.Time // building a DEQ reply, before its record's PIO
+}
+
+func agentCostsOf(A *arch.Params) agentCosts {
+	if A.Kind == arch.CustomHW {
+		// The protocol engine writes flags and reads sources over the
+		// bus, and pays its occupancy once per message it builds.
+		return agentCosts{
+			syncWrite:   A.CacheMiss,
+			ack:         A.AdapterOvh,
+			getReplyPIO: A.AdapterOvh + A.CacheMiss,
+			getReplyDMA: A.AdapterOvh,
+			deqReply:    A.AdapterOvh,
+		}
+	}
+	// The proxy's flag writes miss in its cache (AgentMiss, reduced by
+	// MP2's cache update); a message is a header written through uncached
+	// FIFO accesses, a read of the source (miss + uncached), and a launch.
+	return agentCosts{
+		syncWrite:   A.AgentMiss,
+		ack:         A.Uncached + A.Instr(0.3) + A.Uncached,
+		getReplyPIO: A.Uncached + A.Instr(0.7) + A.AgentMiss + A.Uncached + A.Uncached,
+		getReplyDMA: A.Uncached + A.Instr(0.8),
+		deqReply:    A.Uncached + A.Instr(0.5) + A.AgentMiss + A.Uncached,
+	}
+}
+
 // detectCost is what a user pays to observe a completed synchronization
 // flag: a miss on the flag's line (written by the agent), plus a status
 // system call under SW, where completion state lives in the kernel.

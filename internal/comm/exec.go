@@ -1,20 +1,21 @@
 package comm
 
 import (
+	"mproxy/internal/arch"
 	"mproxy/internal/machine"
 	"mproxy/internal/memory"
-	"mproxy/internal/sim"
 	"mproxy/internal/trace"
 )
 
-// Agent protocol paths. Each agent carries one agentExec: a resident
-// continuation frame its work items run through. A work item is one turn
-// of the agent's polling loop (Figure 5): it takes one command or one
-// packet and runs it to completion, each cost a hold(cost, pc) that parks
-// the agent's Task and resumes at the named program counter. One work
-// item executes at a time per agent, which is what lets a single frame
-// serve every item with zero steady-state allocation. The preset digests
-// in internal/scenario/testdata pin every byte these paths render.
+// Agent protocol paths. Each agent carries one agentExec: the resident
+// protocol frame its machine.Agent runs work items through. A work item
+// is one turn of the agent's polling loop (Figure 5): it takes one
+// command or one packet and runs it to completion, each cost an
+// Agent.Hold(cost, pc) that parks the agent and resumes it at the named
+// protocol state. One work item executes at a time per agent, which is
+// what lets a single frame serve every item with zero steady-state
+// allocation. The preset digests in internal/scenario/testdata pin every
+// byte these paths render.
 //
 // Message proxy (MP): the proxy is the node's Agent. Costs come from the
 // Section 4 latency model: cache misses on command-queue entries and user
@@ -28,73 +29,64 @@ import (
 // virtual-memory mapping, so there are no vm_att calls, no polling delay
 // and no page pinning — commands traverse the memory bus and the
 // hardware engine continuously consumes messages from the network input.
+//
+// Both run one protocol. The entry bodies, which charge the Section 4
+// cost of decoding a command or a packet, are written once per design
+// point (mpSend/hwSend, mpRecv/hwRecv); every state after them is shared,
+// and where a shared state's cost differs between the two it comes from
+// Fabric.costs.
 
-// Program counters for agentExec.step. The page-streaming states are
-// shared by MP and HW (costs come from arch params, the loop shape is
-// identical).
+// Work item kinds (machine.Agent.Submit).
 const (
-	pcFinish = iota // work item complete
-	pcPagePinned
-	pcPageDMADone
-
-	pcMPSend
-	pcMPShipPIO
-	pcMPEnqSync
-	pcMPPutPages
-	pcMPGetReqShip
-	pcMPDeqReqShip
-	pcMPPutDeposit
-	pcMPPutRsync
-	pcMPPutAckShip
-	pcMPPutPage
-	pcMPGetReqDecoded
-	pcMPGetReqRsync
-	pcMPGetDataShip
-	pcMPGetPagesStart
-	pcMPGetDeposit
-	pcMPGetFsync
-	pcMPGetPageStep
-	pcMPEnqDeposit
-	pcMPDeqReqTake
-	pcMPDeqReplyShip
-	pcMPDeqDeposit
-	pcMPDeqFsync
-	pcMPAck
-	pcMPStealScan
-
-	pcHWShipPIO
-	pcHWEnqSync
-	pcHWPutPages
-	pcHWGetReqShip
-	pcHWDeqReqShip
-	pcHWPutDeposit
-	pcHWPutRsync
-	pcHWPutAckShip
-	pcHWPutPage
-	pcHWGetReqRsync
-	pcHWGetDataShip
-	pcHWGetPagesStart
-	pcHWGetDeposit
-	pcHWGetFsync
-	pcHWGetPageStep
-	pcHWEnqDeposit
-	pcHWDeqReqTake
-	pcHWDeqReplyShip
-	pcHWDeqDeposit
-	pcHWDeqFsync
-	pcHWAck
+	workScan     uint8 = iota // MP: one scan turn over the proxy's own scanner
+	workSteal                 // MP: a stolen scan turn; the operand is the victim's proxy index (a small int: boxing it allocates nothing)
+	workSend                  // HW: an adapter command; the operand is its *reqBox
+	workRecv                  // an arriving *packet
+	workDeqReply              // a dequeued record to ship back; the operand is its *deqReply
 )
 
-// agentExec is one agent's protocol frame.
+// Protocol states: the program counters agentExec.Step resumes at.
+const (
+	// send side
+	pcSend       = iota // MP: a decoded command (mpSend)
+	pcShipPIO           // PUT/ENQ payload by PIO
+	pcEnqSync           // ENQ lsync: the source buffer has been transmitted
+	pcPutPages          // PUT payload by page streaming
+	pcGetReqShip        // GET request
+	pcDeqReqShip        // DEQ request
+	pcStealScan         // MP: a stolen turn's scan, its penalty paid
+
+	// receive side
+	pcPutDeposit
+	pcPutRsync
+	pcPutAckShip
+	pcPutPage
+	pcGetReqDecoded // MP: a GET request decoded
+	pcGetReqRsync
+	pcGetDataShip
+	pcGetPagesStart
+	pcGetDeposit
+	pcGetPageStep
+	pcEnqDeposit
+	pcDeqReqTake
+	pcDeqReplyShip
+	pcDeqDeposit
+	pcSignalFsync // GET and DEQ completion, PUT acknowledgment
+
+	// page streaming (startPages)
+	pcPagePinned
+	pcPageDMADone
+)
+
+// agentExec is one agent's protocol frame: the machine.Exec of its agent.
 type agentExec struct {
 	f        *Fabric
 	a        *machine.Agent
 	node     *machine.Node
-	scanIdx  int // index of the proxy's command-queue scanner on this node
-	stealIdx int // victim scanner index of the current stolen turn
-
-	pc    int
-	stepK func() // prebuilt fr.step, carried by every Hold/Occupy wake
+	scanIdx  int    // index of the proxy's command-queue scanner on this node
+	stealIdx int    // victim scanner index of the current stolen turn
+	scanName string // trace name of the passes of scanner scanIdx
+	steal    bool   // probe the sibling proxies when idle (the steal policy)
 
 	r    request   // current send-side command
 	pkt  *packet   // current receive-side packet (freed at finish)
@@ -106,7 +98,6 @@ type agentExec struct {
 	srcAddr memory.Addr
 	off     int
 	chunk   int
-	donePC  int
 }
 
 // deqReply carries a dequeued record and the request it answers from the
@@ -137,11 +128,6 @@ func (fr *agentExec) opDone(kind OpKind) {
 	fr.f.opDone(fr.node, kind, fr.pkt.issued, fr.pkt.span, fr.a.Name)
 }
 
-func (fr *agentExec) hold(d sim.Time, pc int) {
-	fr.pc = pc
-	fr.a.Task().Hold(d, fr.stepK)
-}
-
 // finish completes the current work item: release the consumed packet,
 // clear the frame, hand the agent to its next item.
 func (fr *agentExec) finish() {
@@ -155,370 +141,247 @@ func (fr *agentExec) finish() {
 	fr.a.WorkDone()
 }
 
-// step dispatches the frame's parked continuation.
-func (fr *agentExec) step() {
+// Serve starts a work item's body.
+func (fr *agentExec) Serve(kind uint8, arg any) {
+	switch kind {
+	case workScan:
+		fr.scan(fr.scanIdx)
+	case workSteal:
+		// The victim's queue state is cold here: the stolen turn pays
+		// the cross-queue penalty before it scans (see steal.go).
+		fr.stealIdx = arg.(int)
+		fr.a.Hold(fr.f.A.AgentMiss, pcStealScan)
+	case workSend:
+		box := arg.(*reqBox)
+		fr.picked(box.r.span, 0, 0)
+		fr.r = box.r
+		fr.f.freeReqBox(fr.node, box)
+		fr.hwSend()
+	case workRecv:
+		pkt := arg.(*packet)
+		fr.picked(pkt.span, 0, 0)
+		fr.pkt = pkt
+		if fr.f.A.Kind == arch.CustomHW {
+			fr.hwRecv()
+			return
+		}
+		fr.mpRecv()
+	case workDeqReply:
+		box := arg.(*deqReply)
+		fr.picked(box.req.span, 0, 0)
+		fr.box = box
+		fr.nOut = min(box.req.n, len(box.rec))
+		fr.a.Hold(fr.f.costs.deqReply+fr.f.pio(fr.nOut), pcDeqReplyShip)
+	}
+}
+
+// Step resumes the current work item at protocol state pc.
+func (fr *agentExec) Step(pc int) {
 	f := fr.f
-	A := &f.A
 	reg := f.Cl.Reg
-	switch fr.pc {
-	case pcFinish:
+	switch pc {
+	// ---- send side ----
+	case pcSend:
+		fr.mpSend()
+	case pcShipPIO:
+		r := &fr.r
+		f.ship(fr.node, f.dataPacket(fr.node, r))
+		if r.kind == OpEnq && !r.fsync.Nil() {
+			fr.a.Hold(f.costs.syncWrite, pcEnqSync)
+			return
+		}
+		fr.finish()
+	case pcEnqSync:
+		reg.Signal(fr.r.fsync)
+		fr.finish()
+	case pcPutPages:
+		fr.startPages(f.putHeader(pktPutPage, &fr.r), fr.r.local)
+	case pcGetReqShip:
+		f.ship(fr.node, f.getReqPacket(fr.node, &fr.r))
+		fr.finish()
+	case pcDeqReqShip:
+		f.ship(fr.node, f.deqReqPacket(fr.node, &fr.r))
+		fr.finish()
+	case pcStealScan:
+		fr.scan(fr.stealIdx)
+
+	// ---- receive side ----
+	case pcPutDeposit:
+		f.depositBytes(fr.pkt.dst, fr.pkt.data)
+		fr.opDone(OpPut)
+		fr.finishPut()
+	case pcPutRsync:
+		reg.Signal(fr.pkt.rsync)
+		fr.finishPutAck()
+	case pcPutAckShip:
+		f.ship(fr.node, f.ackPacket(fr.node, fr.pkt))
+		fr.finish()
+	case pcPutPage:
+		f.depositBytes(fr.pkt.dst, fr.pkt.data)
+		if fr.pkt.last {
+			fr.opDone(OpPut)
+			fr.finishPut()
+			return
+		}
+		fr.finish()
+	case pcGetReqDecoded:
+		fr.getReqRsync()
+	case pcGetReqRsync:
+		reg.Signal(fr.pkt.rsync)
+		fr.getReqReply()
+	case pcGetDataShip:
+		f.ship(fr.node, f.getDataPacket(fr.node, fr.pkt))
+		fr.finish()
+	case pcGetPagesStart:
+		fr.startPages(replyHeader(pktGetPage, fr.pkt), fr.pkt.src)
+	case pcGetDeposit:
+		f.depositBytes(fr.pkt.dst, fr.pkt.data)
+		fr.opDone(OpGet)
+		fr.a.Hold(f.costs.syncWrite, pcSignalFsync)
+	case pcGetPageStep:
+		f.depositBytes(fr.pkt.dst, fr.pkt.data)
+		if fr.pkt.last {
+			fr.opDone(OpGet)
+			fr.a.Hold(f.costs.syncWrite, pcSignalFsync)
+			return
+		}
+		fr.finish()
+	case pcEnqDeposit:
+		f.depositQueue(fr.pkt.rq, fr.pkt.data)
+		fr.opDone(OpEnq)
+		fr.finish()
+	case pcDeqReqTake:
+		fr.deqTake()
+	case pcDeqReplyShip:
+		f.ship(fr.node, f.deqDataPacket(fr.node, &fr.box.req, fr.box.rec[:fr.nOut]))
+		fr.finish()
+	case pcDeqDeposit:
+		f.depositBytes(fr.pkt.dst, fr.pkt.data)
+		fr.opDone(OpDeq)
+		fr.a.Hold(f.costs.syncWrite, pcSignalFsync)
+	case pcSignalFsync:
+		reg.Signal(fr.pkt.fsync)
 		fr.finish()
 
-	// ---- shared page streaming (startPages) ----
+	// ---- page streaming ----
 	case pcPagePinned:
 		fr.pagePinned()
 	case pcPageDMADone:
 		fr.pageDMADone()
 
-	// ---- message proxy: send side (fr.mpSend) ----
-	case pcMPSend:
-		fr.mpSend()
-	case pcMPShipPIO:
-		r := &fr.r
-		kind := pktPutData
-		if r.kind == OpEnq {
-			kind = pktEnqData
-		}
-		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = kind, r.span, r.from, f.targetRank(r), r.n
-		pkt.issued, pkt.dst, pkt.rq, pkt.fsync, pkt.rsync = r.issued, r.remote, r.rq, r.fsync, r.rsync
-		if r.kind == OpEnq {
-			// The record is handed to the destination queue, which retains
-			// the slice: it must not alias the packet's reusable buf.
-			pkt.data = f.readSource(r)
-		} else {
-			f.readSourceInto(pkt, r)
-		}
-		f.ship(fr.node, pkt)
-		if r.kind == OpEnq && !r.fsync.Nil() {
-			fr.hold(A.AgentMiss, pcMPEnqSync) // ENQ lsync: the source buffer has been transmitted
-			return
-		}
-		fr.finish()
-	case pcMPEnqSync:
-		reg.Signal(fr.r.fsync)
-		fr.finish()
-	case pcMPPutPages:
-		r := &fr.r
-		fr.startPages(packet{kind: pktPutPage, span: r.span, from: r.from, to: f.targetRank(r), n: r.n,
-			issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local, pcFinish)
-	case pcMPGetReqShip:
-		r := &fr.r
-		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktGetReq, r.span, r.from, f.targetRank(r), r.n
-		pkt.issued, pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.issued, r.remote, r.local, r.fsync, r.rsync
-		f.ship(fr.node, pkt)
-		fr.finish()
-	case pcMPDeqReqShip:
-		r := &fr.r
-		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktDeqReq, r.span, r.from, f.targetRank(r), r.n
-		pkt.issued, pkt.rq, pkt.dst, pkt.fsync = r.issued, r.rq, r.local, r.fsync
-		f.ship(fr.node, pkt)
-		fr.finish()
-
-	// ---- message proxy: receive side (mpRecvWork) ----
-	case pcMPPutDeposit:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		fr.opDone(OpPut)
-		fr.mpFinishPut()
-	case pcMPPutRsync:
-		reg.Signal(fr.pkt.rsync)
-		fr.mpFinishPutAck()
-	case pcMPPutAckShip:
-		fr.shipAck()
-		fr.finish()
-	case pcMPPutPage:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		if fr.pkt.last {
-			fr.opDone(OpPut)
-			fr.mpFinishPut()
-			return
-		}
-		fr.finish()
-	case pcMPGetReqDecoded:
-		if !fr.pkt.rsync.Nil() {
-			fr.hold(A.AgentMiss, pcMPGetReqRsync)
-			return
-		}
-		fr.mpGetReqReply()
-	case pcMPGetReqRsync:
-		reg.Signal(fr.pkt.rsync)
-		fr.mpGetReqReply()
-	case pcMPGetDataShip:
-		in := fr.pkt
-		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktGetData, in.span, in.to, in.from, in.n
-		pkt.issued, pkt.dst, pkt.fsync = in.issued, in.dst, in.fsync
-		f.readBytesInto(pkt, in.src, in.n)
-		f.ship(fr.node, pkt)
-		fr.finish()
-	case pcMPGetPagesStart:
-		in := fr.pkt
-		fr.startPages(packet{kind: pktGetPage, span: in.span, from: in.to, to: in.from, n: in.n,
-			issued: in.issued, dst: in.dst, fsync: in.fsync}, in.src, pcFinish)
-	case pcMPGetDeposit:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		fr.opDone(OpGet)
-		fr.hold(A.AgentMiss, pcMPGetFsync)
-	case pcMPGetFsync:
-		reg.Signal(fr.pkt.fsync)
-		fr.finish()
-	case pcMPGetPageStep:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		if fr.pkt.last {
-			fr.opDone(OpGet)
-			fr.hold(A.AgentMiss, pcMPGetFsync)
-			return
-		}
-		fr.finish()
-	case pcMPEnqDeposit:
-		f.depositQueue(fr.pkt.rq, fr.pkt.data)
-		fr.opDone(OpEnq)
-		fr.finish()
-	case pcMPDeqReqTake:
-		fr.deqTake(false)
-	case pcMPDeqReplyShip:
-		fr.shipDeqReply()
-	case pcMPDeqDeposit:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		fr.opDone(OpDeq)
-		fr.hold(A.AgentMiss, pcMPDeqFsync)
-	case pcMPDeqFsync:
-		reg.Signal(fr.pkt.fsync)
-		fr.finish()
-	case pcMPAck:
-		reg.Signal(fr.pkt.fsync)
-		fr.finish()
-	case pcMPStealScan:
-		// Stolen turn (see steal.go): the cross-queue penalty is paid,
-		// now scan the victim exactly as mpServiceWork scans home turf.
-		sc := f.scanners[fr.node.ID][fr.stealIdx]
-		box, qi, ok := sc.Next()
-		if !ok {
-			fr.finish() // the victim (or another thief) got there first
-			return
-		}
-		fr.node.Eng.Emit(trace.KDequeue, f.eps[sc.Owner(qi)].cmdqComp, 0)
-		fr.take(box)
-		fr.hold(A.AgentMiss+A.Instr(0.5)+A.VMAtt, pcMPSend)
-
-	// ---- custom hardware: send side (hwSendWork) ----
-	case pcHWShipPIO:
-		r := &fr.r
-		kind := pktPutData
-		if r.kind == OpEnq {
-			kind = pktEnqData
-		}
-		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = kind, r.span, r.from, f.targetRank(r), r.n
-		pkt.issued, pkt.dst, pkt.rq, pkt.fsync, pkt.rsync = r.issued, r.remote, r.rq, r.fsync, r.rsync
-		if r.kind == OpEnq {
-			pkt.data = f.readSource(r)
-		} else {
-			f.readSourceInto(pkt, r)
-		}
-		f.ship(fr.node, pkt)
-		if r.kind == OpEnq && !r.fsync.Nil() {
-			fr.hold(A.CacheMiss, pcHWEnqSync)
-			return
-		}
-		fr.finish()
-	case pcHWEnqSync:
-		reg.Signal(fr.r.fsync)
-		fr.finish()
-	case pcHWPutPages:
-		r := &fr.r
-		fr.startPages(packet{kind: pktPutPage, span: r.span, from: r.from, to: f.targetRank(r), n: r.n,
-			issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local, pcFinish)
-	case pcHWGetReqShip:
-		r := &fr.r
-		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktGetReq, r.span, r.from, f.targetRank(r), r.n
-		pkt.issued, pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.issued, r.remote, r.local, r.fsync, r.rsync
-		f.ship(fr.node, pkt)
-		fr.finish()
-	case pcHWDeqReqShip:
-		r := &fr.r
-		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktDeqReq, r.span, r.from, f.targetRank(r), r.n
-		pkt.issued, pkt.rq, pkt.dst, pkt.fsync = r.issued, r.rq, r.local, r.fsync
-		f.ship(fr.node, pkt)
-		fr.finish()
-
-	// ---- custom hardware: receive side (hwRecvWork) ----
-	case pcHWPutDeposit:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		fr.opDone(OpPut)
-		fr.hwFinishPut()
-	case pcHWPutRsync:
-		reg.Signal(fr.pkt.rsync)
-		fr.hwFinishPutAck()
-	case pcHWPutAckShip:
-		fr.shipAck()
-		fr.finish()
-	case pcHWPutPage:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		if fr.pkt.last {
-			fr.opDone(OpPut)
-			fr.hwFinishPut()
-			return
-		}
-		fr.finish()
-	case pcHWGetReqRsync:
-		reg.Signal(fr.pkt.rsync)
-		fr.hwGetReqReply()
-	case pcHWGetDataShip:
-		in := fr.pkt
-		pkt := f.newPacket(fr.node)
-		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktGetData, in.span, in.to, in.from, in.n
-		pkt.issued, pkt.dst, pkt.fsync = in.issued, in.dst, in.fsync
-		f.readBytesInto(pkt, in.src, in.n)
-		f.ship(fr.node, pkt)
-		fr.finish()
-	case pcHWGetPagesStart:
-		in := fr.pkt
-		fr.startPages(packet{kind: pktGetPage, span: in.span, from: in.to, to: in.from, n: in.n,
-			issued: in.issued, dst: in.dst, fsync: in.fsync}, in.src, pcFinish)
-	case pcHWGetDeposit:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		fr.opDone(OpGet)
-		fr.hold(A.CacheMiss, pcHWGetFsync)
-	case pcHWGetFsync:
-		reg.Signal(fr.pkt.fsync)
-		fr.finish()
-	case pcHWGetPageStep:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		if fr.pkt.last {
-			fr.opDone(OpGet)
-			fr.hold(A.CacheMiss, pcHWGetFsync)
-			return
-		}
-		fr.finish()
-	case pcHWEnqDeposit:
-		f.depositQueue(fr.pkt.rq, fr.pkt.data)
-		fr.opDone(OpEnq)
-		fr.finish()
-	case pcHWDeqReqTake:
-		fr.deqTake(true)
-	case pcHWDeqReplyShip:
-		fr.shipDeqReply()
-	case pcHWDeqDeposit:
-		f.depositBytes(fr.pkt.dst, fr.pkt.data)
-		fr.opDone(OpDeq)
-		fr.hold(A.CacheMiss, pcHWDeqFsync)
-	case pcHWDeqFsync:
-		reg.Signal(fr.pkt.fsync)
-		fr.finish()
-	case pcHWAck:
-		reg.Signal(fr.pkt.fsync)
-		fr.finish()
-
 	default:
-		panic("comm: agentExec woke at unknown pc")
+		panic("comm: agent woke at unknown pc")
 	}
 }
 
-// shipAck sends the PUT confirmation for the packet being processed.
-func (fr *agentExec) shipAck() {
-	in := fr.pkt
-	pkt := fr.f.newPacket(fr.node)
-	pkt.kind, pkt.from, pkt.to, pkt.fsync = pktAck, in.to, in.from, in.fsync
-	fr.f.ship(fr.node, pkt)
+// Idle probes the sibling proxies for a turn to steal when the steal
+// policy is on.
+func (fr *agentExec) Idle() {
+	if fr.steal {
+		fr.f.trySteal(fr.node, fr.scanIdx)
+	}
 }
 
-// mpFinishPut completes a PUT deposit: signal the remote flag, then, when
+// Restart rebuilds the proxy's scanner after a crash (fault plane):
+// queued commands survive, since they live in user memory, but the
+// scanner's position and non-empty summary are rebuilt by reprobing
+// every registered queue head.
+func (fr *agentExec) Restart() {
+	if fr.f.A.Kind == arch.Proxy {
+		fr.f.scanners[fr.node.ID][fr.scanIdx].Restart()
+	}
+}
+
+// ScanPass feeds every pass of the proxy's own scanner to the trace
+// stream under the scanner's name (Emit is a no-op without a tracer) and
+// keeps its probes for the pickup that follows it.
+func (fr *agentExec) ScanPass(probes, headChecks int64, found bool) {
+	fr.node.Eng.Emit(trace.KScan, fr.scanName, trace.ScanArg(probes, headChecks, found))
+	if f := fr.f; f.spans != nil {
+		f.pass.probes, f.pass.headChecks = probes, headChecks
+	}
+}
+
+// scan is one turn of the proxy's dispatch loop over the node's scanner
+// idx, its own or a stolen one: dequeue, decode, attach the user's
+// address space, and go on to the send state. A turn that finds nothing
+// retires: its hint was stale (the command was already consumed), or
+// another proxy got there first.
+func (fr *agentExec) scan(idx int) {
+	f := fr.f
+	sc := f.scanners[fr.node.ID][idx]
+	box, qi, ok := sc.Next()
+	if !ok {
+		fr.finish()
+		return
+	}
+	fr.node.Eng.Emit(trace.KDequeue, f.eps[sc.Owner(qi)].cmdqComp, 0)
+	fr.take(box)
+	A := &f.A
+	// Dequeue entry (read miss), decode command and allocate a CCB,
+	// vm_att to the user's space.
+	fr.a.Hold(A.AgentMiss+A.Instr(0.5)+A.VMAtt, pcSend)
+}
+
+// finishPut completes a PUT deposit: signal the remote flag, then, when
 // the sender asked for local completion, return an acknowledgment.
-func (fr *agentExec) mpFinishPut() {
+func (fr *agentExec) finishPut() {
 	if !fr.pkt.rsync.Nil() {
-		fr.hold(fr.f.A.AgentMiss, pcMPPutRsync)
+		fr.a.Hold(fr.f.costs.syncWrite, pcPutRsync)
 		return
 	}
-	fr.mpFinishPutAck()
+	fr.finishPutAck()
 }
 
-func (fr *agentExec) mpFinishPutAck() {
-	A := &fr.f.A
+func (fr *agentExec) finishPutAck() {
 	if !fr.pkt.fsync.Nil() {
-		fr.hold(A.Uncached+A.Instr(0.3)+A.Uncached, pcMPPutAckShip)
+		fr.a.Hold(fr.f.costs.ack, pcPutAckShip)
 		return
 	}
 	fr.finish()
 }
 
-func (fr *agentExec) hwFinishPut() {
+// getReqRsync signals a decoded GET request's remote flag, when it
+// carries one, before the reply.
+func (fr *agentExec) getReqRsync() {
 	if !fr.pkt.rsync.Nil() {
-		fr.hold(fr.f.A.CacheMiss, pcHWPutRsync)
+		fr.a.Hold(fr.f.costs.syncWrite, pcGetReqRsync)
 		return
 	}
-	fr.hwFinishPutAck()
+	fr.getReqReply()
 }
 
-func (fr *agentExec) hwFinishPutAck() {
-	if !fr.pkt.fsync.Nil() {
-		fr.hold(fr.f.A.AdapterOvh, pcHWPutAckShip)
-		return
-	}
-	fr.finish()
-}
-
-// mpGetReqReply builds the GET reply: PIO for small transfers, the page
+// getReqReply builds the GET reply: PIO for small transfers, the page
 // streamer otherwise.
-func (fr *agentExec) mpGetReqReply() {
-	A := &fr.f.A
-	pkt := fr.pkt
-	if pkt.n <= A.PIOCutoff {
-		// Build reply: header, read the source (miss + uncached), PIO
-		// out, launch.
-		fr.hold(A.Uncached+A.Instr(0.7)+A.AgentMiss+A.Uncached+fr.f.pio(pkt.n)+A.Uncached, pcMPGetDataShip)
+func (fr *agentExec) getReqReply() {
+	f := fr.f
+	if n := fr.pkt.n; n <= f.A.PIOCutoff {
+		fr.a.Hold(f.costs.getReplyPIO+f.pio(n), pcGetDataShip)
 		return
 	}
-	fr.hold(A.Uncached+A.Instr(0.8), pcMPGetPagesStart)
-}
-
-func (fr *agentExec) hwGetReqReply() {
-	A := &fr.f.A
-	pkt := fr.pkt
-	if pkt.n <= A.PIOCutoff {
-		fr.hold(A.AdapterOvh+A.CacheMiss+fr.f.pio(pkt.n), pcHWGetDataShip)
-		return
-	}
-	fr.hold(A.AdapterOvh, pcHWGetPagesStart)
+	fr.a.Hold(f.costs.getReplyDMA, pcGetPagesStart)
 }
 
 // deqTake finishes a DEQ request: copy the request out of the (about to
 // be freed) packet, then hand the reply work to the requester's serving
 // agent once a record is available. The TakeAsync closure allocates per
 // DEQ.
-func (fr *agentExec) deqTake(hw bool) {
+func (fr *agentExec) deqTake() {
 	f := fr.f
 	q, _ := f.Cl.Reg.Queue(fr.pkt.rq)
 	box := &deqReply{req: *fr.pkt}
-	work := machine.Work{TFn: mpDeqReplyWork, Arg: box}
-	if hw {
-		work.TFn = hwDeqReplyWork
-	}
 	q.TakeAsync(func(rec []byte) {
 		box.rec = rec
 		ag := f.agentForRank(box.req.to)
 		if f.spans != nil {
 			f.spans.Taken(box.req.span, ag.Name)
 		}
-		ag.Submit(work)
+		ag.Submit(workDeqReply, box)
 	})
 	fr.finish()
 }
 
-func (fr *agentExec) shipDeqReply() {
-	f := fr.f
-	box := fr.box
-	n := fr.nOut
-	pkt := f.newPacket(fr.node)
-	pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktDeqData, box.req.span, box.req.to, box.req.from, n
-	pkt.issued, pkt.data, pkt.dst, pkt.fsync = box.req.issued, box.rec[:n], box.req.dst, box.req.fsync
-	f.ship(fr.node, pkt)
-	fr.finish()
-}
+// ---- entry bodies: the Section 4 cost of each design point ----
 
 // mpSend dispatches a decoded command: one hold sized per operation, then
 // the matching ship state.
@@ -529,217 +392,134 @@ func (fr *agentExec) mpSend() {
 	switch r.kind {
 	case OpPut, OpEnq:
 		if r.kind == OpPut && r.n > A.PIOCutoff {
-			fr.hold(A.Uncached+A.Instr(0.8), pcMPPutPages) // header + DMA setup
+			fr.a.Hold(A.Uncached+A.Instr(0.8), pcPutPages) // header + DMA setup
 			return
 		}
 		// Header setup, read source data (miss + uncached), PIO the
 		// payload into the output FIFO, launch. ENQ records always move by
 		// PIO: queue entries are bounded small messages.
-		fr.hold(A.Uncached+A.Instr(0.6)+A.AgentMiss+A.Uncached+f.pio(r.n)+A.Uncached, pcMPShipPIO)
+		fr.a.Hold(A.Uncached+A.Instr(0.6)+A.AgentMiss+A.Uncached+f.pio(r.n)+A.Uncached, pcShipPIO)
 	case OpGet:
 		// Request packet: header only.
-		fr.hold(A.Uncached+A.Instr(0.7)+A.Uncached, pcMPGetReqShip)
+		fr.a.Hold(A.Uncached+A.Instr(0.7)+A.Uncached, pcGetReqShip)
 	case OpDeq:
-		fr.hold(A.Uncached+A.Instr(0.7)+A.Uncached, pcMPDeqReqShip)
+		fr.a.Hold(A.Uncached+A.Instr(0.7)+A.Uncached, pcDeqReqShip)
 	}
 }
 
-// ---- page streaming (the agents' form of Fabric.sendPages) ----
-
-// startPages begins streaming proto.n bytes from srcAddr page by page:
-// pin (unless Prepinned), occupy the DMA engine, cut the page through to
-// the wire — then continue at donePC.
-func (fr *agentExec) startPages(proto packet, srcAddr memory.Addr, donePC int) {
-	fr.proto, fr.srcAddr, fr.off, fr.donePC = proto, srcAddr, 0, donePC
-	fr.pageLoop()
-}
-
-func (fr *agentExec) pageLoop() {
-	A := &fr.f.A
-	if fr.off >= fr.proto.n {
-		fr.pc = fr.donePC
-		fr.step()
-		return
-	}
-	chunk := fr.proto.n - fr.off
-	if chunk > A.PageSize {
-		chunk = A.PageSize
-	}
-	fr.chunk = chunk
-	if !A.Prepinned {
-		fr.hold(2*A.PinPerPage, pcPagePinned)
-		return
-	}
-	fr.pagePinned()
-}
-
-func (fr *agentExec) pagePinned() {
-	fr.pc = pcPageDMADone
-	fr.node.DMA.OccupyTask(fr.a.Task(), fr.chunk, fr.stepK)
-}
-
-func (fr *agentExec) pageDMADone() {
-	f := fr.f
-	pg := f.newPacket(fr.node)
-	buf, pooled := pg.buf, pg.pooled
-	*pg = fr.proto
-	pg.buf, pg.pooled = buf, pooled
-	pg.n = fr.chunk
-	f.readBytesInto(pg, fr.srcAddr.Plus(fr.off), fr.chunk) // read after the DMA completes
-	pg.dst = fr.proto.dst.Plus(fr.off)
-	pg.last = fr.off+fr.chunk == fr.proto.n
-	f.shipOverlapped(fr.node, pg, fr.off == 0)
-	fr.off += fr.chunk
-	fr.pageLoop()
-}
-
-// ---- work-item entry points (Work.TFn bodies; static functions so the
-// work items themselves allocate nothing) ----
-
-// mpServiceWork is one turn of the proxy's dispatch loop: scan, dequeue,
-// decode, attach the user's address space, and dispatch to the send
-// state.
-func mpServiceWork(a *machine.Agent, _ any) {
-	fr := a.Exec().(*agentExec)
-	f := fr.f
-	sc := f.scanners[fr.node.ID][fr.scanIdx]
-	box, qi, ok := sc.Next()
-	if !ok {
-		a.WorkDone() // stale scan hint; the command was already consumed
-		return
-	}
-	fr.node.Eng.Emit(trace.KDequeue, f.eps[sc.Owner(qi)].cmdqComp, 0)
-	fr.take(box)
-	A := &f.A
-	// Dequeue entry (read miss), decode command and allocate a CCB,
-	// vm_att to the user's space.
-	fr.hold(A.AgentMiss+A.Instr(0.5)+A.VMAtt, pcMPSend)
-}
-
-// hwSendWork decodes the adapter command carried in the reqBox and holds
-// the send-side cost of its operation.
-func hwSendWork(a *machine.Agent, arg any) {
-	fr := a.Exec().(*agentExec)
-	box := arg.(*reqBox)
-	fr.picked(box.r.span, 0, 0)
-	fr.r = box.r
-	fr.f.freeReqBox(fr.node, box)
+// hwSend holds the adapter's send-side cost of the decoded command.
+func (fr *agentExec) hwSend() {
 	f := fr.f
 	A := &f.A
 	r := &fr.r
 	switch r.kind {
 	case OpPut, OpEnq:
 		if r.kind == OpPut && r.n > A.PIOCutoff {
-			fr.hold(A.AdapterOvh, pcHWPutPages)
+			fr.a.Hold(A.AdapterOvh, pcPutPages)
 			return
 		}
 		// Protocol engine occupancy plus reading the source buffer over
 		// the bus.
-		fr.hold(A.AdapterOvh+A.CacheMiss+f.pio(r.n), pcHWShipPIO)
+		fr.a.Hold(A.AdapterOvh+A.CacheMiss+f.pio(r.n), pcShipPIO)
 	case OpGet:
-		fr.hold(A.AdapterOvh, pcHWGetReqShip)
+		fr.a.Hold(A.AdapterOvh, pcGetReqShip)
 	case OpDeq:
-		fr.hold(A.AdapterOvh, pcHWDeqReqShip)
+		fr.a.Hold(A.AdapterOvh, pcDeqReqShip)
 	}
 }
 
-// mpRecvWork services a packet the proxy polled from the network input
-// FIFO.
-func mpRecvWork(a *machine.Agent, arg any) {
-	fr := a.Exec().(*agentExec)
-	pkt := arg.(*packet)
-	fr.picked(pkt.span, 0, 0)
-	fr.pkt = pkt
+// mpRecv services a packet the proxy polled from the network input FIFO.
+func (fr *agentExec) mpRecv() {
 	f := fr.f
 	A := &f.A
+	pkt := fr.pkt
 	switch pkt.kind {
 	case pktPutData:
 		// Read header (miss), decode/dispatch, vm_att, checks, read the
 		// payload (uncached + PIO), copy to destination (write miss).
-		fr.hold(A.CacheMiss+A.Instr(0.9)+A.VMAtt+A.Uncached+f.pio(pkt.n)+A.AgentMiss, pcMPPutDeposit)
+		fr.a.Hold(A.CacheMiss+A.Instr(0.9)+A.VMAtt+A.Uncached+f.pio(pkt.n)+A.AgentMiss, pcPutDeposit)
 	case pktPutPage:
 		// DMA deposits the page; the proxy pays per-page bookkeeping.
-		fr.hold(A.Instr(0.3)+A.AgentMiss, pcMPPutPage)
+		fr.a.Hold(A.Instr(0.3)+A.AgentMiss, pcPutPage)
 	case pktGetReq:
-		fr.hold(A.CacheMiss+A.Instr(1.0)+A.VMAtt, pcMPGetReqDecoded)
+		fr.a.Hold(A.CacheMiss+A.Instr(1.0)+A.VMAtt, pcGetReqDecoded)
 	case pktGetData:
 		// Reply: read header, find the CCB, vm_att, read payload, copy to
 		// destination (write miss); the lsync write miss follows.
-		fr.hold(A.CacheMiss+A.Instr(0.5)+A.VMAtt+A.Uncached+f.pio(pkt.n)+A.AgentMiss, pcMPGetDeposit)
+		fr.a.Hold(A.CacheMiss+A.Instr(0.5)+A.VMAtt+A.Uncached+f.pio(pkt.n)+A.AgentMiss, pcGetDeposit)
 	case pktGetPage:
-		fr.hold(A.Instr(0.3)+A.AgentMiss, pcMPGetPageStep)
+		fr.a.Hold(A.Instr(0.3)+A.AgentMiss, pcGetPageStep)
 	case pktEnqData:
 		// Like a PUT deposit plus the tail-pointer read/update and record
 		// bookkeeping in the owner's queue.
-		fr.hold(A.CacheMiss+A.Instr(0.9)+A.VMAtt+A.Uncached+f.pio(pkt.n)+2*A.CacheMiss+2*A.AgentMiss, pcMPEnqDeposit)
+		fr.a.Hold(A.CacheMiss+A.Instr(0.9)+A.VMAtt+A.Uncached+f.pio(pkt.n)+2*A.CacheMiss+2*A.AgentMiss, pcEnqDeposit)
 	case pktDeqReq:
-		fr.hold(A.CacheMiss+A.Instr(0.8)+A.VMAtt, pcMPDeqReqTake)
+		fr.a.Hold(A.CacheMiss+A.Instr(0.8)+A.VMAtt, pcDeqReqTake)
 	case pktDeqData:
-		fr.hold(A.CacheMiss+A.Instr(0.5)+A.VMAtt+A.Uncached+f.pio(pkt.n)+A.AgentMiss, pcMPDeqDeposit)
+		fr.a.Hold(A.CacheMiss+A.Instr(0.5)+A.VMAtt+A.Uncached+f.pio(pkt.n)+A.AgentMiss, pcDeqDeposit)
 	case pktAck:
-		fr.hold(A.CacheMiss+A.Instr(0.3)+A.AgentMiss, pcMPAck)
+		fr.a.Hold(A.CacheMiss+A.Instr(0.3)+A.AgentMiss, pcSignalFsync)
 	}
 }
 
-// hwRecvWork services an arriving packet on the adapter.
-func hwRecvWork(a *machine.Agent, arg any) {
-	fr := a.Exec().(*agentExec)
-	pkt := arg.(*packet)
-	fr.picked(pkt.span, 0, 0)
-	fr.pkt = pkt
+// hwRecv services an arriving packet on the adapter. A GET request needs
+// no decoding hold: the engine goes straight to its remote flag.
+func (fr *agentExec) hwRecv() {
 	f := fr.f
 	A := &f.A
+	pkt := fr.pkt
 	switch pkt.kind {
 	case pktPutData:
-		fr.hold(A.AdapterOvh+f.pio(pkt.n)+A.CacheMiss, pcHWPutDeposit)
+		fr.a.Hold(A.AdapterOvh+f.pio(pkt.n)+A.CacheMiss, pcPutDeposit)
 	case pktPutPage:
-		fr.hold(A.Instr(0.1), pcHWPutPage)
+		fr.a.Hold(A.Instr(0.1), pcPutPage)
 	case pktGetReq:
-		if !pkt.rsync.Nil() {
-			fr.hold(A.CacheMiss, pcHWGetReqRsync)
-			return
-		}
-		fr.hwGetReqReply()
+		fr.getReqRsync()
 	case pktGetData:
-		fr.hold(A.AdapterOvh+f.pio(pkt.n)+A.CacheMiss, pcHWGetDeposit)
+		fr.a.Hold(A.AdapterOvh+f.pio(pkt.n)+A.CacheMiss, pcGetDeposit)
 	case pktGetPage:
-		fr.hold(A.Instr(0.1), pcHWGetPageStep)
+		fr.a.Hold(A.Instr(0.1), pcGetPageStep)
 	case pktEnqData:
-		fr.hold(A.AdapterOvh+f.pio(pkt.n)+2*A.CacheMiss, pcHWEnqDeposit)
+		fr.a.Hold(A.AdapterOvh+f.pio(pkt.n)+2*A.CacheMiss, pcEnqDeposit)
 	case pktDeqReq:
-		fr.hold(A.AdapterOvh, pcHWDeqReqTake)
+		fr.a.Hold(A.AdapterOvh, pcDeqReqTake)
 	case pktDeqData:
-		fr.hold(A.AdapterOvh+f.pio(pkt.n)+A.CacheMiss, pcHWDeqDeposit)
+		fr.a.Hold(A.AdapterOvh+f.pio(pkt.n)+A.CacheMiss, pcDeqDeposit)
 	case pktAck:
-		fr.hold(A.AdapterOvh+A.CacheMiss, pcHWAck)
+		fr.a.Hold(A.AdapterOvh+A.CacheMiss, pcSignalFsync)
 	}
 }
 
-// mpDeqReplyWork ships a dequeued record back to the requester.
-func mpDeqReplyWork(a *machine.Agent, arg any) {
-	fr := a.Exec().(*agentExec)
-	box := arg.(*deqReply)
-	fr.picked(box.req.span, 0, 0)
-	fr.box = box
-	n := box.req.n
-	if len(box.rec) < n {
-		n = len(box.rec)
-	}
-	fr.nOut = n
-	A := &fr.f.A
-	fr.hold(A.Uncached+A.Instr(0.5)+A.AgentMiss+fr.f.pio(n)+A.Uncached, pcMPDeqReplyShip)
+// ---- page streaming (the agents' form of Fabric.sendPages) ----
+
+// startPages streams proto.n bytes from srcAddr page by page: pin
+// (unless Prepinned), occupy the DMA engine, cut the page through to the
+// wire; the work item finishes after the last page.
+func (fr *agentExec) startPages(proto packet, srcAddr memory.Addr) {
+	fr.proto, fr.srcAddr, fr.off = proto, srcAddr, 0
+	fr.pageLoop()
 }
 
-func hwDeqReplyWork(a *machine.Agent, arg any) {
-	fr := a.Exec().(*agentExec)
-	box := arg.(*deqReply)
-	fr.picked(box.req.span, 0, 0)
-	fr.box = box
-	n := box.req.n
-	if len(box.rec) < n {
-		n = len(box.rec)
-	}
-	fr.nOut = n
+func (fr *agentExec) pageLoop() {
 	A := &fr.f.A
-	fr.hold(A.AdapterOvh+fr.f.pio(n), pcHWDeqReplyShip)
+	if fr.off >= fr.proto.n {
+		fr.finish()
+		return
+	}
+	fr.chunk = min(fr.proto.n-fr.off, A.PageSize)
+	if !A.Prepinned {
+		fr.a.Hold(2*A.PinPerPage, pcPagePinned)
+		return
+	}
+	fr.pagePinned()
+}
+
+func (fr *agentExec) pagePinned() {
+	fr.a.Occupy(fr.node.DMA, fr.chunk, pcPageDMADone)
+}
+
+func (fr *agentExec) pageDMADone() {
+	fr.f.shipPage(fr.node, &fr.proto, fr.srcAddr, fr.off, fr.chunk)
+	fr.off += fr.chunk
+	fr.pageLoop()
 }

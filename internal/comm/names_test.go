@@ -39,8 +39,26 @@ func TestComponentNames(t *testing.T) {
 		check("DMA engine", nd.DMA.Name(), fmt.Sprintf("node%d.dma", n))
 		for k, ag := range nd.Agents {
 			check("proxy", ag.Name, fmt.Sprintf("node%d.proxy%d", n, k))
-			check("proxy task", ag.Task().Name(), ag.Name)
 		}
+	}
+	// Each agent's task spawns under the agent's name.
+	if err := eng.RunUntil(0); err != nil {
+		t.Fatal(err)
+	}
+	eng.FlushTrace()
+	var agents, tasks []string
+	for _, nd := range cl.Nodes {
+		for _, ag := range nd.Agents {
+			agents = append(agents, ag.Name)
+		}
+	}
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KSpawn {
+			tasks = append(tasks, ev.Comp)
+		}
+	}
+	if fmt.Sprint(tasks) != fmt.Sprint(agents) {
+		t.Errorf("agent tasks spawned as %v, want %v", tasks, agents)
 	}
 	g := topo.FatTree(nodes)
 	ports := make([]int, g.Switches)
@@ -70,7 +88,7 @@ func TestComponentNames(t *testing.T) {
 	rec.Reset()
 	for _, nd := range cl.Nodes {
 		for k, ag := range nd.Agents {
-			ag.Submit(machine.Work{TFn: func(a *machine.Agent, _ any) { a.WorkDone() }})
+			ag.Submit(workScan, nil)
 			f.scanners[nd.ID][k].Next()
 		}
 	}

@@ -151,6 +151,105 @@ func (f *Fabric) targetRank(r *request) int {
 	}
 }
 
+// Packet shapes: one builder per shape, shared by the agents' protocol
+// states and the system-call paths. Each takes its packet from node's
+// pool (newPacket).
+
+// putHeader is the header of r's payload: a PIO packet of kind pktPutData
+// or pktEnqData, or the prototype of a PUT's pktPutPage pages.
+func (f *Fabric) putHeader(kind pktKind, r *request) packet {
+	return packet{kind: kind, span: r.span, from: r.from, to: f.targetRank(r), n: r.n, issued: r.issued,
+		dst: r.remote, rq: r.rq, fsync: r.fsync, rsync: r.rsync}
+}
+
+// replyHeader is the header of the reply to request in: a GET's
+// pktGetData packet or the prototype of its pktGetPage pages, or a DEQ's
+// pktDeqData record.
+func replyHeader(kind pktKind, in *packet) packet {
+	return packet{kind: kind, span: in.span, from: in.to, to: in.from, n: in.n, issued: in.issued,
+		dst: in.dst, fsync: in.fsync}
+}
+
+// newPacketOf is newPacket holding hdr, the packet's own payload store
+// kept.
+func (f *Fabric) newPacketOf(node *machine.Node, hdr *packet) *packet {
+	pkt := f.newPacket(node)
+	buf, pooled := pkt.buf, pkt.pooled
+	*pkt = *hdr
+	pkt.buf, pkt.pooled = buf, pooled
+	return pkt
+}
+
+// dataPacket is r's PUT or ENQ payload by PIO, read from the source now.
+func (f *Fabric) dataPacket(node *machine.Node, r *request) *packet {
+	kind := pktPutData
+	if r.kind == OpEnq {
+		kind = pktEnqData
+	}
+	hdr := f.putHeader(kind, r)
+	pkt := f.newPacketOf(node, &hdr)
+	if r.kind == OpEnq {
+		// The destination queue retains the record: it must not alias
+		// the packet's reusable buf.
+		pkt.data = f.readSource(r)
+	} else {
+		f.readSourceInto(pkt, r)
+	}
+	return pkt
+}
+
+// getReqPacket is r's GET request.
+func (f *Fabric) getReqPacket(node *machine.Node, r *request) *packet {
+	pkt := f.newPacket(node)
+	pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktGetReq, r.span, r.from, f.targetRank(r), r.n
+	pkt.issued, pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.issued, r.remote, r.local, r.fsync, r.rsync
+	return pkt
+}
+
+// deqReqPacket is r's DEQ request.
+func (f *Fabric) deqReqPacket(node *machine.Node, r *request) *packet {
+	pkt := f.newPacket(node)
+	pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n = pktDeqReq, r.span, r.from, f.targetRank(r), r.n
+	pkt.issued, pkt.rq, pkt.dst, pkt.fsync = r.issued, r.rq, r.local, r.fsync
+	return pkt
+}
+
+// getDataPacket is the PIO reply to GET request in, its payload read now.
+func (f *Fabric) getDataPacket(node *machine.Node, in *packet) *packet {
+	hdr := replyHeader(pktGetData, in)
+	pkt := f.newPacketOf(node, &hdr)
+	f.readBytesInto(pkt, in.src, in.n)
+	return pkt
+}
+
+// deqDataPacket is the reply to DEQ request in, carrying rec (the
+// dequeued record, cut to the size requested).
+func (f *Fabric) deqDataPacket(node *machine.Node, in *packet, rec []byte) *packet {
+	hdr := replyHeader(pktDeqData, in)
+	pkt := f.newPacketOf(node, &hdr)
+	pkt.n, pkt.data = len(rec), rec
+	return pkt
+}
+
+// ackPacket is the confirmation of PUT deposit in, which sets the
+// sender's fsync.
+func (f *Fabric) ackPacket(node *machine.Node, in *packet) *packet {
+	pkt := f.newPacket(node)
+	pkt.kind, pkt.from, pkt.to, pkt.fsync = pktAck, in.to, in.from, in.fsync
+	return pkt
+}
+
+// shipPage ships the page of proto's transfer at off, chunk bytes read
+// from src+off after the DMA engine has moved them.
+func (f *Fabric) shipPage(node *machine.Node, proto *packet, src memory.Addr, off, chunk int) {
+	pg := f.newPacketOf(node, proto)
+	pg.n = chunk
+	f.readBytesInto(pg, src.Plus(off), chunk)
+	pg.dst = proto.dst.Plus(off)
+	pg.last = off+chunk == proto.n
+	f.shipOverlapped(node, pg, off == 0)
+}
+
 // nodeOf returns the node hosting a rank.
 func (f *Fabric) nodeOf(rank int) *machine.Node { return f.Cl.CPUs[rank].Node }
 
@@ -231,9 +330,9 @@ func (f *Fabric) deliver(dest *machine.Node, pkt *packet) {
 	}
 	switch f.A.Kind {
 	case arch.Proxy:
-		f.agentForRank(pkt.to).Submit(machine.Work{TFn: mpRecvWork, Arg: pkt})
+		f.agentForRank(pkt.to).Submit(workRecv, pkt)
 	case arch.CustomHW:
-		dest.Agent.Submit(machine.Work{TFn: hwRecvWork, Arg: pkt})
+		dest.Agent.Submit(workRecv, pkt)
 	case arch.Syscall:
 		f.swRecv(dest, pkt)
 	}
@@ -317,27 +416,16 @@ func (f *Fabric) depositQueue(ref memory.QueueRef, data []byte) {
 // what limits software peak bandwidth to pageSize/(2*pin + page/DMABW) —
 // 86.7 MB/s at next-generation parameters versus 150 MB/s for pre-pinned
 // custom hardware (Table 4). The agents stream pages through the same
-// cycle in agentExec.startPages.
+// cycle in agentExec.startPages; both ship each page with shipPage.
 func (f *Fabric) sendPages(p *sim.Proc, node *machine.Node, proto packet, srcAddr memory.Addr) {
 	off := 0
 	for off < proto.n {
-		chunk := proto.n - off
-		if chunk > f.A.PageSize {
-			chunk = f.A.PageSize
-		}
+		chunk := min(proto.n-off, f.A.PageSize)
 		if !f.A.Prepinned {
 			p.Hold(2 * f.A.PinPerPage)
 		}
 		node.DMA.Occupy(p, chunk)
-		pg := f.newPacket(node)
-		buf, pooled := pg.buf, pg.pooled
-		*pg = proto
-		pg.buf, pg.pooled = buf, pooled
-		pg.n = chunk
-		f.readBytesInto(pg, srcAddr.Plus(off), chunk) // read after the DMA completes
-		pg.dst = proto.dst.Plus(off)
-		pg.last = off+chunk == proto.n
-		f.shipOverlapped(node, pg, off == 0)
+		f.shipPage(node, &proto, srcAddr, off, chunk)
 		off += chunk
 	}
 }

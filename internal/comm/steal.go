@@ -23,29 +23,6 @@ import (
 // token stale, which the scan path already tolerates (the turn finds
 // nothing and retires).
 
-// installStealing hooks every proxy on every multi-proxy node with an
-// idle-time steal probe. Called at fabric construction, proxy design
-// points only.
-func (f *Fabric) installStealing() {
-	cl := f.Cl
-	f.stealSeq = make([]uint64, len(cl.Nodes))
-	f.stealWork = make([][]machine.Work, len(cl.Nodes))
-	for _, nd := range cl.Nodes {
-		if len(nd.Agents) < 2 {
-			continue
-		}
-		works := make([]machine.Work, len(nd.Agents))
-		for v := range nd.Agents {
-			works[v] = machine.Work{TFn: mpStealWork, Arg: v}
-		}
-		f.stealWork[nd.ID] = works
-		for t := range nd.Agents {
-			node, thief := nd, t
-			nd.Agents[t].OnIdle(func() { f.trySteal(node, thief) })
-		}
-	}
-}
-
 // trySteal runs when a proxy finds its queue empty: probe the siblings
 // in seeded rotation and submit one steal turn against the first victim
 // whose scanner marks pending commands. The probe itself costs nothing —
@@ -62,17 +39,7 @@ func (f *Fabric) trySteal(node *machine.Node, thief int) {
 			continue
 		}
 		f.stealSeq[node.ID] = cnt + 1
-		node.Agents[thief].Submit(f.stealWork[node.ID][v])
+		node.Agents[thief].Submit(workSteal, v)
 		return
 	}
-}
-
-// mpStealWork is one stolen scan turn: hold the cross-queue penalty (the
-// victim's queue state is cold here), then scan the victim at
-// pcMPStealScan exactly as mpServiceWork scans home turf. Arg is the
-// victim's proxy index (a small int: interface boxing stays alloc-free).
-func mpStealWork(a *machine.Agent, arg any) {
-	fr := a.Exec().(*agentExec)
-	fr.stealIdx = arg.(int)
-	fr.hold(fr.f.A.AgentMiss, pcMPStealScan)
 }

@@ -22,50 +22,28 @@ import (
 func (f *Fabric) swSend(ep *Endpoint, r request) {
 	A := &f.A
 	node := ep.cpu.Node
-	to := f.targetRank(&r)
 	base := A.SyscallOvh + A.ProtocolOvh
 	switch r.kind {
 	case OpPut, OpEnq:
-		kind := pktPutData
-		if r.kind == OpEnq {
-			kind = pktEnqData
-		}
 		if r.kind == OpPut && r.n > A.PIOCutoff {
 			// The kernel pins and DMAs page by page with the caller
 			// blocked: a communication operation may block in the kernel,
 			// preventing overlap of communication with computation.
 			ep.cpu.Compute(ep.proc, base)
-			f.sendPages(ep.proc, node, packet{kind: pktPutPage, span: r.span, from: r.from, to: to, n: r.n,
-				issued: r.issued, dst: r.remote, fsync: r.fsync, rsync: r.rsync}, r.local)
+			f.sendPages(ep.proc, node, f.putHeader(pktPutPage, &r), r.local)
 		} else {
 			ep.cpu.Compute(ep.proc, base+A.CacheMiss+2*A.Uncached+f.pio(r.n))
-			pkt := f.newPacket(node)
-			pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n, pkt.issued = kind, r.span, r.from, to, r.n, r.issued
-			pkt.dst, pkt.rq, pkt.fsync, pkt.rsync = r.remote, r.rq, r.fsync, r.rsync
-			if r.kind == OpEnq {
-				// The destination queue retains the record: it must not
-				// alias the packet's reusable buf.
-				pkt.data = f.readSource(&r)
-			} else {
-				f.readSourceInto(pkt, &r)
-			}
-			f.ship(node, pkt)
+			f.ship(node, f.dataPacket(node, &r))
 		}
 		if r.kind == OpEnq {
 			f.Cl.Reg.Signal(r.fsync)
 		}
 	case OpGet:
 		ep.cpu.Compute(ep.proc, base+2*A.Uncached)
-		pkt := f.newPacket(node)
-		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n, pkt.issued = pktGetReq, r.span, r.from, to, r.n, r.issued
-		pkt.src, pkt.dst, pkt.fsync, pkt.rsync = r.remote, r.local, r.fsync, r.rsync
-		f.ship(node, pkt)
+		f.ship(node, f.getReqPacket(node, &r))
 	case OpDeq:
 		ep.cpu.Compute(ep.proc, base+2*A.Uncached)
-		pkt := f.newPacket(node)
-		pkt.kind, pkt.span, pkt.from, pkt.to, pkt.n, pkt.issued = pktDeqReq, r.span, r.from, to, r.n, r.issued
-		pkt.rq, pkt.dst, pkt.fsync = r.rq, r.local, r.fsync
-		f.ship(node, pkt)
+		f.ship(node, f.deqReqPacket(node, &r))
 	}
 }
 
@@ -168,11 +146,7 @@ func (f *Fabric) swFinish(dest *machine.Node, pkt *packet) {
 	case pktGetReq:
 		reg.Signal(pkt.rsync)
 		if pkt.n <= A.PIOCutoff {
-			rep := f.newPacket(dest)
-			rep.kind, rep.span, rep.from, rep.to, rep.n, rep.issued = pktGetData, pkt.span, pkt.to, pkt.from, pkt.n, pkt.issued
-			rep.dst, rep.fsync = pkt.dst, pkt.fsync
-			f.readBytesInto(rep, pkt.src, pkt.n)
-			f.ship(dest, rep)
+			f.ship(dest, f.getDataPacket(dest, pkt))
 			return
 		}
 		// A transient kernel thread streams the pinned pages out; like
@@ -180,8 +154,7 @@ func (f *Fabric) swFinish(dest *machine.Node, pkt *packet) {
 		// itself does not steal further compute cycles.
 		req := *pkt
 		f.Cl.Eng.Spawn(fmt.Sprintf("swdma-get-%d", req.from), func(p *sim.Proc) {
-			f.sendPages(p, dest, packet{kind: pktGetPage, span: req.span, from: req.to, to: req.from,
-				n: req.n, issued: req.issued, dst: req.dst, fsync: req.fsync}, req.src)
+			f.sendPages(p, dest, replyHeader(pktGetPage, &req), req.src)
 		})
 	case pktGetData:
 		f.opDone(dest, OpGet, pkt.issued, pkt.span, "engine")
@@ -199,18 +172,12 @@ func (f *Fabric) swFinish(dest *machine.Node, pkt *packet) {
 		cpu := f.Cl.CPUs[req.to]
 		q, _ := reg.Queue(req.rq)
 		q.TakeAsync(func(rec []byte) {
-			n := req.n
-			if len(rec) < n {
-				n = len(rec)
-			}
+			n := min(req.n, len(rec))
 			// The reply is sent from kernel context on the owner's CPU.
 			cost := A.ProtocolOvh + f.pio(n)
 			cpu.Interrupt(cost)
 			f.Cl.Eng.Schedule(cost, func() {
-				rep := f.newPacket(dest)
-				rep.kind, rep.span, rep.from, rep.to, rep.n, rep.issued = pktDeqData, req.span, req.to, req.from, n, req.issued
-				rep.data, rep.dst, rep.fsync = rec[:n], req.dst, req.fsync
-				f.ship(dest, rep)
+				f.ship(dest, f.deqDataPacket(dest, &req, rec[:n]))
 			})
 		})
 	case pktDeqData:
@@ -226,7 +193,5 @@ func (f *Fabric) swAck(node *machine.Node, pkt *packet) {
 	if pkt.fsync.Nil() {
 		return
 	}
-	ack := f.newPacket(node)
-	ack.kind, ack.from, ack.to, ack.fsync = pktAck, pkt.to, pkt.from, pkt.fsync
-	f.ship(node, ack)
+	f.ship(node, f.ackPacket(node, pkt))
 }

@@ -109,7 +109,7 @@ func (fr *submitFrame) enqueue() {
 		ep.f.spans.Enqueued(fr.r.span)
 	}
 	ep.f.scanners[node.ID][ep.proxyIdx].MarkNonEmpty(ep.cmdqIdx)
-	node.Agents[ep.proxyIdx].Submit(ep.work)
+	node.Agents[ep.proxyIdx].Submit(workScan, nil)
 	fr.finish()
 }
 

@@ -17,9 +17,11 @@ import (
 // picked up as the loop reaches them and incur queueing delay instead,
 // which is how proxy contention emerges in the Figure 9 experiment.
 //
-// The agent is a run-to-completion sim.Task: each turn takes one item,
-// runs it to completion through Hold continuations on the agent's task,
-// and goes back to polling.
+// The agent is a run-to-completion sim.Task, embedded in it: each turn
+// takes one item, runs it to completion through Hold continuations, and
+// goes back to polling. One state field drives the whole agent, its own
+// idle, stall and notice states and its Exec's protocol states alike, so
+// every wake runs the same prebuilt continuation.
 type Agent struct {
 	Name   string
 	eng    *sim.Engine
@@ -36,48 +38,65 @@ type Agent struct {
 	serviceAt sim.Time
 
 	// plane, when non-nil, is consulted before each work item for
-	// stall/crash faults; onRestart runs after a crash window so the
-	// owner can rebuild volatile state (a proxy restarts its scan loop).
-	plane     FaultPlane
-	onRestart func()
-	stalls    int64
-	restarts  int64
+	// stall/crash faults.
+	plane    FaultPlane
+	stalls   int64
+	restarts int64
 
-	// onIdle, when non-nil, runs when the agent finds its queue empty,
-	// immediately before it would block or park. It may Submit new work
-	// (which the agent then picks up without blocking); the fabric's
-	// work-stealing policy uses it to steal a scan turn from a loaded
-	// sibling proxy instead of going idle.
-	onIdle func()
-
-	// The agent's task and its resident state machine. One work item is
-	// in flight at a time, so a single reusable frame (cur, fate)
-	// suffices; the continuations are built once at construction so the
+	// The agent's task and its state machine. One work item is in flight
+	// at a time, so a single frame (cur, fate) suffices; k is the one
+	// continuation every wake runs, built at construction so the
 	// steady-state serve cycle allocates nothing.
-	task    *sim.Task
-	cur     agentWork
-	fate    AgentFate
-	exec    any // model-layer per-agent scratch (the fabric's protocol frame)
-	awaitFn func()
-	beginFn func()
-	serveFn func()
+	task  sim.Task
+	state int
+	k     func()
+	cur   agentWork
+	fate  AgentFate
+	exec  Exec
 }
 
-// Work is one agent work item. TFn is its body: it runs on the agent's
-// Task with Arg as its operand and must eventually call Agent.WorkDone
-// exactly once (possibly from a later continuation). A Work with a nil
-// body is the shutdown poison pill.
-type Work struct {
-	TFn func(a *Agent, arg any)
-	Arg any
+// Exec is the model layer's side of an agent: the bodies of its work
+// items, run on the agent's task one at a time. The communication fabric
+// implements it with its per-agent protocol frame.
+type Exec interface {
+	// Serve starts the body of a work item of the given kind. The body
+	// advances simulated time with Agent.Hold and Agent.Occupy, each
+	// naming the state Step resumes at, and ends by calling
+	// Agent.WorkDone exactly once.
+	Serve(kind uint8, arg any)
+	// Step resumes the current body at state pc.
+	Step(pc int)
+	// Idle runs when the agent finds its queue empty, immediately before
+	// it would park. It may Submit work, which the agent then serves
+	// without parking; such work arrives at the current instant and so
+	// pays the notice delay like any item that catches the agent idle.
+	// The fabric's work-stealing policy uses it to steal a scan turn from
+	// a loaded sibling proxy instead of going idle.
+	Idle()
+	// Restart runs after a crash-and-restart fault so the model can
+	// rebuild its volatile state (a proxy restarts its scan loop).
+	Restart()
 }
 
+// The agent's own states. They are negative; every other state is its
+// Exec's, passed to Exec.Step.
+const (
+	agentAwait = -1 - iota // idle: take the next item or park
+	agentBegin             // after a stall fault
+	agentServe             // after the notice delay
+)
+
+// agentWork is one queued work item. A stop item is the shutdown poison
+// pill.
 type agentWork struct {
-	w  Work
-	at sim.Time
+	at   sim.Time
+	kind uint8
+	stop bool
+	arg  any
 }
 
-// NewAgent creates an agent server on eng.
+// NewAgent creates an agent server on eng. Attach its Exec before the
+// agent receives work.
 func NewAgent(eng *sim.Engine, name string, notice sim.Time) *Agent {
 	a := new(Agent)
 	a.init(eng, name, name+".q", notice)
@@ -89,28 +108,43 @@ func NewAgent(eng *sim.Engine, name string, notice sim.Time) *Agent {
 func (a *Agent) init(eng *sim.Engine, name, qname string, notice sim.Time) {
 	a.Name, a.eng, a.notice = name, eng, notice
 	a.queue.Init(eng, qname)
-	a.awaitFn = a.awaitWork
-	a.beginFn = a.begin
-	a.serveFn = a.serve
-	a.task = eng.SpawnTaskDaemon(name, a.start)
+	a.state = agentAwait
+	a.k = a.step
+	eng.SpawnTaskDaemonInto(&a.task, name, a.k)
 }
 
-// start is the agent task's start function.
-func (a *Agent) start(*sim.Task) { a.awaitWork() }
+// Attach installs the agent's Exec.
+func (a *Agent) Attach(x Exec) { a.exec = x }
+
+// step is the agent's one continuation: it resumes whatever state the
+// agent parked in.
+func (a *Agent) step() {
+	switch a.state {
+	case agentAwait:
+		a.awaitWork()
+	case agentBegin:
+		a.begin()
+	case agentServe:
+		a.serve()
+	default:
+		a.exec.Step(a.state)
+	}
+}
 
 // awaitWork is the agent's idle state: take the next item or park.
 func (a *Agent) awaitWork() {
 	w, ok := a.queue.TryGet()
-	if !ok && a.onIdle != nil {
-		a.onIdle()
+	if !ok && a.exec != nil { // a cluster built without a fabric has no Exec
+		a.exec.Idle()
 		w, ok = a.queue.TryGet()
 	}
 	if !ok {
-		a.queue.ParkGetter(a.task, a.awaitFn)
+		a.state = agentAwait
+		a.queue.ParkGetter(&a.task, a.k)
 		return
 	}
 	a.cur = w
-	if w.w.TFn == nil {
+	if w.stop {
 		a.task.End() // poison pill from Shutdown
 		return
 	}
@@ -120,7 +154,7 @@ func (a *Agent) awaitWork() {
 		if a.fate.Stall > 0 {
 			a.eng.Emit(trace.KStall, a.Name, int64(a.fate.Stall))
 			a.stalls++
-			a.task.Hold(a.fate.Stall, a.beginFn)
+			a.Hold(a.fate.Stall, agentBegin)
 			return
 		}
 	}
@@ -134,12 +168,10 @@ func (a *Agent) awaitWork() {
 func (a *Agent) begin() {
 	if a.fate.Restart {
 		a.restarts++
-		if a.onRestart != nil {
-			a.onRestart()
-		}
+		a.exec.Restart()
 	}
 	if a.eng.Now() == a.cur.at && a.notice > 0 {
-		a.task.Hold(a.notice, a.serveFn)
+		a.Hold(a.notice, agentServe)
 		return
 	}
 	a.serve()
@@ -152,12 +184,27 @@ func (a *Agent) serve() {
 	a.eng.Emit(trace.KPoll, a.Name, int64(now-a.cur.at))
 	a.inService = true
 	a.serviceAt = now
-	a.cur.w.TFn(a, a.cur.w.Arg)
+	a.exec.Serve(a.cur.kind, a.cur.arg)
+}
+
+// Hold parks the agent for d of simulated time and resumes it in state
+// pc: the current work item's body at its Exec's Step(pc). Hold(0, pc)
+// yields, letting other events at the same timestamp run first.
+func (a *Agent) Hold(d sim.Time, pc int) {
+	a.state = pc
+	a.task.Hold(d, a.k)
+}
+
+// Occupy keeps the current body busy while n bytes pass through l (a DMA
+// page transfer); the agent's Exec resumes it at Step(pc).
+func (a *Agent) Occupy(l *Link, n, pc int) {
+	a.state = pc
+	l.OccupyTask(&a.task, n, a.k)
 }
 
 // WorkDone completes the current work item and moves the agent to its
-// next item (or back to idle). Every Work.TFn must arrange for exactly
-// one WorkDone call.
+// next item (or back to idle). Every body must arrange for exactly one
+// WorkDone call.
 func (a *Agent) WorkDone() {
 	a.inService = false
 	a.busyTotal += a.eng.Now() - a.serviceAt
@@ -166,38 +213,14 @@ func (a *Agent) WorkDone() {
 	a.awaitWork()
 }
 
-// Task returns the agent's task. Work bodies use it for Hold
-// continuations.
-func (a *Agent) Task() *sim.Task { return a.task }
-
-// SetExec attaches model-layer per-agent scratch state; Exec returns it.
-// The communication fabric hangs its reusable protocol frame here so hot
-// work items need no per-item allocation.
-func (a *Agent) SetExec(x any) { a.exec = x }
-
-// Exec returns the scratch state installed by SetExec.
-func (a *Agent) Exec() any { return a.exec }
-
-// Submit enqueues a work item.
-func (a *Agent) Submit(w Work) {
-	a.queue.Put(agentWork{w: w, at: a.eng.Now()})
+// Submit enqueues a work item of the given kind with operand arg, both
+// passed to the agent's Exec.Serve.
+func (a *Agent) Submit(kind uint8, arg any) {
+	a.queue.Put(agentWork{at: a.eng.Now(), kind: kind, arg: arg})
 }
 
 // SetFaultPlane installs (or, with nil, removes) the agent's fault plane.
 func (a *Agent) SetFaultPlane(p FaultPlane) { a.plane = p }
-
-// OnRestart installs the hook run after a crash-and-restart fault. The
-// communication fabric uses it to restart the proxy's scan loop: queued
-// commands survive (they live in user memory) but the scanner's position
-// and non-empty summary are rebuilt from scratch.
-func (a *Agent) OnRestart(fn func()) { a.onRestart = fn }
-
-// OnIdle installs (or, with nil, removes) the hook run when the agent
-// finds its work queue empty, just before blocking. The hook may Submit
-// work, in which case the agent serves it without ever going idle; work
-// submitted this way arrives at the current instant and therefore pays
-// the notice delay like any item that catches the agent idle.
-func (a *Agent) OnIdle(fn func()) { a.onIdle = fn }
 
 // Stalls returns the number of stall faults the agent absorbed.
 func (a *Agent) Stalls() int64 { return a.stalls }
@@ -206,7 +229,7 @@ func (a *Agent) Stalls() int64 { return a.stalls }
 func (a *Agent) Restarts() int64 { return a.restarts }
 
 // Shutdown terminates the agent's task once queued work drains.
-func (a *Agent) Shutdown() { a.queue.Put(agentWork{at: a.eng.Now()}) }
+func (a *Agent) Shutdown() { a.queue.Put(agentWork{at: a.eng.Now(), stop: true}) }
 
 // QueueLen returns the number of pending work items.
 func (a *Agent) QueueLen() int { return a.queue.Len() }

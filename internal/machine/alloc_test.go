@@ -24,14 +24,11 @@ func pinAllocs(t *testing.T, what string, fn func()) {
 // an agent must not allocate once the work FIFO has grown.
 func TestAllocPinTaskAgentServe(t *testing.T) {
 	eng := sim.NewEngine()
-	a := NewAgent(eng, "ag", 0)
+	a := testAgent(eng, "ag", 0)
 	served := 0
-	w := Work{TFn: func(a *Agent, _ any) {
-		served++
-		a.WorkDone()
-	}}
+	w := &testWork{then: func(sim.Time) { served++ }}
 	for i := 0; i < 8; i++ { // warm FIFO and event queues
-		a.Submit(w)
+		a.Submit(0, w)
 	}
 	if err := eng.RunUntil(sim.Millisecond); err != nil {
 		t.Fatal(err)
@@ -40,7 +37,7 @@ func TestAllocPinTaskAgentServe(t *testing.T) {
 		t.Fatalf("warmup served %d of 8", served)
 	}
 	pinAllocs(t, "task agent submit+serve", func() {
-		a.Submit(w)
+		a.Submit(0, w)
 		if err := eng.RunUntil(eng.Now() + sim.Millisecond); err != nil {
 			t.Fatal(err)
 		}

@@ -119,18 +119,16 @@ func TestAgentStallAndRestart(t *testing.T) {
 	withEngine(t, func(t *testing.T, eng *sim.Engine) {
 		rec := &trace.Recorder{}
 		eng.SetTracer(rec)
-		a := NewAgent(eng, "test.proxy", 0)
+		a := testAgent(eng, "test.proxy", 0)
 		a.SetFaultPlane(scriptPlane{agent: map[int64]AgentFate{
 			1: {Stall: 100 * sim.Microsecond},
 			2: {Stall: 50 * sim.Microsecond, Restart: true},
 		}})
-		restarts := 0
-		a.OnRestart(func() { restarts++ })
 
 		var done []sim.Time
 		eng.Spawn("driver", func(p *sim.Proc) {
 			for i := 0; i < 3; i++ {
-				a.Submit(holdWork(sim.Microsecond, func(now sim.Time) { done = append(done, now) }))
+				a.Submit(0, holdWork(sim.Microsecond, func(now sim.Time) { done = append(done, now) }))
 			}
 		})
 		if err := eng.Run(); err != nil {
@@ -143,7 +141,7 @@ func TestAgentStallAndRestart(t *testing.T) {
 		if d := done[1] - done[0]; d < 100*sim.Microsecond {
 			t.Errorf("stall not applied: item gap %v", d)
 		}
-		if restarts != 1 || a.Restarts() != 1 {
+		if restarts := a.exec.(*testExec).restarts; restarts != 1 || a.Restarts() != 1 {
 			t.Errorf("restarts = %d / %d, want 1", restarts, a.Restarts())
 		}
 		if a.Stalls() != 2 {

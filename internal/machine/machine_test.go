@@ -14,17 +14,54 @@ func withEngine(t *testing.T, fn func(t *testing.T, eng *sim.Engine)) {
 	t.Run("task", func(t *testing.T) { fn(t, sim.NewEngine()) })
 }
 
-// holdWork returns a Work that occupies the agent for d and then calls
+// testExec is the Exec of the agents under test. Every work item's
+// operand is a *testWork body.
+type testExec struct {
+	a        *Agent
+	cur      *testWork
+	restarts int
+}
+
+// testWork occupies the agent for d (when hold is set) and then calls
 // then (if non-nil) with the completion time.
-func holdWork(d sim.Time, then func(now sim.Time)) Work {
-	return Work{TFn: func(a *Agent, _ any) {
-		a.Task().Hold(d, func() {
-			if then != nil {
-				then(a.eng.Now())
-			}
-			a.WorkDone()
-		})
-	}}
+type testWork struct {
+	hold bool
+	d    sim.Time
+	then func(now sim.Time)
+}
+
+// testAgent is NewAgent with a testExec attached.
+func testAgent(eng *sim.Engine, name string, notice sim.Time) *Agent {
+	a := NewAgent(eng, name, notice)
+	a.Attach(&testExec{a: a})
+	return a
+}
+
+func (x *testExec) Serve(_ uint8, arg any) {
+	x.cur = arg.(*testWork)
+	if x.cur.hold {
+		x.a.Hold(x.cur.d, 0)
+		return
+	}
+	x.Step(0)
+}
+
+func (x *testExec) Step(int) {
+	w := x.cur
+	x.cur = nil
+	if w.then != nil {
+		w.then(x.a.eng.Now())
+	}
+	x.a.WorkDone()
+}
+
+func (x *testExec) Idle()    {}
+func (x *testExec) Restart() { x.restarts++ }
+
+// holdWork returns a work body that occupies the agent for d and then
+// calls then (if non-nil) with the completion time.
+func holdWork(d sim.Time, then func(now sim.Time)) *testWork {
+	return &testWork{hold: true, d: d, then: then}
 }
 
 // funcSink adapts a function to PacketSink for link tests.
@@ -290,11 +327,11 @@ func TestLinkIdleGapNoSerializationCarry(t *testing.T) {
 
 func TestAgentExecutesFIFOWithNotice(t *testing.T) {
 	withEngine(t, func(t *testing.T, eng *sim.Engine) {
-		a := NewAgent(eng, "proxy", sim.Micros(3))
+		a := testAgent(eng, "proxy", sim.Micros(3))
 		var done []sim.Time
 		eng.Spawn("client", func(p *sim.Proc) {
-			a.Submit(holdWork(sim.Micros(5), func(now sim.Time) { done = append(done, now) }))
-			a.Submit(holdWork(sim.Micros(5), func(now sim.Time) { done = append(done, now) }))
+			a.Submit(0, holdWork(sim.Micros(5), func(now sim.Time) { done = append(done, now) }))
+			a.Submit(0, holdWork(sim.Micros(5), func(now sim.Time) { done = append(done, now) }))
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -312,12 +349,12 @@ func TestAgentExecutesFIFOWithNotice(t *testing.T) {
 
 func TestAgentIdleThenNewNotice(t *testing.T) {
 	withEngine(t, func(t *testing.T, eng *sim.Engine) {
-		a := NewAgent(eng, "proxy", sim.Micros(3))
+		a := testAgent(eng, "proxy", sim.Micros(3))
 		var done []sim.Time
 		eng.Spawn("client", func(p *sim.Proc) {
-			a.Submit(holdWork(sim.Micros(1), func(now sim.Time) { done = append(done, now) }))
+			a.Submit(0, holdWork(sim.Micros(1), func(now sim.Time) { done = append(done, now) }))
 			p.Hold(sim.Micros(100))
-			a.Submit(holdWork(sim.Micros(1), func(now sim.Time) { done = append(done, now) }))
+			a.Submit(0, holdWork(sim.Micros(1), func(now sim.Time) { done = append(done, now) }))
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -334,9 +371,9 @@ func TestAgentIdleThenNewNotice(t *testing.T) {
 
 func TestAgentUtilization(t *testing.T) {
 	withEngine(t, func(t *testing.T, eng *sim.Engine) {
-		a := NewAgent(eng, "proxy", 0)
+		a := testAgent(eng, "proxy", 0)
 		eng.Spawn("client", func(p *sim.Proc) {
-			a.Submit(holdWork(sim.Micros(25), nil))
+			a.Submit(0, holdWork(sim.Micros(25), nil))
 			p.Hold(sim.Micros(100))
 		})
 		if err := eng.Run(); err != nil {
@@ -350,10 +387,10 @@ func TestAgentUtilization(t *testing.T) {
 
 func TestAgentShutdown(t *testing.T) {
 	withEngine(t, func(t *testing.T, eng *sim.Engine) {
-		a := NewAgent(eng, "proxy", 0)
+		a := testAgent(eng, "proxy", 0)
 		ran := false
 		eng.Spawn("client", func(p *sim.Proc) {
-			a.Submit(Work{TFn: func(ag *Agent, _ any) { ran = true; ag.WorkDone() }})
+			a.Submit(0, &testWork{then: func(sim.Time) { ran = true }})
 			p.Hold(1)
 			a.Shutdown()
 		})

@@ -12,10 +12,10 @@ import (
 // the common case for long DMA-backed services.
 func TestAgentUtilizationSinceMidService(t *testing.T) {
 	withEngine(t, func(t *testing.T, eng *sim.Engine) {
-		a := NewAgent(eng, "ag", 0)
+		a := testAgent(eng, "ag", 0)
 		eng.Spawn("client", func(p *sim.Proc) {
 			p.Hold(100)
-			a.Submit(holdWork(300, nil)) // service over [100, 400)
+			a.Submit(0, holdWork(300, nil)) // service over [100, 400)
 		})
 		var utils []float64
 		eng.Spawn("sampler", func(p *sim.Proc) {

@@ -176,7 +176,9 @@ type Scanner[T any] struct {
 // Observer receives one notification per completed scan pass (one Next
 // call): the number of bit-vector word probes and queue-head reads the
 // pass performed, and whether it dequeued a command.
-type Observer func(probes, headChecks int64, found bool)
+type Observer interface {
+	ScanPass(probes, headChecks int64, found bool)
+}
 
 // SetObserver installs (or, with nil, removes) the scan observer.
 func (s *Scanner[T]) SetObserver(o Observer) { s.observer = o }
@@ -304,7 +306,7 @@ func (s *Scanner[T]) Pending() bool {
 
 func (s *Scanner[T]) observe(probes, headChecks int64, found bool) {
 	if s.observer != nil {
-		s.observer(probes, headChecks, found)
+		s.observer.ScanPass(probes, headChecks, found)
 	}
 }
 

@@ -28,30 +28,44 @@ type Task struct {
 // simulated time (after already-scheduled events at this timestamp),
 // mirroring Spawn.
 func (e *Engine) SpawnTask(name string, start func(t *Task)) *Task {
-	return e.spawnTask(name, start, false)
+	t := &Task{start: start}
+	e.spawnTask(t, name, false)
+	return t
 }
 
 // SpawnTaskDaemon is SpawnTask for server tasks that do not count toward
 // deadlock detection, mirroring SpawnDaemon.
 func (e *Engine) SpawnTaskDaemon(name string, start func(t *Task)) *Task {
-	return e.spawnTask(name, start, true)
+	t := &Task{start: start}
+	e.spawnTask(t, name, true)
+	return t
+}
+
+// SpawnTaskDaemonInto is SpawnTaskDaemon for a task its caller owns:
+// it makes t, which must not have been spawned before, a server task
+// whose first wake runs the continuation k. A struct that embeds its
+// task and keeps one prebuilt continuation spawns without allocating
+// anything but the task's wake closure.
+func (e *Engine) SpawnTaskDaemonInto(t *Task, name string, k func()) {
+	t.next = k
+	e.spawnTask(t, name, true)
 }
 
 // spawnTask schedules the task's own dispatch closure as its spawn event:
-// the first dispatch finds the task not yet started and runs start.
-func (e *Engine) spawnTask(name string, start func(t *Task), daemon bool) *Task {
-	t := &Task{eng: e, name: name, start: start, daemon: daemon}
+// the first dispatch finds the task not yet started and runs its start
+// function, or else its first continuation.
+func (e *Engine) spawnTask(t *Task, name string, daemon bool) {
+	t.eng, t.name, t.daemon = e, name, daemon
 	t.run = t.dispatch
 	if e.down {
 		t.dead = true
-		return t
+		return
 	}
 	if !daemon {
 		e.live++
 	}
 	e.actors.add(actor{t: t})
 	e.Schedule(0, t.run)
-	return t
 }
 
 // begin is the spawn event: it starts the task unless the engine was
@@ -67,9 +81,14 @@ func (t *Task) begin() {
 	}
 	t.started = true
 	e.Emit(trace.KSpawn, t.name, 0)
-	start := t.start
-	t.start = nil
-	start(t)
+	if start := t.start; start != nil {
+		t.start = nil
+		start(t)
+	} else {
+		k := t.next
+		t.next = nil
+		k()
+	}
 	t.settle()
 }
 
